@@ -3,7 +3,8 @@
 The matrices T_i with entries [T_i]_jk = -i f_ijk represent the algebra on
 itself: [T_i, T_j] = i sum_k f_ijk T_k.  Because f is real and totally
 anti-symmetric, every T_i is Hermitian, purely imaginary off the diagonal,
-zero on it, and traceless.
+zero on it, and traceless.  Every matrix here is written entry by entry
+from the six signed index orders of the canonical f triples.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structure_constants import F_KIND, ConstantTable
+from .structure_constants import F_KIND, ConstantTable, _signed_permutations
 
 # Exhaustive pair verification is the default up to this N; beyond it the
 # check samples pairs instead.
@@ -41,17 +42,9 @@ def adjoint_stack(table: ConstantTable) -> np.ndarray:
     """All adjoint matrices as one (d, d, d) complex array, d = N**2 - 1."""
     _require_f(table)
     d = table.n_dim * table.n_dim - 1
+    i, j, k, f = _signed_permutations(table)
     stack = np.zeros((d, d, d), dtype=np.complex128)
-    for triple in table.triples():
-        a, b, c = triple.i - 1, triple.j - 1, triple.k - 1
-        v = -1j * triple.value
-        # All six permutations of the canonical triple, with f's sign parity.
-        stack[a, b, c] = v
-        stack[a, c, b] = -v
-        stack[b, c, a] = v
-        stack[b, a, c] = -v
-        stack[c, a, b] = v
-        stack[c, b, a] = -v
+    stack[i, j, k] = -1j * f
     return stack
 
 
@@ -61,19 +54,10 @@ def adjoint_matrix(table: ConstantTable, i: int) -> np.ndarray:
     d = table.n_dim * table.n_dim - 1
     if not 1 <= i <= d:
         raise ValueError(f"index {i} outside 1..{d} for N={table.n_dim}")
+    rows, j, k, f = _signed_permutations(table)
+    mine = rows == i - 1
     out = np.zeros((d, d), dtype=np.complex128)
-    for triple in table.triples():
-        if i not in (triple.i, triple.j, triple.k):
-            continue
-        v = -1j * triple.value
-        if i == triple.i:
-            j, k = triple.j - 1, triple.k - 1
-        elif i == triple.j:
-            j, k = triple.k - 1, triple.i - 1  # cyclic: f_jki = f_ijk
-        else:
-            j, k = triple.i - 1, triple.j - 1
-        out[j, k] = v
-        out[k, j] = -v
+    out[j[mine], k[mine]] = -1j * f[mine]
     return out
 
 
@@ -89,32 +73,41 @@ def verify_adjoint_commutators(
     With ``sample=None`` all pairs are checked for N <= 6 and 200 seeded
     random pairs beyond that; pass an explicit count to override.  Returns a
     report rather than raising: max deviation is a result, not an error.
-    """
-    stack = adjoint_stack(table)
-    d = stack.shape[0]
 
-    all_pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    Checks the real form [F_i, F_j] = -sum_k f_ijk F_k, T_i = -i F_i, one
+    pair at a time from d x d matrices: O(d**2) memory, no (d, d, d) stack.
+    """
+    _require_f(table)
+    d = table.n_dim * table.n_dim - 1
+    i_all, j_all, k_all, f_all = _signed_permutations(table)
+    order = np.argsort(i_all, kind="stable")
+    start = np.searchsorted(i_all[order], np.arange(d + 1))
+
+    def f_matrix(i: int) -> np.ndarray:  # [F_i]_jk = f_ijk
+        part = order[start[i] : start[i + 1]]
+        out = np.zeros((d, d))
+        out[j_all[part], k_all[part]] = f_all[part]
+        return out
+
+    firsts, seconds = np.triu_indices(d, 1)
     exhaustive = sample is None and table.n_dim <= EXHAUSTIVE_MAX_N
-    if exhaustive:
-        pairs = all_pairs
-    else:
-        count = min(DEFAULT_SAMPLE_PAIRS if sample is None else sample, len(all_pairs))
+    if not exhaustive:
+        count = min(DEFAULT_SAMPLE_PAIRS if sample is None else sample, len(firsts))
         rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(all_pairs), size=count, replace=False)
-        pairs = [all_pairs[idx] for idx in chosen]
+        chosen = rng.choice(len(firsts), size=count, replace=False)
+        firsts, seconds = firsts[chosen], seconds[chosen]
 
     max_dev = 0.0
-    for i, j in pairs:
-        comm = stack[i] @ stack[j] - stack[j] @ stack[i]
-        f_row = (1j * stack[i][j]).real  # f_ijk for all k
-        rhs = 1j * np.tensordot(f_row, stack, axes=(0, 0))
-        dev = float(np.abs(comm - rhs).max())
-        if dev > max_dev:
-            max_dev = dev
+    for i, j in zip(firsts, seconds):
+        f_i, f_j = f_matrix(i), f_matrix(j)
+        residual = f_i @ f_j - f_j @ f_i
+        for k in np.flatnonzero(f_i[j]):
+            residual += f_i[j, k] * f_matrix(k)
+        max_dev = max(max_dev, float(np.abs(residual).max()))
 
     return AdjointReport(
         n_dim=table.n_dim,
-        pairs_checked=len(pairs),
+        pairs_checked=len(firsts),
         exhaustive=exhaustive,
         max_deviation=max_dev,
         tolerance=tol,

@@ -14,15 +14,15 @@ the N-level generalization of spin precession about a magnetic field (at
 N = 2 it is literally ds/dt = (h x s)/hbar).  Because f is sparse, the
 right-hand side costs O(#triples), not O(N**6).
 
-For pure states the coherence vector comes straight from the amplitudes:
+Projections are direct entry reads (Bertlmann & Krammer, J. Phys. A 41,
+235303 (2008)), so decomposing and rebuilding cost O(N**2); for Hermitian X
 
-    s_Snm = hbar Re(conj(c_m) c_n),   s_Anm = hbar Im(conj(c_m) c_n),
-    s_Dn  = hbar [ sum_{k<n} |c_k|**2 / sqrt(2n(n-1))
-                   - sqrt((n-1)/(2n)) |c_n|**2 ],
+    Tr[X S_Snm] = hbar Re X_nm,   Tr[X S_Anm] = hbar Im X_nm,
+    Tr[X S_Dn]  = hbar [ sum_{k<n} X_kk / sqrt(2n(n-1)) - sqrt((n-1)/(2n)) X_nn ].
 
-which lets a trajectory of the precession equation be compared point by
-point against the amplitude-level Schrödinger equation
-dc/dt = (-i/hbar) H c integrated independently.
+A pure state has X_nm = c_n conj(c_m), which lets a trajectory of the
+precession equation be compared point by point against the amplitude-level
+Schrödinger equation dc/dt = (-i/hbar) H c integrated independently.
 
 Note the projection factors 2/hbar (Hamiltonian) and 2/hbar**2 (density):
 they are the ones forced by the basis normalization Tr[S_i S_j]
@@ -44,8 +44,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .generators import AlgebraConfig, all_generators
-from .structure_constants import F_KIND, ConstantTable
+from .generators import AlgebraConfig
+from .structure_constants import F_KIND, ConstantTable, _signed_permutations
 
 RK4 = "rk4"
 RK45 = "rk45"
@@ -78,10 +78,10 @@ class IntegrationSpec:
     output_stride: int = 1
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_final < 0:
-            raise ValueError(f"t_final must be >= 0, got {self.t_final}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (self.t_final >= 0 and math.isfinite(self.t_final)):
+            raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.output_stride < 1:
@@ -97,24 +97,15 @@ class Trajectory:
 
 
 @lru_cache(maxsize=8)
-def _generator_stack(cfg: AlgebraConfig) -> np.ndarray:
-    stack = np.stack(all_generators(cfg))
-    stack.flags.writeable = False
-    return stack
-
-
-@lru_cache(maxsize=8)
 def _bloch_maps(n_dim: int) -> tuple[np.ndarray, ...]:
-    """Index machinery for the amplitude -> coherence-vector transformation.
+    """Index machinery for reading generator components off matrix entries.
 
     Returns (m_idx, n_idx, s_pos, a_pos, d_pos, weights): 0-based coordinate
     arrays for the off-diagonal pairs, the output slots of the three families,
-    and the (N-1, N) weight matrix taking |c|**2 to the Cartan components.
+    and the (N-1, N) weight matrix taking a diagonal to the Cartan components.
     """
-    pairs = [(n, m) for n in range(2, n_dim + 1) for m in range(1, n)]
-    m_idx = np.array([m - 1 for n, m in pairs], dtype=np.intp)
-    n_idx = np.array([n - 1 for n, m in pairs], dtype=np.intp)
-    s_pos = np.array([n * n + 2 * (m - n) - 2 for n, m in pairs], dtype=np.intp)
+    n_idx, m_idx = np.tril_indices(n_dim, -1)  # pairs by n, then m
+    s_pos = n_idx * n_idx + 2 * m_idx - 1  # 1-based: S_nm is n**2 + 2(m-n) - 1
     a_pos = s_pos + 1
     d_pos = np.array([n * n - 2 for n in range(2, n_dim + 1)], dtype=np.intp)
     weights = np.zeros((n_dim - 1, n_dim))
@@ -124,10 +115,39 @@ def _bloch_maps(n_dim: int) -> tuple[np.ndarray, ...]:
     return m_idx, n_idx, s_pos, a_pos, d_pos, weights
 
 
+def _generator_traces(cfg: AlgebraConfig, lower: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """Tr[X S_k] for every generator of a Hermitian X, read off its entries.
+
+    ``lower`` holds X_nm below the diagonal in `_bloch_maps` pair order and
+    ``diagonal`` the real diagonal; leading axes are batch axes.
+    """
+    _, _, s_pos, a_pos, d_pos, weights = _bloch_maps(cfg.n_dim)
+    out = np.empty(lower.shape[:-1] + (cfg.dim,))
+    out[..., s_pos] = cfg.hbar * lower.real
+    out[..., a_pos] = cfg.hbar * lower.imag
+    out[..., d_pos] = cfg.hbar * (diagonal @ weights.T)
+    return out
+
+
+def _expansion(cfg: AlgebraConfig, identity: float, coeffs: np.ndarray, scale: float) -> np.ndarray:
+    """Dense identity * I + scale * sum_k coeffs_k S_k, written entry by entry."""
+    coeffs = scale * np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (cfg.dim,):
+        raise ValueError(f"expected {cfg.dim} generator coefficients, got shape {coeffs.shape}")
+    m_idx, n_idx, s_pos, a_pos, d_pos, weights = _bloch_maps(cfg.n_dim)
+    out = np.diag(identity + cfg.hbar * (coeffs[d_pos] @ weights)).astype(np.complex128)
+    lower = (0.5 * cfg.hbar) * (coeffs[s_pos] + 1j * coeffs[a_pos])
+    out[n_idx, m_idx] = lower
+    out[m_idx, n_idx] = lower.conj()
+    return out
+
+
 def _check_hermitian(mat: np.ndarray, n_dim: int) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.complex128)
     if mat.shape != (n_dim, n_dim):
         raise ValueError(f"expected a {n_dim} x {n_dim} matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(mat).max()))
     if np.abs(mat - mat.conj().T).max() > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian within 1e-12 of its scale")
@@ -135,7 +155,7 @@ def _check_hermitian(mat: np.ndarray, n_dim: int) -> np.ndarray:
 
 
 def decompose_hamiltonian(cfg: AlgebraConfig, hamiltonian: np.ndarray) -> HamiltonianCoefficients:
-    """Project a Hermitian matrix onto identity plus generators.
+    """Project a Hermitian matrix onto identity plus generators by O(N**2) entry reads.
 
     The reconstruction identity is enforced before returning: if the
     coefficients fail to rebuild the input to 1e-12 of its scale, something
@@ -143,9 +163,10 @@ def decompose_hamiltonian(cfg: AlgebraConfig, hamiltonian: np.ndarray) -> Hamilt
     into a simulation.
     """
     hamiltonian = _check_hermitian(hamiltonian, cfg.n_dim)
-    stack = _generator_stack(cfg)
+    m_idx, n_idx = _bloch_maps(cfg.n_dim)[:2]
     h0 = float(np.trace(hamiltonian).real) / cfg.n_dim
-    h = (2.0 / cfg.hbar) * np.einsum("ab,kba->k", hamiltonian, stack).real
+    lower = hamiltonian[n_idx, m_idx]
+    h = (2.0 / cfg.hbar) * _generator_traces(cfg, lower, hamiltonian.diagonal().real)
     rebuilt = hamiltonian_from_coefficients(cfg, HamiltonianCoefficients(h0, h, cfg.hbar))
     scale = max(1.0, float(np.abs(hamiltonian).max()))
     if np.abs(rebuilt - hamiltonian).max() > 1e-12 * scale:
@@ -157,16 +178,15 @@ def hamiltonian_from_coefficients(
     cfg: AlgebraConfig, coeffs: HamiltonianCoefficients
 ) -> np.ndarray:
     """Rebuild the dense matrix h0 I + (1/hbar) sum_k h_k S_k."""
-    stack = _generator_stack(cfg)
-    out = coeffs.h0 * np.eye(cfg.n_dim, dtype=np.complex128)
-    out += np.einsum("k,kab->ab", coeffs.h, stack) / cfg.hbar
-    return out
+    return _expansion(cfg, coeffs.h0, coeffs.h, 1.0 / cfg.hbar)
 
 
 def _check_normalized(amplitudes: np.ndarray, n_dim: int, norm_tol: float) -> np.ndarray:
     amplitudes = np.asarray(amplitudes, dtype=np.complex128)
     if amplitudes.shape != (n_dim,):
         raise ValueError(f"expected a length-{n_dim} state vector, got shape {amplitudes.shape}")
+    if not np.isfinite(amplitudes).all():
+        raise ValueError("state vector has non-finite entries")
     norm_sq = float(np.sum(np.abs(amplitudes) ** 2))
     if abs(norm_sq - 1.0) > norm_tol:
         raise ValueError(f"state vector norm**2 = {norm_sq} is not 1 within {norm_tol}")
@@ -178,13 +198,10 @@ def bloch_from_states(cfg: AlgebraConfig, states: np.ndarray) -> np.ndarray:
     states = np.asarray(states, dtype=np.complex128)
     if states.ndim != 2 or states.shape[1] != cfg.n_dim:
         raise ValueError(f"expected shape (T, {cfg.n_dim}), got {states.shape}")
-    m_idx, n_idx, s_pos, a_pos, d_pos, weights = _bloch_maps(cfg.n_dim)
-    out = np.empty((states.shape[0], cfg.dim))
+    m_idx, n_idx = _bloch_maps(cfg.n_dim)[:2]
+    # rho = |c><c| has rho_nm = c_n conj(c_m) and diagonal |c|**2.
     cross = np.conj(states[:, m_idx]) * states[:, n_idx]
-    out[:, s_pos] = cfg.hbar * cross.real
-    out[:, a_pos] = cfg.hbar * cross.imag
-    out[:, d_pos] = cfg.hbar * (np.abs(states) ** 2 @ weights.T)
-    return out
+    return _generator_traces(cfg, cross, np.abs(states) ** 2)
 
 
 def state_to_bloch(
@@ -201,13 +218,7 @@ def reconstruct_density(cfg: AlgebraConfig, bloch: np.ndarray) -> np.ndarray:
     No positivity check: an arbitrary coherence vector may lie outside the
     physical region, which is the caller's business.
     """
-    bloch = np.asarray(bloch, dtype=float)
-    if bloch.shape != (cfg.dim,):
-        raise ValueError(f"expected a length-{cfg.dim} coherence vector, got {bloch.shape}")
-    stack = _generator_stack(cfg)
-    out = np.eye(cfg.n_dim, dtype=np.complex128) / cfg.n_dim
-    out += (2.0 / cfg.hbar**2) * np.einsum("k,kab->ab", bloch, stack)
-    return out
+    return _expansion(cfg, 1.0 / cfg.n_dim, bloch, 2.0 / cfg.hbar**2)
 
 
 def precession_rhs(
@@ -215,21 +226,18 @@ def precession_rhs(
 ) -> np.ndarray:
     """Time derivative ds_i/dt = (1/hbar) sum_jk f_ijk h_j s_k.
 
-    Sparse contraction over the canonical triples: each (a, b, c, v) feeds
-    all six index permutations of f, which regroup into three scatter-adds.
+    Sparse contraction: one scatter-add over the six signed index orders of
+    every canonical triple, O(#triples) per call.
     """
     if table.kind != F_KIND:
         raise ValueError(f"precession needs an '{F_KIND}' table, got '{table.kind}'")
-    a, b, c, v = table.contraction_arrays()
     h = coeffs.h
     s = np.asarray(bloch, dtype=float)
     dim = table.n_dim * table.n_dim - 1
     if h.shape != (dim,) or s.shape != (dim,):
         raise ValueError("coefficient/state length does not match the table dimension")
-    ds = np.bincount(a, weights=v * (h[b] * s[c] - h[c] * s[b]), minlength=dim)
-    ds += np.bincount(b, weights=v * (h[c] * s[a] - h[a] * s[c]), minlength=dim)
-    ds += np.bincount(c, weights=v * (h[a] * s[b] - h[b] * s[a]), minlength=dim)
-    return ds / coeffs.hbar
+    i, j, k, f = _signed_permutations(table)
+    return np.bincount(i, weights=f * h[j] * s[k], minlength=dim) / coeffs.hbar
 
 
 def precession_matrix(table: ConstantTable, coeffs: HamiltonianCoefficients) -> np.ndarray:
@@ -240,19 +248,13 @@ def precession_matrix(table: ConstantTable, coeffs: HamiltonianCoefficients) -> 
     """
     if table.kind != F_KIND:
         raise ValueError(f"precession needs an '{F_KIND}' table, got '{table.kind}'")
-    a, b, c, v = table.contraction_arrays()
     h = coeffs.h
     dim = table.n_dim * table.n_dim - 1
     if h.shape != (dim,):
         raise ValueError("coefficient length does not match the table dimension")
-    omega = np.zeros((dim, dim))
-    np.add.at(omega, (a, c), v * h[b])
-    np.add.at(omega, (a, b), -v * h[c])
-    np.add.at(omega, (b, a), v * h[c])
-    np.add.at(omega, (b, c), -v * h[a])
-    np.add.at(omega, (c, b), v * h[a])
-    np.add.at(omega, (c, a), -v * h[b])
-    return omega / coeffs.hbar
+    i, j, k, f = _signed_permutations(table)
+    omega = np.bincount(i * dim + k, weights=f * h[j], minlength=dim * dim)
+    return omega.reshape(dim, dim) / coeffs.hbar
 
 
 def _integrate_linear(matrix: np.ndarray, y0: np.ndarray, spec: IntegrationSpec) -> Trajectory:

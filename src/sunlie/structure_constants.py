@@ -187,6 +187,26 @@ class ConstantTable:
         return self._arrays
 
 
+def _signed_permutations(
+    table: ConstantTable,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every ordered index triple of an f table: parallel arrays (i, j, k, f_ijk), 0-based.
+
+    Each canonical (a, b, c, v) appears in its six orders, odd orders with -v,
+    which is the whole of f by total anti-symmetry.  The arrays hold one
+    block per order, each block in canonical-triple order; accumulations
+    over them sum in that fixed order, so their results are reproducible to
+    the bit.
+    """
+    a, b, c, v = table.contraction_arrays()
+    return (
+        np.concatenate((a, a, b, b, c, c)),
+        np.concatenate((b, c, c, a, a, b)),
+        np.concatenate((c, b, a, c, b, a)),
+        np.concatenate((v, -v, v, -v, v, -v)),
+    )
+
+
 def _insert(
     entries: dict[tuple[int, int, int], float],
     key: tuple[int, int, int],

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from sunlie.adjoint import adjoint_matrix, adjoint_stack, verify_adjoint_commutators
 from sunlie.structure_constants import build_d_table, build_f_table
 
@@ -71,6 +72,24 @@ def test_commutator_representation_sampled():
     assert not report.exhaustive
     assert report.pairs_checked == 50
     assert report.passed
+
+
+@pytest.mark.parametrize("n_dim", [3, 4])
+def test_every_entry_matches_lookup(n_dim):
+    table = build_f_table(n_dim)
+    idx = range(1, n_dim * n_dim)
+    for i in idx:
+        expected = np.array([[-1j * table.lookup(i, j, k) for k in idx] for j in idx])
+        np.testing.assert_array_equal(adjoint_matrix(table, i), expected)
+
+
+def test_sampled_verification_memory_is_per_pair():
+    # A dense (d, d, d) adjoint stack at N=16 (d=255) would take 265 MB.
+    table = build_f_table(16)
+    report, peak = traced_peak(verify_adjoint_commutators, table, sample=20)
+    assert report.pairs_checked == 20
+    assert report.passed
+    assert peak < 8e6
 
 
 def test_adjoint_rejects_d_table():

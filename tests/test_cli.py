@@ -186,6 +186,32 @@ class TestSimulate:
         assert status == 2
         assert "length" in err
 
+    def test_non_finite_hamiltonian_rejected(self, capsys, tmp_path, problem_files):
+        _, psi_path = problem_files
+        h_path = tmp_path / "h_nan.json"
+        h_path.write_text(json.dumps({
+            "n": 2,
+            "re": [[0.0, math.nan], [math.nan, 0.0]],
+            "im": [[0.0, 0.0], [0.0, 0.0]],
+        }))
+        status, out, err = run(
+            capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+            "--t-final", "1.0", "--dt", "0.1",
+        )
+        assert status == 2
+        assert err.startswith("error:") and "non-finite" in err
+        assert out == ""
+
+    def test_infinite_duration_rejected(self, capsys, problem_files):
+        h_path, psi_path = problem_files
+        status, out, err = run(
+            capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+            "--t-final", "inf", "--dt", "0.1",
+        )
+        assert status == 2
+        assert err.startswith("error:") and "finite" in err
+        assert out == ""
+
     def test_missing_file_rejected(self, capsys, tmp_path, problem_files):
         _, psi_path = problem_files
         status, _, err = run(

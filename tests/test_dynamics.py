@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_state
+from conftest import random_hermitian, random_state, traced_peak
 from sunlie.dynamics import (
     HamiltonianCoefficients,
     IntegrationSpec,
@@ -61,6 +61,24 @@ class TestDecomposeHamiltonian:
         with pytest.raises(ValueError, match="Hermitian"):
             decompose_hamiltonian(cfg, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # NaN fails every comparison, so without an explicit check it slips
+        # through both the Hermitian and the reconstruction test.
+        mat = np.eye(3, dtype=complex)
+        mat[0, 1] = mat[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose_hamiltonian(AlgebraConfig(3), mat)
+
+    def test_memory_stays_quadratic_at_n64(self):
+        # The answer is N**2 numbers; a dense (N**2-1, N, N) generator stack
+        # would take over 500 MB here.
+        cfg = AlgebraConfig(64)
+        mat = random_hermitian(np.random.default_rng(64), 64)
+        coeffs, peak = traced_peak(decompose_hamiltonian, cfg, mat)
+        assert coeffs.h.shape == (cfg.dim,)
+        assert peak < 8e6
+
 
 class TestStateToBloch:
     def test_spin_up(self):
@@ -107,6 +125,10 @@ class TestStateToBloch:
         cfg = AlgebraConfig(2)
         with pytest.raises(ValueError, match="norm"):
             state_to_bloch(cfg, [1.0, 1.0])
+
+    def test_non_finite_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            state_to_bloch(AlgebraConfig(2), [math.nan, 0.0])
 
 
 class TestReconstructDensity:
@@ -171,6 +193,50 @@ class TestPrecessionRhs:
         coeffs = HamiltonianCoefficients(0.0, np.zeros(8), 1.0)
         with pytest.raises(ValueError, match="'f' table"):
             precession_rhs(build_d_table(3), coeffs, np.zeros(8))
+
+
+class TestIndependentReferences:
+    """Entry-wise projections against explicit sums over the dense generators."""
+
+    HBAR = 1.5
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 6])
+    def test_decompose_is_trace_projection(self, n_dim):
+        rng = np.random.default_rng(300 + n_dim)
+        cfg = AlgebraConfig(n_dim, hbar=self.HBAR)
+        mat = random_hermitian(rng, n_dim)
+        expected = [(2.0 / self.HBAR) * np.trace(mat @ g).real for g in all_generators(cfg)]
+        np.testing.assert_allclose(decompose_hamiltonian(cfg, mat).h, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 6])
+    def test_expansions_are_generator_sums(self, n_dim):
+        rng = np.random.default_rng(400 + n_dim)
+        cfg = AlgebraConfig(n_dim, hbar=self.HBAR)
+        stack = np.stack(all_generators(cfg))
+        x = rng.normal(size=cfg.dim)
+        summed = np.einsum("k,kab->ab", x, stack)
+        eye = np.eye(n_dim)
+        np.testing.assert_allclose(
+            hamiltonian_from_coefficients(cfg, HamiltonianCoefficients(0.3, x, self.HBAR)),
+            0.3 * eye + summed / self.HBAR,
+            atol=1e-14,
+        )
+        np.testing.assert_allclose(
+            reconstruct_density(cfg, x), eye / n_dim + (2.0 / self.HBAR**2) * summed, atol=1e-14
+        )
+
+    @pytest.mark.parametrize("n_dim", [3, 4])
+    def test_precession_matrix_is_lookup_sum(self, n_dim):
+        rng = np.random.default_rng(500 + n_dim)
+        table = build_f_table(n_dim)
+        dim = n_dim * n_dim - 1
+        h = rng.normal(size=dim)
+        idx = range(1, dim + 1)
+        expected = np.array(
+            [[sum(table.lookup(i, j, k) * h[j - 1] for j in idx) for k in idx] for i in idx]
+        )
+        omega = precession_matrix(table, HamiltonianCoefficients(0.0, h, self.HBAR))
+        np.testing.assert_allclose(omega, expected / self.HBAR, atol=1e-14)
 
 
 class TestIntegration:
@@ -255,6 +321,13 @@ class TestIntegration:
     def test_bad_spec_rejected(self, kwargs):
         with pytest.raises(ValueError):
             IntegrationSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "t_final, dt", [(math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)]
+    )
+    def test_non_finite_spec_rejected(self, t_final, dt):
+        with pytest.raises(ValueError, match="finite"):
+            IntegrationSpec(t_final=t_final, dt=dt)
 
 
 class TestEquivalence:
