@@ -101,6 +101,8 @@ def decompose_diagonal(
     n_dim = cfg.n_dim
     if mat.shape != (n_dim, n_dim):
         raise ValueError(f"expected a {n_dim} x {n_dim} matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
     diag = np.diagonal(mat)
     scale = max(1.0, float(np.abs(mat).max()))
     off = mat - np.diag(diag)

@@ -221,6 +221,44 @@ class TestSimulate:
         assert status == 2
         assert "error:" in err
 
+    @staticmethod
+    def eight_level_files(tmp_path, energies):
+        # H = U diag(energies) U^dagger with a seeded random unitary U.
+        rng = np.random.default_rng(88)
+        unitary, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        mat = (unitary * energies) @ unitary.conj().T
+        mat = 0.5 * (mat + mat.conj().T)
+        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        psi /= np.linalg.norm(psi)
+        h_path, psi_path = tmp_path / "h8.json", tmp_path / "psi8.json"
+        h_path.write_text(json.dumps({"n": 8, "re": mat.real.tolist(), "im": mat.imag.tolist()}))
+        psi_path.write_text(json.dumps({"re": psi.real.tolist(), "im": psi.imag.tolist()}))
+        return h_path, psi_path
+
+    def test_unstable_step_rejected(self, capsys, tmp_path):
+        # dt * spread = 3.5 > 2 sqrt(2): RK4 would blow |s| up by orders of magnitude.
+        h_path, psi_path = self.eight_level_files(tmp_path, np.linspace(-8.75, 8.75, 8))
+        status, out, err = run(
+            capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+            "--t-final", "20", "--dt", "0.2",
+        )
+        assert status == 2
+        assert err.startswith("error:") and "unstable" in err
+        assert out == ""
+
+    def test_coarse_step_norm_drift_rejected(self, capsys, tmp_path):
+        # dt * spread = 2.775 is inside the stability interval, but the
+        # amplitude norm decays far beyond the comparison's tolerance.
+        h_path, psi_path = self.eight_level_files(tmp_path, np.linspace(-2.775, 2.775, 8))
+        status, out, err = run(
+            capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+            "--t-final", "20", "--dt", "0.5", "--output", str(tmp_path / "traj.csv"),
+            "--compare-tdse",
+        )
+        assert status == 2
+        assert err.startswith("error:") and "norm drifted" in err
+        assert out == ""
+
 
 class TestBench:
     def test_small_dimension_times_both(self, capsys):

@@ -330,6 +330,116 @@ class TestIntegration:
             IntegrationSpec(t_final=t_final, dt=dt)
 
 
+def stagewise_rk4(matrix, y0, t_final, dt, stride):
+    """Plain four-stage RK4, sampled every ``stride`` steps, at the last full
+    step and after a tail step that reaches ``t_final``."""
+
+    def step(y, h):
+        k1 = matrix @ y
+        k2 = matrix @ (y + 0.5 * h * k1)
+        k3 = matrix @ (y + 0.5 * h * k2)
+        k4 = matrix @ (y + h * k3)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    n_full = int(math.floor(t_final / dt + 1e-9))
+    times, states, y = [0.0], [y0], y0
+    for count in range(1, n_full + 1):
+        y = step(y, dt)
+        if count % stride == 0 or count == n_full:
+            times.append(count * dt)
+            states.append(y)
+    remainder = t_final - n_full * dt
+    if remainder > 1e-12 * max(t_final, dt):
+        times.append(t_final)
+        states.append(step(y, remainder))
+    return np.array(times), np.array(states)
+
+
+class TestRk4Propagator:
+    """The precomputed one-step propagator against stage-wise RK4."""
+
+    HBAR = 1.3
+
+    def check_both_flows(self, n_dim, t_final, dt):
+        rng = np.random.default_rng(600 + n_dim)
+        cfg = AlgebraConfig(n_dim, hbar=self.HBAR)
+        table = build_f_table(n_dim)
+        mat = random_hermitian(rng, n_dim)
+        psi0 = random_state(rng, n_dim)
+        spec = IntegrationSpec(t_final=t_final, dt=dt, output_stride=3)
+        coeffs = decompose_hamiltonian(cfg, mat)
+        s0 = state_to_bloch(cfg, psi0)
+        cases = [
+            (integrate_bloch(table, coeffs, s0, spec), precession_matrix(table, coeffs), s0),
+            (integrate_tdse(cfg, mat, psi0, spec), (-1j / self.HBAR) * mat, psi0),
+        ]
+        for traj, matrix, y0 in cases:
+            times, states = stagewise_rk4(matrix, y0, t_final, dt, 3)
+            np.testing.assert_array_equal(traj.times, times)
+            assert traj.states.shape == states.shape
+            assert np.abs(traj.states - states).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 4])
+    def test_matches_stagewise_with_stride_and_tail(self, n_dim):
+        # 200 full steps (not a multiple of the stride) plus a half step.
+        self.check_both_flows(n_dim, t_final=2.005, dt=0.01)
+
+    def test_matches_stagewise_across_column_blocks(self):
+        # d = 143 at N = 12: the propagator is built in more than one block.
+        self.check_both_flows(12, t_final=0.205, dt=0.01)
+
+
+class TestStabilityGuard:
+    # Unscaled Gaussian Hermitian at N = 8: eigenvalue spread near 19, so
+    # dt = 0.2 puts dt * spread beyond 2 sqrt(2).
+    @pytest.fixture
+    def unstable_problem(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        mat = a + a.conj().T
+        energies = np.linalg.eigvalsh(mat)
+        assert 0.2 * (energies[-1] - energies[0]) > 2.0 * math.sqrt(2.0)
+        return AlgebraConfig(8), mat, random_state(rng, 8)
+
+    def test_unstable_step_rejected(self, unstable_problem):
+        cfg, mat, psi0 = unstable_problem
+        spec = IntegrationSpec(t_final=20.0, dt=0.2)
+        coeffs = decompose_hamiltonian(cfg, mat)
+        with pytest.raises(ValueError, match="unstable"):
+            integrate_bloch(build_f_table(8), coeffs, state_to_bloch(cfg, psi0), spec)
+        with pytest.raises(ValueError, match="unstable"):
+            integrate_tdse(cfg, mat, psi0, spec)
+
+    def test_adaptive_method_not_refused(self, unstable_problem):
+        cfg, mat, psi0 = unstable_problem
+        spec = IntegrationSpec(t_final=0.4, dt=0.2, method="rk45")
+        traj = integrate_tdse(cfg, mat, psi0, spec)
+        assert traj.times.shape == (3,)
+
+    @pytest.mark.parametrize("hbar", [1.0, 1.3])
+    def test_largest_stable_step_accepted(self, hbar):
+        rng = np.random.default_rng(9)
+        cfg = AlgebraConfig(5, hbar=hbar)
+        mat = random_hermitian(rng, 5)
+        energies = np.linalg.eigvalsh(mat)
+        dt = 0.999 * 2.0 * math.sqrt(2.0) * hbar / (energies[-1] - energies[0])
+        coeffs = decompose_hamiltonian(cfg, mat)
+        s0 = state_to_bloch(cfg, random_state(rng, 5))
+        traj = integrate_bloch(build_f_table(5), coeffs, s0, IntegrationSpec(50 * dt, dt))
+        # Inside the stability interval RK4 damps, never amplifies, |s|.
+        assert np.sum(traj.states[-1] ** 2) <= np.sum(s0**2)
+
+    def test_shifted_hamiltonian_checks_amplitude_radius(self):
+        # A trace shift leaves the precession flow alone but scales the
+        # amplitude flow's spectrum, which is what RK4 sees there.
+        cfg = AlgebraConfig(2)
+        mat = np.diag([100.0, 101.0])
+        spec = IntegrationSpec(t_final=1.0, dt=0.1)
+        integrate_bloch(build_f_table(2), decompose_hamiltonian(cfg, mat), [0.5, 0, 0], spec)
+        with pytest.raises(ValueError, match="unstable"):
+            integrate_tdse(cfg, mat, np.array([1.0, 0.0]), spec)
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("n_dim", [2, 3, 4])
     def test_precession_tracks_amplitudes(self, n_dim):

@@ -152,3 +152,10 @@ class TestDecomposeDiagonal:
         cfg = AlgebraConfig(3)
         with pytest.raises(ValueError, match="shape"):
             decompose_diagonal(cfg, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # NaN fails every comparison, so the shape and off-diagonal checks
+        # alone would pass it through and return NaN coefficients.
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose_diagonal(AlgebraConfig(3), np.diag([1.0, bad, 2.0]))
