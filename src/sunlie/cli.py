@@ -126,26 +126,23 @@ def _open_output(path: str | None) -> ContextManager[IO[str]]:
 def _write_tables_csv(fh: IO[str], tables: Sequence[ConstantTable]) -> None:
     fh.write("kind,i,j,k,value\n")
     for table in tables:
-        for t in table.triples():
-            fh.write(f"{table.kind},{t.i},{t.j},{t.k},{t.value!r}\n")
+        fh.write(table.rows(f"{table.kind},"))
 
 
-def _write_tables_json(fh: IO[str], n_dim: int, tables: Sequence[ConstantTable]) -> None:
-    payload = {
-        "n": n_dim,
-        "tables": [
-            {
-                "kind": table.kind,
-                "count": table.stats()[0],
-                "checksum": table.stats()[1],
-                "triples": [
-                    {"kind": t.kind, "i": t.i, "j": t.j, "k": t.k, "value": t.value}
-                    for t in table.triples()
-                ],
-            }
-            for table in tables
-        ],
-    }
+def _write_tables_json(
+    fh: IO[str], n_dim: int, tables: Sequence[ConstantTable], stats: Sequence[tuple[int, str]]
+) -> None:
+    payload: dict = {"n": n_dim, "tables": []}
+    for table, (count, checksum) in zip(tables, stats):
+        a, b, c, values = table.contraction_arrays()
+        triples = [
+            {"kind": table.kind, "i": i, "j": j, "k": k, "value": v}
+            for i, j, k, v in zip((a + 1).tolist(), (b + 1).tolist(), (c + 1).tolist(),
+                                  values.tolist())
+        ]
+        payload["tables"].append(
+            {"kind": table.kind, "count": count, "checksum": checksum, "triples": triples}
+        )
     json.dump(payload, fh, indent=2)
     fh.write("\n")
 
@@ -175,14 +172,14 @@ def _cmd_generators(args: argparse.Namespace) -> int:
 
 def _cmd_constants(args: argparse.Namespace) -> int:
     tables = _build_tables(args.n, args.kind)
+    stats = [table.stats() for table in tables]
     stats_stream = sys.stdout if args.output else sys.stderr
     with _open_output(args.output) as fh:
         if args.format == "csv":
             _write_tables_csv(fh, tables)
         else:
-            _write_tables_json(fh, args.n, tables)
-    for table in tables:
-        count, checksum = table.stats()
+            _write_tables_json(fh, args.n, tables, stats)
+    for table, (count, checksum) in zip(tables, stats):
         print(f"kind={table.kind} n={table.n_dim} count={count} checksum={checksum}",
               file=stats_stream)
     return 0

@@ -52,6 +52,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .generators import AlgebraConfig
+from .indexing import antisymmetric_index, diagonal_index, symmetric_index
 from .structure_constants import F_KIND, ConstantTable, _signed_permutations
 
 RK4 = "rk4"
@@ -117,13 +118,14 @@ def _bloch_maps(n_dim: int) -> tuple[np.ndarray, ...]:
     and the (N-1, N) weight matrix taking a diagonal to the Cartan components.
     """
     n_idx, m_idx = np.tril_indices(n_dim, -1)  # pairs by n, then m
-    s_pos = n_idx * n_idx + 2 * m_idx - 1  # 1-based: S_nm is n**2 + 2(m-n) - 1
-    a_pos = s_pos + 1
-    d_pos = np.array([n * n - 2 for n in range(2, n_dim + 1)], dtype=np.intp)
-    weights = np.zeros((n_dim - 1, n_dim))
-    for row, n in enumerate(range(2, n_dim + 1)):
-        weights[row, : n - 1] = 1.0 / math.sqrt(2.0 * n * (n - 1))
-        weights[row, n - 1] = -math.sqrt((n - 1) / (2.0 * n))
+    s_pos = symmetric_index(n_idx + 1, m_idx + 1) - 1
+    a_pos = antisymmetric_index(n_idx + 1, m_idx + 1) - 1
+    top = np.arange(2, n_dim + 1)
+    d_pos = diagonal_index(top) - 1
+    # Row n - 2 is D_n's diagonal: 1/sqrt(2n(n-1)) on entries 1..n-1, -sqrt((n-1)/(2n)) on n.
+    weights = np.where(np.arange(n_dim) < top[:, None] - 1,
+                       (1.0 / np.sqrt(2.0 * top * (top - 1)))[:, None], 0.0)
+    weights[top - 2, top - 1] = -np.sqrt((top - 1) / (2.0 * top))
     return m_idx, n_idx, s_pos, a_pos, d_pos, weights
 
 
@@ -280,12 +282,23 @@ def _integrate_linear(matrix: np.ndarray, y0: np.ndarray, spec: IntegrationSpec)
     n_full = int(math.floor(spec.t_final / spec.dt + 1e-9))
     remainder = spec.t_final - n_full * spec.dt
     has_tail = remainder > 1e-12 * max(spec.t_final, spec.dt)
-    record = [step for step in range(0, n_full + 1, spec.output_stride)]
-    if record[-1] != n_full:
-        record.append(n_full)
-    times = [step * spec.dt for step in record]
+    # Samples: every output_stride-th step, the last full step and the tail end.
+    n_steps = -(-n_full // spec.output_stride) + 1
+    count = n_steps + has_tail
+    # Allocated before any stepping, so that a grid too large for memory is
+    # refused up front; RK45 only uses it as that check.
+    dtype = np.result_type(matrix, y0)
+    try:
+        states = np.empty((count, y0.size), dtype=dtype)
+    except (ValueError, MemoryError):
+        raise ValueError(
+            f"{count} samples of {y0.size} values ({count * y0.size * dtype.itemsize} bytes) "
+            "do not fit in memory; raise dt or output_stride"
+        ) from None
+    record = np.minimum(np.arange(n_steps) * spec.output_stride, n_full)
+    times = record * spec.dt
     if has_tail:
-        times.append(spec.t_final)
+        times = np.append(times, spec.t_final)
 
     if spec.method == RK45:
         sol = solve_ivp(
@@ -293,7 +306,7 @@ def _integrate_linear(matrix: np.ndarray, y0: np.ndarray, spec: IntegrationSpec)
             (0.0, spec.t_final),
             y0,
             method="RK45",
-            t_eval=np.asarray(times),
+            t_eval=times,
             atol=spec.atol,
             rtol=spec.rtol,
         )
@@ -302,15 +315,14 @@ def _integrate_linear(matrix: np.ndarray, y0: np.ndarray, spec: IntegrationSpec)
         return Trajectory(times=sol.t.copy(), states=sol.y.T.copy())
 
     propagator = _rk4_propagator(matrix, spec.dt)
-    states = np.empty((len(times), y0.size), dtype=np.result_type(propagator, y0))
     states[0] = y = y0
-    for row, (start, stop) in enumerate(zip(record, record[1:]), start=1):
+    for row, (start, stop) in enumerate(zip(record.tolist(), record[1:].tolist()), start=1):
         for _ in range(stop - start):
             y = propagator @ y
         states[row] = y
     if has_tail:
         states[-1] = _rk4_step(matrix, y, remainder)
-    return Trajectory(times=np.asarray(times), states=states)
+    return Trajectory(times=times, states=states)
 
 
 def _rk4_propagator(matrix: np.ndarray, dt: float) -> np.ndarray:

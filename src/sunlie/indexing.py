@@ -13,8 +13,10 @@ Closed forms of the map (1-based everywhere):
     A_nm -> n**2 + 2*(m - n)
     D_n  -> n**2 - 1
 
-The inverse is pure block arithmetic (integer square root), so it stays
-O(1) for arbitrarily large N.
+`symmetric_index`, `antisymmetric_index` and `diagonal_index` are the one
+place these forms are written; they take Python ints or integer numpy
+arrays alike.  The inverse is pure block arithmetic (integer square root),
+so it stays O(1) for arbitrarily large N.
 """
 
 from __future__ import annotations
@@ -83,17 +85,31 @@ def diagonal(n: int) -> GeneratorLabel:
     return GeneratorLabel(DIAGONAL, n)
 
 
+def symmetric_index(n, m):
+    """1-based index of S_nm (m < n); n and m may be integer arrays."""
+    return n * n + 2 * (m - n) - 1
+
+
+def antisymmetric_index(n, m):
+    """1-based index of A_nm (m < n); n and m may be integer arrays."""
+    return symmetric_index(n, m) + 1
+
+
+def diagonal_index(n):
+    """1-based index of D_n (n >= 2); n may be an integer array."""
+    return n * n - 1
+
+
 def label_to_index(label: GeneratorLabel, n_dim: int) -> int:
     """Map a label to its linear index in 1..N**2-1 for the given N."""
     check_dimension(n_dim)
     if label.n > n_dim:
         raise ValueError(f"label {label} has top coordinate beyond N={n_dim}")
-    n, m = label.n, label.m
     if label.kind == SYMMETRIC:
-        return n * n + 2 * (m - n) - 1
+        return symmetric_index(label.n, label.m)
     if label.kind == ANTISYMMETRIC:
-        return n * n + 2 * (m - n)
-    return n * n - 1
+        return antisymmetric_index(label.n, label.m)
+    return diagonal_index(label.n)
 
 
 def index_to_label(i: int, n_dim: int) -> GeneratorLabel:

@@ -84,6 +84,23 @@ class TestConstants:
         first = table["triples"][0]
         assert first == {"kind": "d", "i": 1, "j": 1, "k": 8,
                          "value": pytest.approx(1 / math.sqrt(3), abs=1e-15)}
+        # Every triple equals its golden CSV row, and count/checksum the stats line.
+        for n_dim in (2, 3, 4):
+            status, out, _ = run(
+                capsys, "constants", "--n", str(n_dim), "--format", "json",
+                "--output", str(out_path),
+            )
+            assert status == 0
+            tables = json.loads(out_path.read_text())["tables"]
+            rows = [f"{t['kind']},{t['i']},{t['j']},{t['k']},{t['value']!r}"
+                    for table in tables for t in table["triples"]]
+            golden = (GOLDEN / f"constants_n{n_dim}.csv").read_text().splitlines()
+            assert rows == golden[1:]
+            assert out.splitlines() == [
+                f"kind={table['kind']} n={n_dim} count={table['count']} "
+                f"checksum={table['checksum']}" for table in tables]
+            assert [table["count"] for table in tables] == [
+                len(table["triples"]) for table in tables]
 
     def test_dimension_below_two_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -210,6 +227,16 @@ class TestSimulate:
         )
         assert status == 2
         assert err.startswith("error:") and "finite" in err
+        assert out == ""
+
+    def test_sample_count_beyond_memory_rejected(self, capsys, problem_files):
+        h_path, psi_path = problem_files
+        status, out, err = run(
+            capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+            "--t-final", "1e9", "--dt", "1e-9",
+        )
+        assert status == 2
+        assert err.startswith("error:") and "samples of 3 values" in err
         assert out == ""
 
     def test_missing_file_rejected(self, capsys, tmp_path, problem_files):

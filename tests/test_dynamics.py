@@ -329,6 +329,15 @@ class TestIntegration:
         with pytest.raises(ValueError, match="finite"):
             IntegrationSpec(t_final=t_final, dt=dt)
 
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_sample_count_beyond_memory_rejected(self, method):
+        # 10**18 + 1 samples: numpy refuses the array without allocating it.
+        table = build_f_table(2)
+        coeffs = HamiltonianCoefficients(0.0, np.array([0.0, 0.0, 1.0]), 1.0)
+        spec = IntegrationSpec(t_final=1e9, dt=1e-9, method=method)
+        with pytest.raises(ValueError, match=r"^\d{19} samples of 3 values \(\d{20} bytes\)"):
+            integrate_bloch(table, coeffs, np.array([0.5, 0.0, 0.0]), spec)
+
 
 def stagewise_rk4(matrix, y0, t_final, dt, stride):
     """Plain four-stage RK4, sampled every ``stride`` steps, at the last full

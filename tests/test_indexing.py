@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,10 +7,13 @@ from sunlie.indexing import (
     GeneratorLabel,
     all_labels,
     antisymmetric,
+    antisymmetric_index,
     diagonal,
+    diagonal_index,
     index_to_label,
     label_to_index,
     symmetric,
+    symmetric_index,
 )
 
 
@@ -110,3 +114,16 @@ def test_dimension_below_two_rejected():
         index_to_label(1, 1)
     with pytest.raises(ValueError, match=">= 2"):
         list(all_labels(0))
+
+
+def test_index_helpers_take_arrays():
+    n_dim = 9
+    n, m = (axis + 1 for axis in np.tril_indices(n_dim, -1))  # every pair m < n
+    for helper, label in ((symmetric_index, symmetric), (antisymmetric_index, antisymmetric)):
+        positions = helper(n, m)
+        assert positions.dtype.kind == "i"
+        assert [index_to_label(int(i), n_dim) for i in positions] == [
+            label(int(a), int(b)) for a, b in zip(n, m)]
+    tops = np.arange(2, n_dim + 1)
+    assert [index_to_label(int(i), n_dim) for i in diagonal_index(tops)] == [
+        diagonal(int(a)) for a in tops]

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 from itertools import permutations
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from sunlie.structure_constants import (
     MAX_MAGNITUDE,
+    MAX_TABLE_N,
     ConstantTable,
     build_d_table,
     build_f_table,
@@ -175,12 +178,124 @@ def test_canonical_storage_invariants(build, strict, n_dim):
 
 
 def test_duplicate_insertion_is_hard_error():
-    with pytest.raises(RuntimeError, match="duplicate"):
-        ConstantTable(3, "f", {})  # construction itself is fine
-        from sunlie.structure_constants import _insert
+    # Only the array path can repeat a key (a dict cannot); a builder whose
+    # family ranges overlap would.
+    keys = np.array([[1, 4, 1], [2, 5, 2], [3, 8, 3]])
+    with pytest.raises(RuntimeError, match=r"\(1, 2, 3\) = 0.5 is a duplicate"):
+        ConstantTable._from_arrays(3, "f", keys, np.array([1.0, 0.5, 0.5]))
 
-        entries = {(1, 2, 3): 1.0}
-        _insert(entries, (1, 2, 3), 0.5)
+
+@pytest.mark.parametrize(
+    "kind, entries, message",
+    [
+        ("f", {(0, 1, 2): 0.5}, r"\(0, 1, 2\) = 0.5 has an index outside 1..8"),
+        ("f", {(1, 2, 3): 1.0, (6, 7, 9): 0.5}, r"\(6, 7, 9\) = 0.5 has an index outside 1..8"),
+        ("f", {(1, 2, 3): 1.0, (2, 1, 4): 0.5}, r"\(2, 1, 4\) = 0.5 is not canonical for kind f"),
+        ("f", {(1, 1, 8): 0.5}, "not canonical for kind f"),
+        ("d", {(1, 1, 8): 0.5, (3, 2, 4): 0.5}, r"\(3, 2, 4\) = 0.5 is not canonical for kind d"),
+        ("f", {(1, 2, 3): 0.0}, r"= 0.0 is outside the band"),
+        ("d", {(1, 1, 8): 0.5, (3, 4, 4): math.nan}, r"\(3, 4, 4\) = nan is outside the band"),
+        ("f", {(1, 2, 3): -math.inf}, r"= -inf is outside the band"),
+        ("d", {(1, 1, 8): 1.5}, r"\(1, 1, 8\) = 1.5 is outside the band"),
+    ],
+)
+def test_invalid_entries_rejected(kind, entries, message):
+    with pytest.raises(ValueError, match=message):
+        ConstantTable(3, kind, entries)
+
+
+def test_dimension_beyond_packed_keys_rejected():
+    with pytest.raises(ValueError, match="largest table dimension"):
+        build_f_table(MAX_TABLE_N + 1)
+    with pytest.raises(ValueError, match="largest table dimension"):
+        ConstantTable(MAX_TABLE_N + 1, "d", {})
+
+
+def reference_table(n_dim, kind):
+    """The families of the module docstring, one instance at a time in Python."""
+
+    def s(n, m):
+        return n * n + 2 * (m - n) - 1
+
+    def d(n):
+        return n * n - 1
+
+    emitted = []
+    for n in range(2, n_dim + 1):
+        for m in range(1, n):
+            if kind == "f":
+                emitted.append(((s(n, m), s(n, m) + 1, d(n)), math.sqrt(n / (2.0 * (n - 1)))))
+                if m >= 2:
+                    emitted.append(((d(m), s(n, m), s(n, m) + 1), -math.sqrt((m - 1) / (2.0 * m))))
+                continue
+            for x in (s(n, m), s(n, m) + 1):
+                if n >= 3:
+                    emitted.append(((x, x, d(n)), (2 - n) / math.sqrt(2.0 * n * (n - 1))))
+                if m >= 2:
+                    emitted.append(((d(m), x, x), -math.sqrt((m - 1) / (2.0 * m))))
+            if m >= 2:
+                emitted.append(((d(m), d(m), d(n)), math.sqrt(2.0 / (n * (n - 1)))))
+        if kind == "d" and n >= 3:
+            emitted.append(((d(n),) * 3, (2 - n) * math.sqrt(2.0 / (n * (n - 1)))))
+    for m, p, q in itertools.combinations(range(1, n_dim + 1), 3):
+        spm, sqm, sqp = s(p, m), s(q, m), s(q, p)
+        apm, aqm, aqp = spm + 1, sqm + 1, sqp + 1
+        mid, above = math.sqrt(1.0 / (2.0 * p * (p - 1))), math.sqrt(2.0 / (q * (q - 1)))
+        if kind == "f":
+            emitted += [((spm, sqp, aqm), 0.5), ((sqm, sqp, apm), 0.5), ((spm, sqm, aqp), 0.5),
+                        ((apm, aqm, aqp), 0.5), ((sqm, aqm, d(p)), mid)]
+        else:
+            emitted += [((spm, sqm, sqp), 0.5), ((spm, aqm, aqp), 0.5), ((apm, aqm, sqp), 0.5),
+                        ((apm, sqm, aqp), -0.5), ((d(p), sqm, sqm), mid), ((d(p), aqm, aqm), mid),
+                        ((spm, spm, d(q)), above), ((apm, apm, d(q)), above)]
+    entries = {}
+    for key, value in emitted:
+        ordered = tuple(sorted(key))
+        if kind == "f":  # parity of the sort: count the inversions
+            inversions = sum(key[a] > key[b] for a, b in ((0, 1), (0, 2), (1, 2)))
+            value = -value if inversions % 2 else value
+        assert ordered not in entries
+        entries[ordered] = value
+    return entries
+
+
+def reference_stats(kind, n_dim, entries):
+    digest = hashlib.sha256(f"{kind},{n_dim}\n".encode())
+    for (i, j, k), value in sorted(entries.items()):
+        digest.update(f"{i},{j},{k},{value!r}\n".encode())
+    return len(entries), digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("build, kind", [(build_f_table, "f"), (build_d_table, "d")])
+@pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 7, 10])
+def test_builders_match_per_instance_reference(build, kind, n_dim):
+    table = build(n_dim)
+    expected = reference_table(n_dim, kind)
+    assert table.as_dict() == expected  # exact: same arithmetic per value
+    assert [(t.i, t.j, t.k) for t in table.triples()] == sorted(expected)
+    assert table.stats() == reference_stats(kind, n_dim, expected)
+    lines = [f"{kind},{i},{j},{k},{v!r}\n" for (i, j, k), v in sorted(expected.items())]
+    assert table.rows(f"{kind},") == "".join(lines)
+
+
+@pytest.mark.parametrize("build", [build_f_table, build_d_table])
+def test_dict_and_array_paths_give_the_same_table(build):
+    table = build(5)
+    reversed_entries = dict(reversed(table.as_dict().items()))
+    rebuilt = ConstantTable(5, table.kind, reversed_entries)
+    assert rebuilt.stats() == table.stats()
+    for a, b in zip(rebuilt.contraction_arrays(), table.contraction_arrays()):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_contraction_arrays_are_read_only_views_of_the_table():
+    table = build_f_table(4)
+    first, second = table.contraction_arrays(), table.contraction_arrays()
+    for a, b in zip(first, second):
+        assert np.shares_memory(a, b)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[0]
 
 
 def test_stats_are_deterministic_and_order_independent():
