@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structure_constants import F_KIND, ConstantTable, _signed_permutations
+from .structure_constants import ConstantTable, _signed_permutations
 
 # Exhaustive pair verification is the default up to this N; beyond it the
 # check samples pairs instead.
@@ -33,14 +33,8 @@ class AdjointReport:
     passed: bool
 
 
-def _require_f(table: ConstantTable) -> None:
-    if table.kind != F_KIND:
-        raise ValueError(f"adjoint construction needs an '{F_KIND}' table, got '{table.kind}'")
-
-
 def adjoint_stack(table: ConstantTable) -> np.ndarray:
     """All adjoint matrices as one (d, d, d) complex array, d = N**2 - 1."""
-    _require_f(table)
     d = table.n_dim * table.n_dim - 1
     i, j, k, f = _signed_permutations(table)
     stack = np.zeros((d, d, d), dtype=np.complex128)
@@ -50,11 +44,10 @@ def adjoint_stack(table: ConstantTable) -> np.ndarray:
 
 def adjoint_matrix(table: ConstantTable, i: int) -> np.ndarray:
     """The (N**2-1) x (N**2-1) matrix T_i with [T_i]_jk = -i f_ijk."""
-    _require_f(table)
+    rows, j, k, f = _signed_permutations(table)
     d = table.n_dim * table.n_dim - 1
     if not 1 <= i <= d:
         raise ValueError(f"index {i} outside 1..{d} for N={table.n_dim}")
-    rows, j, k, f = _signed_permutations(table)
     mine = rows == i - 1
     out = np.zeros((d, d), dtype=np.complex128)
     out[j[mine], k[mine]] = -1j * f[mine]
@@ -77,7 +70,6 @@ def verify_adjoint_commutators(
     Checks the real form [F_i, F_j] = -sum_k f_ijk F_k, T_i = -i F_i, one
     pair at a time from d x d matrices: O(d**2) memory, no (d, d, d) stack.
     """
-    _require_f(table)
     d = table.n_dim * table.n_dim - 1
     i_all, j_all, k_all, f_all = _signed_permutations(table)
     order = np.argsort(i_all, kind="stable")

@@ -90,30 +90,24 @@ def _matrix_json(mat: np.ndarray, n: int, **extra) -> str:
     return json.dumps(payload)
 
 
-def _matrix_from_json(path: str) -> np.ndarray:
+def _complex_from_json(path: str, *, matrix: bool) -> np.ndarray:
+    """re + 1j im from a JSON object: {n, re, im} for an n x n matrix, {re, im} for a vector."""
+    keys = ("n", "re", "im") if matrix else ("re", "im")
     with open(path) as fh:
         payload = json.load(fh)
-    for key in ("n", "re", "im"):
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object with keys {', '.join(keys)}")
+    for key in keys:
         if key not in payload:
-            raise ValueError(f"{path}: missing key {key!r} (need n, re, im)")
-    n = payload["n"]
-    re = np.asarray(payload["re"], dtype=float)
-    im = np.asarray(payload["im"], dtype=float)
-    if re.shape != (n, n) or im.shape != (n, n):
-        raise ValueError(f"{path}: re/im must be {n} x {n} arrays")
-    return re + 1j * im
-
-
-def _vector_from_json(path: str) -> np.ndarray:
-    with open(path) as fh:
-        payload = json.load(fh)
-    for key in ("re", "im"):
-        if key not in payload:
-            raise ValueError(f"{path}: missing key {key!r} (need re, im)")
-    re = np.asarray(payload["re"], dtype=float)
-    im = np.asarray(payload["im"], dtype=float)
-    if re.ndim != 1 or re.shape != im.shape:
-        raise ValueError(f"{path}: re/im must be equal-length 1-d arrays")
+            raise ValueError(f"{path}: missing key {key!r} (need {', '.join(keys)})")
+    try:
+        re = np.asarray(payload["re"], dtype=float)
+        im = np.asarray(payload["im"], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: re and im must be arrays of numbers") from None
+    shape = (payload["n"],) * 2 if matrix else (re.size,)
+    if re.shape != shape or im.shape != shape:
+        raise ValueError(f"{path}: re and im must both have shape {shape}")
     return re + 1j * im
 
 
@@ -253,8 +247,8 @@ def _cmd_adjoint(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    hamiltonian = _matrix_from_json(args.hamiltonian)
-    psi0 = _vector_from_json(args.initial)
+    hamiltonian = _complex_from_json(args.hamiltonian, matrix=True)
+    psi0 = _complex_from_json(args.initial, matrix=False)
     n_dim = hamiltonian.shape[0]
     if psi0.shape != (n_dim,):
         raise ValueError(
@@ -285,14 +279,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     best = float("inf")
     for _ in range(args.repeats):
         start = time.perf_counter()
-        _build_tables(args.n, "both")
+        f_table, d_table = _build_tables(args.n, "both")
         best = min(best, time.perf_counter() - start)
-    f_count, _ = build_f_table(args.n).stats()
-    d_count, _ = build_d_table(args.n).stats()
-    print(f"closed-form n={args.n}: f={f_count} d={d_count} triples in {best:.6f} s")
+    print(f"closed-form n={args.n}: f={len(f_table)} d={len(d_table)} triples in {best:.6f} s")
 
     cfg = AlgebraConfig(args.n, args.hbar)
     try:

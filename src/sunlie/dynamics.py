@@ -14,15 +14,11 @@ the N-level generalization of spin precession about a magnetic field (at
 N = 2 it is literally ds/dt = (h x s)/hbar).  Because f is sparse, the
 right-hand side costs O(#triples), not O(N**6).
 
-Projections are direct entry reads (Bertlmann & Krammer, J. Phys. A 41,
-235303 (2008)), so decomposing and rebuilding cost O(N**2); for Hermitian X
-
-    Tr[X S_Snm] = hbar Re X_nm,   Tr[X S_Anm] = hbar Im X_nm,
-    Tr[X S_Dn]  = hbar [ sum_{k<n} X_kk / sqrt(2n(n-1)) - sqrt((n-1)/(2n)) X_nn ].
-
-A pure state has X_nm = c_n conj(c_m), which lets a trajectory of the
-precession equation be compared point by point against the amplitude-level
-Schrödinger equation dc/dt = (-i/hbar) H c integrated independently.
+Projections and expansions are O(N**2) entry reads and writes; the formulas
+are in `generators`.  A pure state has X_nm = c_n conj(c_m), which lets a
+trajectory of the precession equation be compared point by point against the
+amplitude-level Schrödinger equation dc/dt = (-i/hbar) H c integrated
+independently.
 
 Note the projection factors 2/hbar (Hamiltonian) and 2/hbar**2 (density):
 they are the ones forced by the basis normalization Tr[S_i S_j]
@@ -46,14 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .generators import AlgebraConfig
-from .indexing import antisymmetric_index, diagonal_index, symmetric_index
-from .structure_constants import F_KIND, ConstantTable, _signed_permutations
+from .generators import AlgebraConfig, _bloch_maps, _check_square, _expansion, _generator_traces
+from .structure_constants import ConstantTable, _signed_permutations
 
 RK4 = "rk4"
 RK45 = "rk45"
@@ -109,60 +103,8 @@ class Trajectory:
     states: np.ndarray
 
 
-@lru_cache(maxsize=8)
-def _bloch_maps(n_dim: int) -> tuple[np.ndarray, ...]:
-    """Index machinery for reading generator components off matrix entries.
-
-    Returns (m_idx, n_idx, s_pos, a_pos, d_pos, weights): 0-based coordinate
-    arrays for the off-diagonal pairs, the output slots of the three families,
-    and the (N-1, N) weight matrix taking a diagonal to the Cartan components.
-    """
-    n_idx, m_idx = np.tril_indices(n_dim, -1)  # pairs by n, then m
-    s_pos = symmetric_index(n_idx + 1, m_idx + 1) - 1
-    a_pos = antisymmetric_index(n_idx + 1, m_idx + 1) - 1
-    top = np.arange(2, n_dim + 1)
-    d_pos = diagonal_index(top) - 1
-    # Row n - 2 is D_n's diagonal: 1/sqrt(2n(n-1)) on entries 1..n-1, -sqrt((n-1)/(2n)) on n.
-    weights = np.where(np.arange(n_dim) < top[:, None] - 1,
-                       (1.0 / np.sqrt(2.0 * top * (top - 1)))[:, None], 0.0)
-    weights[top - 2, top - 1] = -np.sqrt((top - 1) / (2.0 * top))
-    return m_idx, n_idx, s_pos, a_pos, d_pos, weights
-
-
-def _generator_traces(cfg: AlgebraConfig, lower: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """Tr[X S_k] for every generator of a Hermitian X, read off its entries.
-
-    ``lower`` holds X_nm below the diagonal in `_bloch_maps` pair order and
-    ``diagonal`` the real diagonal; leading axes are batch axes.
-    """
-    _, _, s_pos, a_pos, d_pos, weights = _bloch_maps(cfg.n_dim)
-    out = np.empty(lower.shape[:-1] + (cfg.dim,))
-    out[..., s_pos] = cfg.hbar * lower.real
-    out[..., a_pos] = cfg.hbar * lower.imag
-    out[..., d_pos] = cfg.hbar * (diagonal @ weights.T)
-    return out
-
-
-def _expansion(cfg: AlgebraConfig, identity: float, coeffs: np.ndarray, scale: float) -> np.ndarray:
-    """Dense identity * I + scale * sum_k coeffs_k S_k, written entry by entry."""
-    coeffs = scale * np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (cfg.dim,):
-        raise ValueError(f"expected {cfg.dim} generator coefficients, got shape {coeffs.shape}")
-    m_idx, n_idx, s_pos, a_pos, d_pos, weights = _bloch_maps(cfg.n_dim)
-    out = np.diag(identity + cfg.hbar * (coeffs[d_pos] @ weights)).astype(np.complex128)
-    lower = (0.5 * cfg.hbar) * (coeffs[s_pos] + 1j * coeffs[a_pos])
-    out[n_idx, m_idx] = lower
-    out[m_idx, n_idx] = lower.conj()
-    return out
-
-
 def _check_hermitian(mat: np.ndarray, n_dim: int) -> np.ndarray:
-    mat = np.asarray(mat, dtype=np.complex128)
-    if mat.shape != (n_dim, n_dim):
-        raise ValueError(f"expected a {n_dim} x {n_dim} matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(mat).max()))
+    mat, scale = _check_square(np.asarray(mat, dtype=np.complex128), n_dim)
     if np.abs(mat - mat.conj().T).max() > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian within 1e-12 of its scale")
     return mat
@@ -243,14 +185,12 @@ def precession_rhs(
     Sparse contraction: one scatter-add over the six signed index orders of
     every canonical triple, O(#triples) per call.
     """
-    if table.kind != F_KIND:
-        raise ValueError(f"precession needs an '{F_KIND}' table, got '{table.kind}'")
+    i, j, k, f = _signed_permutations(table)
     h = coeffs.h
     s = np.asarray(bloch, dtype=float)
     dim = table.n_dim * table.n_dim - 1
     if h.shape != (dim,) or s.shape != (dim,):
         raise ValueError("coefficient/state length does not match the table dimension")
-    i, j, k, f = _signed_permutations(table)
     return np.bincount(i, weights=f * h[j] * s[k], minlength=dim) / coeffs.hbar
 
 
@@ -260,13 +200,11 @@ def precession_matrix(table: ConstantTable, coeffs: HamiltonianCoefficients) -> 
     Same contraction as precession_rhs with the state factored out; the
     integrator uses this so each step is a single mat-vec.
     """
-    if table.kind != F_KIND:
-        raise ValueError(f"precession needs an '{F_KIND}' table, got '{table.kind}'")
+    i, j, k, f = _signed_permutations(table)
     h = coeffs.h
     dim = table.n_dim * table.n_dim - 1
     if h.shape != (dim,):
         raise ValueError("coefficient length does not match the table dimension")
-    i, j, k, f = _signed_permutations(table)
     omega = np.bincount(i * dim + k, weights=f * h[j], minlength=dim * dim)
     return omega.reshape(dim, dim) / coeffs.hbar
 
@@ -296,7 +234,8 @@ def _integrate_linear(matrix: np.ndarray, y0: np.ndarray, spec: IntegrationSpec)
             "do not fit in memory; raise dt or output_stride"
         ) from None
     record = np.minimum(np.arange(n_steps) * spec.output_stride, n_full)
-    times = record * spec.dt
+    # n_full * dt may round past t_final (3 * 0.1 > 0.3); the grid stops at t_final.
+    times = np.minimum(record * spec.dt, spec.t_final)
     if has_tail:
         times = np.append(times, spec.t_final)
 

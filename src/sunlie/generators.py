@@ -20,21 +20,30 @@ su(N-1) basis a literal prefix of the su(N) basis.
 
 With hbar = 2 the N = 2 basis is exactly the Pauli matrices and the N = 3
 basis the Gell-Mann lambda matrices.
+
+Projections onto the basis are direct entry reads (Bertlmann & Krammer,
+J. Phys. A 41, 235303 (2008)), so decomposing and rebuilding cost O(N**2);
+for Hermitian X
+
+    Tr[X S_Snm] = hbar Re X_nm,   Tr[X S_Anm] = hbar Im X_nm,
+    Tr[X S_Dn]  = hbar [ sum_{k<n} X_kk / sqrt(2n(n-1)) - sqrt((n-1)/(2n)) X_nn ].
+
+`_bloch_maps` holds the index arrays and Cartan weights of these reads and
+is the one place the library writes them; `make_generator` writes the same
+entries independently, as the reference they are checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .indexing import (
-    ANTISYMMETRIC,
-    SYMMETRIC,
-    GeneratorLabel,
-    all_labels,
-    check_dimension,
+    ANTISYMMETRIC, SYMMETRIC, GeneratorLabel, all_labels, antisymmetric_index, check_dimension,
+    diagonal_index, symmetric_index,
 )
 
 
@@ -81,6 +90,63 @@ def all_generators(cfg: AlgebraConfig) -> list[np.ndarray]:
     return [make_generator(cfg, label) for label in all_labels(cfg.n_dim)]
 
 
+@lru_cache(maxsize=8)
+def _bloch_maps(n_dim: int) -> tuple[np.ndarray, ...]:
+    """Index machinery for reading generator components off matrix entries.
+
+    Returns (m_idx, n_idx, s_pos, a_pos, d_pos, weights): 0-based coordinate
+    arrays for the off-diagonal pairs, the output slots of the three families,
+    and the (N-1, N) weight matrix taking a diagonal to the Cartan components.
+    """
+    n_idx, m_idx = np.tril_indices(n_dim, -1)  # pairs by n, then m
+    s_pos = symmetric_index(n_idx + 1, m_idx + 1) - 1
+    a_pos = antisymmetric_index(n_idx + 1, m_idx + 1) - 1
+    top = np.arange(2, n_dim + 1)
+    d_pos = diagonal_index(top) - 1
+    # Row n - 2 is D_n's diagonal: 1/sqrt(2n(n-1)) on entries 1..n-1, -sqrt((n-1)/(2n)) on n.
+    weights = np.where(np.arange(n_dim) < top[:, None] - 1,
+                       (1.0 / np.sqrt(2.0 * top * (top - 1)))[:, None], 0.0)
+    weights[top - 2, top - 1] = -np.sqrt((top - 1) / (2.0 * top))
+    return m_idx, n_idx, s_pos, a_pos, d_pos, weights
+
+
+def _generator_traces(cfg: AlgebraConfig, lower: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """Tr[X S_k] for every generator of a Hermitian X, read off its entries.
+
+    ``lower`` holds X_nm below the diagonal in `_bloch_maps` pair order and
+    ``diagonal`` the real diagonal; leading axes are batch axes.
+    """
+    _, _, s_pos, a_pos, d_pos, weights = _bloch_maps(cfg.n_dim)
+    out = np.empty(lower.shape[:-1] + (cfg.dim,))
+    out[..., s_pos] = cfg.hbar * lower.real
+    out[..., a_pos] = cfg.hbar * lower.imag
+    out[..., d_pos] = cfg.hbar * (diagonal @ weights.T)
+    return out
+
+
+def _expansion(cfg: AlgebraConfig, identity: float, coeffs: np.ndarray, scale: float) -> np.ndarray:
+    """Dense identity * I + scale * sum_k coeffs_k S_k, written entry by entry."""
+    coeffs = scale * np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (cfg.dim,):
+        raise ValueError(f"expected {cfg.dim} generator coefficients, got shape {coeffs.shape}")
+    m_idx, n_idx, s_pos, a_pos, d_pos, weights = _bloch_maps(cfg.n_dim)
+    out = np.diag(identity + cfg.hbar * (coeffs[d_pos] @ weights)).astype(np.complex128)
+    lower = (0.5 * cfg.hbar) * (coeffs[s_pos] + 1j * coeffs[a_pos])
+    out[n_idx, m_idx] = lower
+    out[m_idx, n_idx] = lower.conj()
+    return out
+
+
+def _check_square(mat: np.ndarray, n_dim: int) -> tuple[np.ndarray, float]:
+    """Refuse anything but a finite N x N matrix; return it with its scale max(1, max |X_ij|)."""
+    mat = np.asarray(mat)
+    if mat.shape != (n_dim, n_dim):
+        raise ValueError(f"expected a {n_dim} x {n_dim} matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
+    return mat, max(1.0, float(np.abs(mat).max()))
+
+
 def decompose_diagonal(
     cfg: AlgebraConfig, mat: np.ndarray
 ) -> tuple[float, dict[int, float]]:
@@ -97,27 +163,14 @@ def decompose_diagonal(
     Raises ValueError if the input is not (numerically) a real diagonal
     N x N matrix.
     """
-    mat = np.asarray(mat)
-    n_dim = cfg.n_dim
-    if mat.shape != (n_dim, n_dim):
-        raise ValueError(f"expected a {n_dim} x {n_dim} matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix has non-finite entries")
+    mat, scale = _check_square(mat, cfg.n_dim)
     diag = np.diagonal(mat)
-    scale = max(1.0, float(np.abs(mat).max()))
     off = mat - np.diag(diag)
     if np.abs(off).max() > 1e-12 * scale:
         raise ValueError("input has off-diagonal entries; expected a diagonal matrix")
     if np.iscomplexobj(mat) and np.abs(diag.imag).max() > 1e-12 * scale:
         raise ValueError("input has complex diagonal entries; expected real values")
     diag = diag.real.astype(float)
-
-    identity_coeff = float(diag.sum()) / n_dim
-    prefix = np.cumsum(diag)
-    coeffs: dict[int, float] = {}
-    two_over_h2 = 2.0 / (cfg.hbar * cfg.hbar)
-    for n in range(2, n_dim + 1):
-        c = cfg.hbar / math.sqrt(2.0 * n * (n - 1))
-        trace = c * (prefix[n - 2] + (1 - n) * diag[n - 1])
-        coeffs[n] = two_over_h2 * trace
-    return identity_coeff, coeffs
+    weights = _bloch_maps(cfg.n_dim)[5]
+    cartan = (2.0 / cfg.hbar) * (weights @ diag)
+    return float(diag.sum()) / cfg.n_dim, dict(zip(range(2, cfg.n_dim + 1), cartan.tolist()))

@@ -136,8 +136,5 @@ def index_to_label(i: int, n_dim: int) -> GeneratorLabel:
 def all_labels(n_dim: int) -> Iterator[GeneratorLabel]:
     """Yield every label for su(n_dim) in linear-index order (index 1 first)."""
     check_dimension(n_dim)
-    for n in range(2, n_dim + 1):
-        for m in range(1, n):
-            yield GeneratorLabel(SYMMETRIC, n, m)
-            yield GeneratorLabel(ANTISYMMETRIC, n, m)
-        yield GeneratorLabel(DIAGONAL, n)
+    for i in range(1, n_dim * n_dim):
+        yield index_to_label(i, n_dim)

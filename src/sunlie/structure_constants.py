@@ -230,8 +230,11 @@ def _signed_permutations(
     which is the whole of f by total anti-symmetry.  The arrays hold one
     block per order, each block in canonical-triple order; accumulations
     over them sum in that fixed order, so their results are reproducible to
-    the bit.
+    the bit.  Every f contraction starts here, so this is where a d table
+    is refused.
     """
+    if table.kind != F_KIND:
+        raise ValueError(f"f contractions need an '{F_KIND}' table, got '{table.kind}'")
     a, b, c, v = table.contraction_arrays()
     return (
         np.concatenate((a, a, b, b, c, c)),

@@ -8,6 +8,7 @@ import pytest
 import sunlie.cli as cli
 from sunlie.generators import AlgebraConfig, make_generator
 from sunlie.indexing import index_to_label
+from sunlie.structure_constants import build_d_table, build_f_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -248,6 +249,41 @@ class TestSimulate:
         assert status == 2
         assert "error:" in err
 
+    def test_adaptive_grid_ends_at_t_final(self, capsys, tmp_path, problem_files):
+        # 3 * 0.1 > 0.3 in floating point; RK45 must not be handed a time past t_final.
+        h_path, psi_path = problem_files
+        out_path = tmp_path / "traj.csv"
+        status, _, err = run(
+            capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+            "--method", "rk45", "--t-final", "0.3", "--dt", "0.1", "--output", str(out_path),
+        )
+        assert status == 0, err
+        lines = out_path.read_text().splitlines()
+        assert len(lines) == 5
+        assert lines[-1].split(",")[0] == "0.3"
+
+    @pytest.mark.parametrize(
+        "which, payload",
+        [
+            ("hamiltonian", 5),
+            ("hamiltonian", {"n": 2, "re": {"a": 1}, "im": [[0.0, 0.0], [0.0, 0.0]]}),
+            ("initial", 5),
+            ("initial", {"re": {"a": 1}, "im": [0.0, 0.0]}),
+        ],
+    )
+    def test_malformed_json_rejected(self, capsys, tmp_path, problem_files, which, payload):
+        h_path, psi_path = problem_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        paths = {"hamiltonian": h_path, "initial": psi_path, which: bad}
+        status, out, err = run(
+            capsys, "simulate", "--hamiltonian", str(paths["hamiltonian"]),
+            "--initial", str(paths["initial"]), "--t-final", "1.0", "--dt", "0.1",
+        )
+        assert status == 2
+        assert err.startswith("error:") and "bad.json" in err
+        assert out == ""
+
     @staticmethod
     def eight_level_files(tmp_path, energies):
         # H = U diag(energies) U^dagger with a seeded random unitary U.
@@ -294,6 +330,19 @@ class TestBench:
         assert "closed-form n=3" in out
         assert "oracle n=3" in out
         assert "speedup" in out
+
+    def test_counts_are_table_sizes(self, capsys):
+        status, out, _ = run(capsys, "bench", "--n", "4", "--repeats", "1")
+        assert status == 0
+        f_count, d_count = len(build_f_table(4)), len(build_d_table(4))
+        assert f"closed-form n=4: f={f_count} d={d_count} triples" in out
+
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_rejected(self, capsys, repeats):
+        status, out, err = run(capsys, "bench", "--n", "3", "--repeats", repeats)
+        assert status == 2
+        assert err.startswith("error:") and "--repeats" in err
+        assert out == ""
 
     def test_oracle_refused_above_ceiling(self, capsys):
         status, out, _ = run(capsys, "bench", "--n", "64", "--repeats", "1")

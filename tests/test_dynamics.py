@@ -303,6 +303,18 @@ class TestIntegration:
         np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0, 1.05], atol=1e-12)
         assert traj.states.shape == (6, 3)
 
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_grid_ends_at_t_final(self, method):
+        # 3 * 0.1 rounds to 0.30000000000000004; the last sample is still t = 0.3.
+        table = build_f_table(2)
+        coeffs = HamiltonianCoefficients(0.0, np.array([0.0, 0.0, 1.0]), 1.0)
+        spec = IntegrationSpec(t_final=0.3, dt=0.1, method=method)
+        traj = integrate_bloch(table, coeffs, np.array([0.5, 0.0, 0.0]), spec)
+        assert traj.times.shape == (4,)
+        assert traj.times[-1] == 0.3
+        np.testing.assert_allclose(traj.states[-1], [0.5 * math.cos(0.3), 0.5 * math.sin(0.3), 0.0],
+                                   atol=1e-6)
+
     def test_zero_duration(self):
         table = build_f_table(2)
         coeffs = HamiltonianCoefficients(0.0, np.zeros(3), 1.0)

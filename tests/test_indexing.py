@@ -59,6 +59,14 @@ def test_bijection_hits_every_index_once(n_dim):
         assert label_to_index(index_to_label(i, n_dim), n_dim) == i
 
 
+def test_label_order_is_pauli_and_gell_mann():
+    assert list(all_labels(2)) == [symmetric(2, 1), antisymmetric(2, 1), diagonal(2)]
+    assert list(all_labels(3)) == [
+        symmetric(2, 1), antisymmetric(2, 1), diagonal(2),
+        symmetric(3, 1), antisymmetric(3, 1), symmetric(3, 2), antisymmetric(3, 2), diagonal(3),
+    ]
+
+
 @pytest.mark.parametrize("n_dim", range(2, 11))
 def test_block_structure(n_dim):
     # Everything with top coordinate n lands in [(n-1)^2, n^2 - 1].
