@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from contextlib import nullcontext
@@ -31,7 +32,7 @@ from .dynamics import (
     RK4,
     RK45,
     IntegrationSpec,
-    bloch_tdse_deviation,
+    _tdse_deviation,
     decompose_hamiltonian,
     integrate_bloch,
     state_to_bloch,
@@ -63,8 +64,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 
 
@@ -273,7 +274,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for t, row in zip(traj.times, traj.states):
             fh.write(",".join([repr(float(t))] + [repr(float(x)) for x in row]) + "\n")
     if args.compare_tdse:
-        deviation = bloch_tdse_deviation(cfg, table, hamiltonian, psi0, spec)
+        deviation = _tdse_deviation(cfg, hamiltonian, psi0, spec, traj)
         print(f"max_tdse_deviation={deviation!r}")
     return 0
 

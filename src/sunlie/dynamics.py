@@ -46,7 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .generators import AlgebraConfig, _bloch_maps, _check_square, _expansion, _generator_traces
+from .generators import (
+    AlgebraConfig, _bloch_maps, _check_square, _check_vector, _expansion, _generator_traces,
+)
 from .structure_constants import ConstantTable, _signed_permutations
 
 RK4 = "rk4"
@@ -57,6 +59,11 @@ _RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 # BLAS packing buffers grow with the width: at N = 32 a full-width build
 # holds about 40 MB more than this one.
 _PROPAGATOR_BLOCK = 128
+# |psi|**2 must be 1 within _NORM_TOL on input; the amplitude trajectory of a
+# TDSE comparison may drift from it by _NORM_DRIFT_TOL before the comparison
+# is refused as meaningless.
+_NORM_TOL = 1e-12
+_NORM_DRIFT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -137,15 +144,15 @@ def hamiltonian_from_coefficients(
     return _expansion(cfg, coeffs.h0, coeffs.h, 1.0 / cfg.hbar)
 
 
-def _check_normalized(amplitudes: np.ndarray, n_dim: int, norm_tol: float) -> np.ndarray:
+def _check_normalized(amplitudes: np.ndarray, n_dim: int) -> np.ndarray:
     amplitudes = np.asarray(amplitudes, dtype=np.complex128)
     if amplitudes.shape != (n_dim,):
         raise ValueError(f"expected a length-{n_dim} state vector, got shape {amplitudes.shape}")
     if not np.isfinite(amplitudes).all():
         raise ValueError("state vector has non-finite entries")
     norm_sq = float(np.sum(np.abs(amplitudes) ** 2))
-    if abs(norm_sq - 1.0) > norm_tol:
-        raise ValueError(f"state vector norm**2 = {norm_sq} is not 1 within {norm_tol}")
+    if abs(norm_sq - 1.0) > _NORM_TOL:
+        raise ValueError(f"state vector norm**2 = {norm_sq} is not 1 within {_NORM_TOL}")
     return amplitudes
 
 
@@ -160,11 +167,9 @@ def bloch_from_states(cfg: AlgebraConfig, states: np.ndarray) -> np.ndarray:
     return _generator_traces(cfg, cross, np.abs(states) ** 2)
 
 
-def state_to_bloch(
-    cfg: AlgebraConfig, amplitudes: np.ndarray, *, norm_tol: float = 1e-12
-) -> np.ndarray:
+def state_to_bloch(cfg: AlgebraConfig, amplitudes: np.ndarray) -> np.ndarray:
     """Coherence vector s_k = Tr[|psi><psi| S_k] of a normalized pure state."""
-    amplitudes = _check_normalized(amplitudes, cfg.n_dim, norm_tol)
+    amplitudes = _check_normalized(amplitudes, cfg.n_dim)
     return bloch_from_states(cfg, amplitudes[np.newaxis])[0]
 
 
@@ -186,11 +191,9 @@ def precession_rhs(
     every canonical triple, O(#triples) per call.
     """
     i, j, k, f = _signed_permutations(table)
-    h = coeffs.h
-    s = np.asarray(bloch, dtype=float)
     dim = table.n_dim * table.n_dim - 1
-    if h.shape != (dim,) or s.shape != (dim,):
-        raise ValueError("coefficient/state length does not match the table dimension")
+    h = _check_vector(coeffs.h, dim, "Hamiltonian coefficient vector")
+    s = _check_vector(bloch, dim, "coherence vector")
     return np.bincount(i, weights=f * h[j] * s[k], minlength=dim) / coeffs.hbar
 
 
@@ -201,20 +204,30 @@ def precession_matrix(table: ConstantTable, coeffs: HamiltonianCoefficients) -> 
     integrator uses this so each step is a single mat-vec.
     """
     i, j, k, f = _signed_permutations(table)
-    h = coeffs.h
     dim = table.n_dim * table.n_dim - 1
-    if h.shape != (dim,):
-        raise ValueError("coefficient length does not match the table dimension")
+    h = _check_vector(coeffs.h, dim, "Hamiltonian coefficient vector")
     omega = np.bincount(i * dim + k, weights=f * h[j], minlength=dim * dim)
     return omega.reshape(dim, dim) / coeffs.hbar
 
 
-def _integrate_linear(matrix: np.ndarray, y0: np.ndarray, spec: IntegrationSpec) -> Trajectory:
+def _integrate_linear(
+    matrix: np.ndarray, y0: np.ndarray, spec: IntegrationSpec, radius: float
+) -> Trajectory:
     """Fixed-step RK4 or scipy RK45 for y' = matrix @ y, sampled on the dt grid.
 
-    RK4 applies the precomputed one-step propagator of `_rk4_propagator` to
-    every full step; the tail step short of ``t_final`` is taken stage-wise.
+    ``radius`` is the spectral radius of ``matrix``.  Both flows have purely
+    imaginary spectra, and RK4 is stable on the imaginary axis up to
+    |z| = 2 sqrt(2), so RK4 is refused when dt * radius exceeds that, even
+    for a zero duration.  RK4 applies the precomputed one-step propagator of
+    `_rk4_propagator` to every full step; the tail step short of ``t_final``
+    is taken stage-wise.  Both methods fill and return the same sample array.
     """
+    z = spec.dt * radius
+    if spec.method == RK4 and z > _RK4_STABILITY_LIMIT:
+        raise ValueError(
+            f"dt={spec.dt!r} is unstable for RK4: dt * (spectral radius) = {z:.3g} > 2*sqrt(2); "
+            f"use dt <= {_RK4_STABILITY_LIMIT / radius:.3g}"
+        )
     if spec.t_final == 0.0:
         return Trajectory(times=np.zeros(1), states=y0[np.newaxis].copy())
     n_full = int(math.floor(spec.t_final / spec.dt + 1e-9))
@@ -224,7 +237,7 @@ def _integrate_linear(matrix: np.ndarray, y0: np.ndarray, spec: IntegrationSpec)
     n_steps = -(-n_full // spec.output_stride) + 1
     count = n_steps + has_tail
     # Allocated before any stepping, so that a grid too large for memory is
-    # refused up front; RK45 only uses it as that check.
+    # refused up front.
     dtype = np.result_type(matrix, y0)
     try:
         states = np.empty((count, y0.size), dtype=dtype)
@@ -251,16 +264,16 @@ def _integrate_linear(matrix: np.ndarray, y0: np.ndarray, spec: IntegrationSpec)
         )
         if not sol.success:
             raise RuntimeError(f"adaptive integration failed: {sol.message}")
-        return Trajectory(times=sol.t.copy(), states=sol.y.T.copy())
-
-    propagator = _rk4_propagator(matrix, spec.dt)
-    states[0] = y = y0
-    for row, (start, stop) in enumerate(zip(record.tolist(), record[1:].tolist()), start=1):
-        for _ in range(stop - start):
-            y = propagator @ y
-        states[row] = y
-    if has_tail:
-        states[-1] = _rk4_step(matrix, y, remainder)
+        states[:] = sol.y.T
+    else:
+        propagator = _rk4_propagator(matrix, spec.dt)
+        states[0] = y = y0
+        for row, (start, stop) in enumerate(zip(record.tolist(), record[1:].tolist()), start=1):
+            for _ in range(stop - start):
+                y = propagator @ y
+            states[row] = y
+        if has_tail:
+            states[-1] = _rk4_step(matrix, y, remainder)
     return Trajectory(times=times, states=states)
 
 
@@ -287,20 +300,6 @@ def _rk4_step(matrix: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_rk4_stable(radius: float, spec: IntegrationSpec) -> None:
-    """Refuse RK4 when dt times the flow's spectral radius leaves its stability interval.
-
-    Both flows have purely imaginary spectra, and RK4 is stable on the
-    imaginary axis up to |z| = 2 sqrt(2).
-    """
-    z = spec.dt * radius
-    if spec.method == RK4 and z > _RK4_STABILITY_LIMIT:
-        raise ValueError(
-            f"dt={spec.dt!r} is unstable for RK4: dt * (spectral radius) = {z:.3g} > 2*sqrt(2); "
-            f"use dt <= {_RK4_STABILITY_LIMIT / radius:.3g}"
-        )
-
-
 def integrate_bloch(
     table: ConstantTable,
     coeffs: HamiltonianCoefficients,
@@ -308,17 +307,13 @@ def integrate_bloch(
     spec: IntegrationSpec,
 ) -> Trajectory:
     """Integrate the precession equation from coherence vector s0."""
-    s0 = np.asarray(s0, dtype=float)
-    dim = table.n_dim * table.n_dim - 1
-    if s0.shape != (dim,):
-        raise ValueError(f"expected a length-{dim} coherence vector, got {s0.shape}")
+    s0 = _check_vector(s0, table.n_dim * table.n_dim - 1, "coherence vector")
     omega = precession_matrix(table, coeffs)
     # The spectrum of omega is {i (lambda_a - lambda_b) / hbar} over the eigenvalues of H.
     energies = np.linalg.eigvalsh(
         hamiltonian_from_coefficients(AlgebraConfig(table.n_dim, coeffs.hbar), coeffs)
     )
-    _check_rk4_stable((energies[-1] - energies[0]) / coeffs.hbar, spec)
-    return _integrate_linear(omega, s0, spec)
+    return _integrate_linear(omega, s0, spec, (energies[-1] - energies[0]) / coeffs.hbar)
 
 
 def integrate_tdse(
@@ -329,13 +324,12 @@ def integrate_tdse(
 ) -> Trajectory:
     """Integrate the amplitude equation dc/dt = (-i/hbar) H c."""
     hamiltonian = _check_hermitian(hamiltonian, cfg.n_dim)
-    psi0 = _check_normalized(psi0, cfg.n_dim, 1e-12)
+    psi0 = _check_normalized(psi0, cfg.n_dim)
     # The amplitude flow's own radius is max |lambda| / hbar; the spread is
     # checked as well, so that a step the precession flow refuses is refused here.
     energies = np.linalg.eigvalsh(hamiltonian)
-    _check_rk4_stable(max(energies[-1] - energies[0], np.abs(energies).max()) / cfg.hbar, spec)
-    generator = (-1j / cfg.hbar) * hamiltonian
-    return _integrate_linear(generator, psi0, spec)
+    radius = max(energies[-1] - energies[0], np.abs(energies).max()) / cfg.hbar
+    return _integrate_linear((-1j / cfg.hbar) * hamiltonian, psi0, spec, radius)
 
 
 def bloch_tdse_deviation(
@@ -344,26 +338,40 @@ def bloch_tdse_deviation(
     hamiltonian: np.ndarray,
     psi0: np.ndarray,
     spec: IntegrationSpec,
-    *,
-    norm_tol: float = 1e-6,
 ) -> float:
     """Max componentwise gap between the precession trajectory and the mapped
     amplitude trajectory, both started from the same pure state.
 
-    ``norm_tol`` bounds how much amplitude-norm drift is tolerated before the
-    mapping is considered meaningless.
+    Decomposes H, integrates the precession equation and hands the result to
+    `_tdse_deviation`, which `simulate --compare-tdse` calls directly with the
+    trajectory it has already written.
     """
     coeffs = decompose_hamiltonian(cfg, hamiltonian)
-    s0 = state_to_bloch(cfg, psi0)
-    bloch = integrate_bloch(table, coeffs, s0, spec)
+    bloch = integrate_bloch(table, coeffs, state_to_bloch(cfg, psi0), spec)
+    return _tdse_deviation(cfg, hamiltonian, psi0, spec, bloch)
+
+
+def _tdse_deviation(
+    cfg: AlgebraConfig,
+    hamiltonian: np.ndarray,
+    psi0: np.ndarray,
+    spec: IntegrationSpec,
+    bloch: Trajectory,
+) -> float:
+    """Max componentwise gap between ``bloch``, the precession trajectory from
+    psi0, and the amplitude trajectory from psi0 mapped to coherence vectors.
+
+    Refuses the comparison when the amplitude norm drifts by more than
+    _NORM_DRIFT_TOL, because the mapping is then meaningless.
+    """
     amp = integrate_tdse(cfg, hamiltonian, psi0, spec)
     if not np.array_equal(bloch.times, amp.times):
         raise RuntimeError("integrators produced different sample grids")
     norms = np.sum(np.abs(amp.states) ** 2, axis=1)
     drift = float(np.abs(norms - 1.0).max())
-    if drift > norm_tol:
+    if drift > _NORM_DRIFT_TOL:
         raise ValueError(
-            f"amplitude norm drifted by {drift:.3e} (> {norm_tol:.1e}); dt is too coarse"
+            f"amplitude norm drifted by {drift:.3e} (> {_NORM_DRIFT_TOL:.1e}); dt is too coarse"
         )
     mapped = bloch_from_states(cfg, amp.states)
     return float(np.abs(bloch.states - mapped).max())

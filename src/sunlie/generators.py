@@ -56,8 +56,8 @@ class AlgebraConfig:
 
     def __post_init__(self) -> None:
         check_dimension(self.n_dim)
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        if not (self.hbar > 0 and math.isfinite(self.hbar)):
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
 
     @property
     def dim(self) -> int:
@@ -126,9 +126,7 @@ def _generator_traces(cfg: AlgebraConfig, lower: np.ndarray, diagonal: np.ndarra
 
 def _expansion(cfg: AlgebraConfig, identity: float, coeffs: np.ndarray, scale: float) -> np.ndarray:
     """Dense identity * I + scale * sum_k coeffs_k S_k, written entry by entry."""
-    coeffs = scale * np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (cfg.dim,):
-        raise ValueError(f"expected {cfg.dim} generator coefficients, got shape {coeffs.shape}")
+    coeffs = scale * _check_vector(coeffs, cfg.dim, "coefficient vector")
     m_idx, n_idx, s_pos, a_pos, d_pos, weights = _bloch_maps(cfg.n_dim)
     out = np.diag(identity + cfg.hbar * (coeffs[d_pos] @ weights)).astype(np.complex128)
     lower = (0.5 * cfg.hbar) * (coeffs[s_pos] + 1j * coeffs[a_pos])
@@ -145,6 +143,16 @@ def _check_square(mat: np.ndarray, n_dim: int) -> tuple[np.ndarray, float]:
     if not np.isfinite(mat).all():
         raise ValueError("matrix has non-finite entries")
     return mat, max(1.0, float(np.abs(mat).max()))
+
+
+def _check_vector(vec: np.ndarray, length: int, what: str) -> np.ndarray:
+    """Refuse anything but ``length`` finite real numbers; return them as a float array."""
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (length,):
+        raise ValueError(f"expected a length-{length} {what}, got shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{what} has non-finite entries")
+    return vec
 
 
 def decompose_diagonal(

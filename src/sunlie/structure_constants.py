@@ -49,7 +49,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -142,9 +141,6 @@ class ConstantTable:
 
     def __len__(self) -> int:
         return self._values.size
-
-    def __iter__(self) -> Iterator[ConstantTriple]:
-        return iter(self.triples())
 
     def triples(self) -> list[ConstantTriple]:
         """Canonical triples in lexicographic (i, j, k) order."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sunlie.cli as cli
+import sunlie.dynamics as dynamics
 from sunlie.generators import AlgebraConfig, make_generator
 from sunlie.indexing import index_to_label
 from sunlie.structure_constants import build_d_table, build_f_table
@@ -48,6 +49,14 @@ class TestGenerators:
         status, _, err = run(capsys, "generators", "--n", "3", "--label", "Q:1")
         assert status == 2
         assert "bad label" in err
+
+    def test_infinite_hbar_rejected(self, capsys):
+        # Not NaN/Infinity matrix entries, which are not valid JSON.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["generators", "--n", "2", "--hbar", "inf", "--index", "2"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "positive finite number" in captured.err
 
 
 class TestConstants:
@@ -136,6 +145,14 @@ class TestVerify:
         assert "missing (1, 2, 3)" in out
         assert "spurious (1, 2, 4)" in out
 
+    def test_infinite_hbar_rejected(self, capsys):
+        # Not a reported mismatch (exit 1) from an inf/NaN oracle.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", "--n", "2", "--hbar", "inf"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "positive finite number" in captured.err
+
 
 class TestAdjoint:
     def test_json_dump(self, capsys):
@@ -181,6 +198,39 @@ class TestSimulate:
         np.testing.assert_allclose(first, [0.0, 0.0, 0.0, 0.5], atol=1e-15)
         deviation = float(out.split("max_tdse_deviation=")[1])
         assert deviation <= 1e-6
+
+    def test_compare_tdse_integrates_once(self, capsys, tmp_path, problem_files, monkeypatch):
+        # The deviation is taken against the trajectory already written: H is
+        # decomposed and Omega built once, and one RK4 propagator is built per
+        # equation (Omega, d = 3, then -iH/hbar, N = 2).
+        calls = []
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append((name, args[0].shape if name == "_rk4_propagator" else None))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(cli, "decompose_hamiltonian")
+        count(dynamics, "decompose_hamiltonian")
+        count(dynamics, "precession_matrix")
+        count(dynamics, "_rk4_propagator")
+        h_path, psi_path = problem_files
+        status, out, _ = run(
+            capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+            "--t-final", "1.0", "--dt", "0.001", "--stride", "100",
+            "--output", str(tmp_path / "traj.csv"), "--compare-tdse",
+        )
+        assert status == 0 and "max_tdse_deviation=" in out
+        assert calls == [
+            ("decompose_hamiltonian", None),
+            ("precession_matrix", None),
+            ("_rk4_propagator", (3, 3)),
+            ("_rk4_propagator", (2, 2)),
+        ]
 
     def test_deterministic_output(self, capsys, tmp_path, problem_files):
         h_path, psi_path = problem_files

@@ -195,6 +195,37 @@ class TestPrecessionRhs:
             precession_rhs(build_d_table(3), coeffs, np.zeros(8))
 
 
+def _su2(h):
+    return HamiltonianCoefficients(0.0, np.asarray(h), 1.0)
+
+
+class TestNonFiniteVectors:
+    """Every entry point that takes a coefficient or coherence vector refuses NaN and inf."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda v: integrate_bloch(build_f_table(2), _su2([0.0, 0.0, 1.0]), v,
+                                                   IntegrationSpec(t_final=1.0, dt=0.1)),
+                         id="integrate_bloch"),
+            pytest.param(lambda v: reconstruct_density(AlgebraConfig(2), v),
+                         id="reconstruct_density"),
+            pytest.param(lambda v: hamiltonian_from_coefficients(AlgebraConfig(2), _su2(v)),
+                         id="hamiltonian_from_coefficients"),
+            pytest.param(lambda v: precession_rhs(build_f_table(2), _su2([0.0, 0.0, 1.0]), v),
+                         id="precession_rhs_state"),
+            pytest.param(lambda v: precession_rhs(build_f_table(2), _su2(v), np.zeros(3)),
+                         id="precession_rhs_coefficients"),
+            pytest.param(lambda v: precession_matrix(build_f_table(2), _su2(v)),
+                         id="precession_matrix"),
+        ],
+    )
+    def test_rejected(self, call, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            call(np.array([bad, 0.0, 0.5]))
+
+
 class TestIndependentReferences:
     """Entry-wise projections against explicit sums over the dense generators."""
 
@@ -425,6 +456,17 @@ class TestStabilityGuard:
     def test_unstable_step_rejected(self, unstable_problem):
         cfg, mat, psi0 = unstable_problem
         spec = IntegrationSpec(t_final=20.0, dt=0.2)
+        coeffs = decompose_hamiltonian(cfg, mat)
+        with pytest.raises(ValueError, match="unstable"):
+            integrate_bloch(build_f_table(8), coeffs, state_to_bloch(cfg, psi0), spec)
+        with pytest.raises(ValueError, match="unstable"):
+            integrate_tdse(cfg, mat, psi0, spec)
+
+    def test_unstable_step_rejected_at_zero_duration(self, unstable_problem):
+        # The guard runs before the zero-duration shortcut: dt is refused
+        # whatever t_final is.
+        cfg, mat, psi0 = unstable_problem
+        spec = IntegrationSpec(t_final=0.0, dt=0.2)
         coeffs = decompose_hamiltonian(cfg, mat)
         with pytest.raises(ValueError, match="unstable"):
             integrate_bloch(build_f_table(8), coeffs, state_to_bloch(cfg, psi0), spec)

@@ -86,7 +86,10 @@ def test_label_beyond_dimension_rejected():
         make_generator(AlgebraConfig(3), symmetric(4, 2))
 
 
-@pytest.mark.parametrize("n_dim, hbar", [(1, 1.0), (3, 0.0), (3, -2.0)])
+# An infinite hbar would turn generator entries into inf and NaN.
+@pytest.mark.parametrize(
+    "n_dim, hbar", [(1, 1.0), (3, 0.0), (3, -2.0), (2, math.inf), (2, math.nan)]
+)
 def test_bad_config_rejected(n_dim, hbar):
     with pytest.raises(ValueError):
         AlgebraConfig(n_dim, hbar)
