@@ -36,20 +36,34 @@ spectral radius of A exceeds 2 sqrt(2), the edge of its stability interval
 on the imaginary axis; that radius is (lambda_max - lambda_min)/hbar for the
 precession flow and max |lambda|/hbar for the amplitudes, read off the
 eigenvalues of the N x N Hamiltonian.
+
+The precession flow has two RK4 paths.  Below N = _DENSITY_CROSSOVER it is
+the propagator path above, on the d x d matrix Omega of `precession_matrix`
+(d = N**2 - 1): P costs O(d**3) to build and O(d**2) per step.  From the
+crossover on, RK4 steps the density matrix instead: ds/dt = Omega s is the
+von Neumann flow drho/dt = (-i/hbar)[H, rho] read through the linear map
+rho <-> s, so the same RK4 polynomial applied to rho, with commutator
+stages, gives the same trajectory at O(N**3) per step and O(N**2) memory
+(Hairer, Lubich & Wanner, Geometric Numerical Integration, ch. IV).  For
+Hermitian X, [H, X] = HX - (HX)^dagger, one N x N matmul per stage.  Each
+sample is read back off rho's entries.  The crossover is measured (see the
+constant).  RK45 always uses Omega.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .generators import (
-    AlgebraConfig, _bloch_maps, _check_square, _check_vector, _expansion, _generator_traces,
+    AlgebraConfig, _bloch_maps, _check_hbar, _check_square, _check_vector, _expansion,
+    _generator_traces,
 )
-from .structure_constants import ConstantTable, _signed_permutations
+from .structure_constants import ConstantTable, _check_f_table, _signed_permutations
 
 RK4 = "rk4"
 RK45 = "rk45"
@@ -59,6 +73,18 @@ _RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 # BLAS packing buffers grow with the width: at N = 32 a full-width build
 # holds about 40 MB more than this one.
 _PROPAGATOR_BLOCK = 128
+# RK4 precession at N >= _DENSITY_CROSSOVER steps the N x N density matrix
+# instead of the d x d propagator.  One cold `integrate_bloch` per process,
+# 1000 steps of dt = 1e-3, stride 10, median of 9 (2-core x86, numpy 2.4
+# with scipy-openblas 0.3.31):
+#
+#     N           10      11      12      13      16      17
+#     propagator  4.8 ms  72 ms   40 ms   72 ms   91 ms   125 ms
+#     density     28 ms   31 ms   30 ms   35 ms   38 ms   42 ms
+#
+# The propagator jumps at N = 11 (d = 120), where building P hands its
+# matrix products to the threaded BLAS kernel.
+_DENSITY_CROSSOVER = 11
 # |psi|**2 must be 1 within _NORM_TOL on input; the amplitude trajectory of a
 # TDSE comparison may drift from it by _NORM_DRIFT_TOL before the comparison
 # is refused as meaningless.
@@ -73,6 +99,9 @@ class HamiltonianCoefficients:
     h0: float
     h: np.ndarray
     hbar: float = 1.0
+
+    def __post_init__(self) -> None:
+        _check_hbar(self.hbar)
 
 
 @dataclass(frozen=True)
@@ -161,6 +190,8 @@ def bloch_from_states(cfg: AlgebraConfig, states: np.ndarray) -> np.ndarray:
     states = np.asarray(states, dtype=np.complex128)
     if states.ndim != 2 or states.shape[1] != cfg.n_dim:
         raise ValueError(f"expected shape (T, {cfg.n_dim}), got {states.shape}")
+    if not np.isfinite(states).all():
+        raise ValueError("amplitude rows have non-finite entries")
     m_idx, n_idx = _bloch_maps(cfg.n_dim)[:2]
     # rho = |c><c| has rho_nm = c_n conj(c_m) and diagonal |c|**2.
     cross = np.conj(states[:, m_idx]) * states[:, n_idx]
@@ -210,17 +241,19 @@ def precession_matrix(table: ConstantTable, coeffs: HamiltonianCoefficients) -> 
     return omega.reshape(dim, dim) / coeffs.hbar
 
 
-def _integrate_linear(
-    matrix: np.ndarray, y0: np.ndarray, spec: IntegrationSpec, radius: float
-) -> Trajectory:
-    """Fixed-step RK4 or scipy RK45 for y' = matrix @ y, sampled on the dt grid.
+def _sample_grid(
+    spec: IntegrationSpec, radius: float, first: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """The RK4 stability guard, then the sample grid and its sample array.
 
-    ``radius`` is the spectral radius of ``matrix``.  Both flows have purely
+    ``radius`` is the spectral radius of the flow.  Both flows have purely
     imaginary spectra, and RK4 is stable on the imaginary axis up to
     |z| = 2 sqrt(2), so RK4 is refused when dt * radius exceeds that, even
-    for a zero duration.  RK4 applies the precomputed one-step propagator of
-    `_rk4_propagator` to every full step; the tail step short of ``t_final``
-    is taken stage-wise.  Both methods fill and return the same sample array.
+    for a zero duration.  Returns (times, record, remainder, states):
+    ``record`` holds the full-step count at each full-step sample,
+    ``remainder`` the tail step short of t_final (0.0 if there is none), and
+    ``states`` is allocated before any stepping, with ``first`` as its row 0,
+    so that a grid too large for memory is refused up front.
     """
     z = spec.dt * radius
     if spec.method == RK4 and z > _RK4_STABILITY_LIMIT:
@@ -228,31 +261,73 @@ def _integrate_linear(
             f"dt={spec.dt!r} is unstable for RK4: dt * (spectral radius) = {z:.3g} > 2*sqrt(2); "
             f"use dt <= {_RK4_STABILITY_LIMIT / radius:.3g}"
         )
-    if spec.t_final == 0.0:
-        return Trajectory(times=np.zeros(1), states=y0[np.newaxis].copy())
     n_full = int(math.floor(spec.t_final / spec.dt + 1e-9))
     remainder = spec.t_final - n_full * spec.dt
-    has_tail = remainder > 1e-12 * max(spec.t_final, spec.dt)
+    if not remainder > 1e-12 * max(spec.t_final, spec.dt):
+        remainder = 0.0
     # Samples: every output_stride-th step, the last full step and the tail end.
     n_steps = -(-n_full // spec.output_stride) + 1
-    count = n_steps + has_tail
-    # Allocated before any stepping, so that a grid too large for memory is
-    # refused up front.
-    dtype = np.result_type(matrix, y0)
+    count = n_steps + bool(remainder)
     try:
-        states = np.empty((count, y0.size), dtype=dtype)
+        states = np.empty((count, first.size), dtype=first.dtype)
     except (ValueError, MemoryError):
         raise ValueError(
-            f"{count} samples of {y0.size} values ({count * y0.size * dtype.itemsize} bytes) "
-            "do not fit in memory; raise dt or output_stride"
+            f"{count} samples of {first.size} values ({count * first.size * first.itemsize} "
+            "bytes) do not fit in memory; raise dt or output_stride"
         ) from None
+    states[0] = first
     record = np.minimum(np.arange(n_steps) * spec.output_stride, n_full)
     # n_full * dt may round past t_final (3 * 0.1 > 0.3); the grid stops at t_final.
     times = np.minimum(record * spec.dt, spec.t_final)
-    if has_tail:
+    if remainder:
         times = np.append(times, spec.t_final)
+    return times, record, remainder, states
 
-    if spec.method == RK45:
+
+def _march(
+    y: np.ndarray,
+    states: np.ndarray,
+    record: np.ndarray,
+    remainder: float,
+    advance: Callable[[np.ndarray, int], np.ndarray],
+    step: Callable[[np.ndarray, float], np.ndarray],
+    read: Callable[[np.ndarray], np.ndarray],
+) -> None:
+    """Fill states[1:] by RK4 from y, on the grid of `_sample_grid`.
+
+    ``advance(y, count)`` takes ``count`` full steps, ``step(y, h)`` one step
+    of h (the tail), and ``read(y)`` turns a state into a sample row.
+    """
+    for row, count in enumerate(np.diff(record).tolist(), start=1):
+        y = advance(y, count)
+        states[row] = read(y)
+    if remainder:
+        states[-1] = read(step(y, remainder))
+
+
+def _integrate_linear(
+    matrix: np.ndarray, y0: np.ndarray, spec: IntegrationSpec, radius: float
+) -> Trajectory:
+    """Fixed-step RK4 or scipy RK45 for y' = matrix @ y, sampled on the dt grid.
+
+    ``radius`` is the spectral radius of ``matrix``, for the RK4 guard of
+    `_sample_grid`.  RK4 applies the precomputed one-step propagator of
+    `_rk4_propagator` to every full step; the tail step short of ``t_final``
+    is taken stage-wise.  Both methods fill the same sample array.
+    """
+    y0 = np.asarray(y0, dtype=np.result_type(matrix, y0))
+    times, record, remainder, states = _sample_grid(spec, radius, y0)
+    if spec.method == RK4:
+        propagator = _rk4_propagator(matrix, spec.dt)
+
+        def advance(y, count):
+            for _ in range(count):
+                y = propagator @ y
+            return y
+
+        _march(y0, states, record, remainder, advance,
+               lambda y, h: _rk4_step(matrix, y, h), lambda y: y)
+    elif spec.t_final > 0.0:
         sol = solve_ivp(
             lambda t, y: matrix @ y,
             (0.0, spec.t_final),
@@ -265,15 +340,6 @@ def _integrate_linear(
         if not sol.success:
             raise RuntimeError(f"adaptive integration failed: {sol.message}")
         states[:] = sol.y.T
-    else:
-        propagator = _rk4_propagator(matrix, spec.dt)
-        states[0] = y = y0
-        for row, (start, stop) in enumerate(zip(record.tolist(), record[1:].tolist()), start=1):
-            for _ in range(stop - start):
-                y = propagator @ y
-            states[row] = y
-        if has_tail:
-            states[-1] = _rk4_step(matrix, y, remainder)
     return Trajectory(times=times, states=states)
 
 
@@ -300,20 +366,70 @@ def _rk4_step(matrix: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _density_stages(generator: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
+    return tuple((h / c) * generator for c in (4.0, 3.0, 2.0, 1.0))
+
+
+def _density_step(stages: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray:
+    """One RK4 step of rho' = L(rho) = G rho + (G rho)^dagger, G = -iH/hbar.
+
+    ``stages`` is `_density_stages` of G and the step h.  L is linear, so the
+    step is the RK4 polynomial rho + hL(rho + (h/2)L(rho + (h/3)L(rho +
+    (h/4)L rho))): four evaluations of L on Hermitian arguments, one N x N
+    matmul each.
+    """
+    x = rho
+    for scaled in stages:
+        b = scaled @ x
+        x = b + rho
+        x += b.conj().T
+    return x
+
+
 def integrate_bloch(
     table: ConstantTable,
     coeffs: HamiltonianCoefficients,
     s0: np.ndarray,
     spec: IntegrationSpec,
 ) -> Trajectory:
-    """Integrate the precession equation from coherence vector s0."""
-    s0 = _check_vector(s0, table.n_dim * table.n_dim - 1, "coherence vector")
-    omega = precession_matrix(table, coeffs)
-    # The spectrum of omega is {i (lambda_a - lambda_b) / hbar} over the eigenvalues of H.
-    energies = np.linalg.eigvalsh(
-        hamiltonian_from_coefficients(AlgebraConfig(table.n_dim, coeffs.hbar), coeffs)
-    )
-    return _integrate_linear(omega, s0, spec, (energies[-1] - energies[0]) / coeffs.hbar)
+    """Integrate the precession equation from coherence vector s0.
+
+    RK4 at N >= _DENSITY_CROSSOVER steps the density matrix instead of s
+    (see the module docstring): the same RK4 polynomial on the same linear
+    flow, without the d x d matrix or its propagator.
+    """
+    n_dim = table.n_dim
+    s0 = _check_vector(s0, n_dim * n_dim - 1, "coherence vector")
+    on_density = spec.method == RK4 and n_dim >= _DENSITY_CROSSOVER
+    if on_density:
+        _check_f_table(table)
+    else:
+        omega = precession_matrix(table, coeffs)
+    # The trace of H does not enter the flow; leaving it out keeps the
+    # commutator stages free of its cancellation error.
+    cfg = AlgebraConfig(n_dim, coeffs.hbar)
+    traceless = HamiltonianCoefficients(0.0, coeffs.h, cfg.hbar)
+    hamiltonian = hamiltonian_from_coefficients(cfg, traceless)
+    # The spectrum of the flow is {i (lambda_a - lambda_b) / hbar} over the eigenvalues of H.
+    energies = np.linalg.eigvalsh(hamiltonian)
+    radius = (energies[-1] - energies[0]) / cfg.hbar
+    if not on_density:
+        return _integrate_linear(omega, s0, spec, radius)
+
+    times, record, remainder, states = _sample_grid(spec, radius, s0)
+    generator = (-1j / cfg.hbar) * hamiltonian
+    full = _density_stages(generator, spec.dt)
+    m_idx, n_idx = _bloch_maps(n_dim)[:2]
+
+    def advance(rho, count):
+        for _ in range(count):
+            rho = _density_step(full, rho)
+        return rho
+
+    _march(reconstruct_density(cfg, s0), states, record, remainder, advance,
+           lambda rho, h: _density_step(_density_stages(generator, h), rho),
+           lambda rho: _generator_traces(cfg, rho[n_idx, m_idx], rho.diagonal().real))
+    return Trajectory(times=times, states=states)
 
 
 def integrate_tdse(

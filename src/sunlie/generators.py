@@ -56,8 +56,7 @@ class AlgebraConfig:
 
     def __post_init__(self) -> None:
         check_dimension(self.n_dim)
-        if not (self.hbar > 0 and math.isfinite(self.hbar)):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        _check_hbar(self.hbar)
 
     @property
     def dim(self) -> int:
@@ -143,6 +142,11 @@ def _check_square(mat: np.ndarray, n_dim: int) -> tuple[np.ndarray, float]:
     if not np.isfinite(mat).all():
         raise ValueError("matrix has non-finite entries")
     return mat, max(1.0, float(np.abs(mat).max()))
+
+
+def _check_hbar(hbar: float) -> None:
+    if not (hbar > 0 and math.isfinite(hbar)):
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
 
 
 def _check_vector(vec: np.ndarray, length: int, what: str) -> np.ndarray:

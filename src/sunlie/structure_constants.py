@@ -217,6 +217,12 @@ def _check_table_dimension(n_dim: int) -> None:
         raise ValueError(f"N={n_dim} is beyond the largest table dimension {MAX_TABLE_N}")
 
 
+def _check_f_table(table: ConstantTable) -> None:
+    """Refuse a d table where only f is meaningful."""
+    if table.kind != F_KIND:
+        raise ValueError(f"f contractions need an '{F_KIND}' table, got '{table.kind}'")
+
+
 def _signed_permutations(
     table: ConstantTable,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -229,8 +235,7 @@ def _signed_permutations(
     the bit.  Every f contraction starts here, so this is where a d table
     is refused.
     """
-    if table.kind != F_KIND:
-        raise ValueError(f"f contractions need an '{F_KIND}' table, got '{table.kind}'")
+    _check_f_table(table)
     a, b, c, v = table.contraction_arrays()
     return (
         np.concatenate((a, a, b, b, c, c)),

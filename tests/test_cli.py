@@ -232,6 +232,38 @@ class TestSimulate:
             ("_rk4_propagator", (2, 2)),
         ]
 
+    def test_compare_tdse_on_density_path(self, capsys, tmp_path, monkeypatch):
+        # From the crossover on, the precession flow is stepped on rho: no
+        # Omega, and only the amplitude flow's N x N propagator is built.
+        n_dim = dynamics._DENSITY_CROSSOVER
+        shapes = []
+        original = dynamics._rk4_propagator
+
+        def counted(matrix, dt):
+            shapes.append(matrix.shape)
+            return original(matrix, dt)
+
+        monkeypatch.setattr(dynamics, "_rk4_propagator", counted)
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim))
+        mat = (a + a.conj().T) / 8.0
+        psi = rng.normal(size=n_dim) + 1j * rng.normal(size=n_dim)
+        psi /= np.linalg.norm(psi)
+        h_path, psi_path = tmp_path / "h.json", tmp_path / "psi.json"
+        h_path.write_text(json.dumps({"n": n_dim, "re": mat.real.tolist(),
+                                      "im": mat.imag.tolist()}))
+        psi_path.write_text(json.dumps({"re": psi.real.tolist(), "im": psi.imag.tolist()}))
+        out_path = tmp_path / "traj.csv"
+        status, out, err = run(
+            capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+            "--t-final", "0.1", "--dt", "0.001", "--stride", "10",
+            "--output", str(out_path), "--compare-tdse",
+        )
+        assert status == 0, err
+        assert shapes == [(n_dim, n_dim)]
+        assert len(out_path.read_text().splitlines()) == 12  # header + 11 samples
+        assert float(out.split("max_tdse_deviation=")[1]) <= 1e-6
+
     def test_deterministic_output(self, capsys, tmp_path, problem_files):
         h_path, psi_path = problem_files
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

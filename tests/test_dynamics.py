@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_state, traced_peak
+from sunlie import dynamics
 from sunlie.dynamics import (
     HamiltonianCoefficients,
     IntegrationSpec,
+    bloch_from_states,
     bloch_tdse_deviation,
     decompose_hamiltonian,
     hamiltonian_from_coefficients,
@@ -78,6 +80,14 @@ class TestDecomposeHamiltonian:
         coeffs, peak = traced_peak(decompose_hamiltonian, cfg, mat)
         assert coeffs.h.shape == (cfg.dim,)
         assert peak < 8e6
+
+
+class TestHamiltonianCoefficients:
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_hbar_rejected(self, hbar):
+        # hbar = 0 would make the flow NaN/inf, hbar = inf silently zero.
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            HamiltonianCoefficients(0.0, np.array([0.0, 0.0, 1.0]), hbar)
 
 
 class TestStateToBloch:
@@ -200,7 +210,8 @@ def _su2(h):
 
 
 class TestNonFiniteVectors:
-    """Every entry point that takes a coefficient or coherence vector refuses NaN and inf."""
+    """Every entry point that takes a coefficient, coherence or amplitude vector
+    refuses NaN and inf."""
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize(
@@ -219,6 +230,8 @@ class TestNonFiniteVectors:
                          id="precession_rhs_coefficients"),
             pytest.param(lambda v: precession_matrix(build_f_table(2), _su2(v)),
                          id="precession_matrix"),
+            pytest.param(lambda v: bloch_from_states(AlgebraConfig(2), [v[:2]]),
+                         id="bloch_from_states"),
         ],
     )
     def test_rejected(self, call, bad):
@@ -437,8 +450,86 @@ class TestRk4Propagator:
         self.check_both_flows(n_dim, t_final=2.005, dt=0.01)
 
     def test_matches_stagewise_across_column_blocks(self):
-        # d = 143 at N = 12: the propagator is built in more than one block.
+        # d = 143 at N = 12: a propagator would be built in more than one
+        # block.  The precession flow takes the density path here;
+        # test_propagator_across_column_blocks covers the blocks directly.
         self.check_both_flows(12, t_final=0.205, dt=0.01)
+
+    def test_propagator_across_column_blocks(self):
+        # d = 200 spans two blocks of _PROPAGATOR_BLOCK = 128 columns.
+        dim = 200
+        assert dim > dynamics._PROPAGATOR_BLOCK
+        a = np.random.default_rng(200).normal(size=(dim, dim))
+        matrix = (a - a.T) / dim
+        _, states = stagewise_rk4(matrix, np.eye(dim), 0.01, 0.01, 1)
+        propagator = dynamics._rk4_propagator(matrix, 0.01)
+        assert np.abs(propagator - states[-1]).max() <= 1e-14
+
+
+class TestDensityPath:
+    """RK4 on the N x N density matrix from N = _DENSITY_CROSSOVER on."""
+
+    HBAR = 1.3
+
+    @pytest.mark.parametrize("n_dim", [dynamics._DENSITY_CROSSOVER, 16])
+    def test_matches_stagewise_precession_matrix(self, n_dim, monkeypatch):
+        rng = np.random.default_rng(700 + n_dim)
+        cfg = AlgebraConfig(n_dim, hbar=self.HBAR)
+        table = build_f_table(n_dim)
+        coeffs = decompose_hamiltonian(cfg, random_hermitian(rng, n_dim))
+        s0 = state_to_bloch(cfg, random_state(rng, n_dim))
+        omega = precession_matrix(table, coeffs)
+        # 20 full steps (not a multiple of the stride) plus a half step.
+        times, states = stagewise_rk4(omega, s0, 0.205, 0.01, 3)
+
+        def refuse(*args):
+            raise AssertionError("the density path builds no d x d matrix")
+
+        monkeypatch.setattr(dynamics, "precession_matrix", refuse)
+        monkeypatch.setattr(dynamics, "_rk4_propagator", refuse)
+        spec = IntegrationSpec(t_final=0.205, dt=0.01, output_stride=3)
+        traj = integrate_bloch(table, coeffs, s0, spec)
+        np.testing.assert_array_equal(traj.times, times)
+        assert traj.states.shape == states.shape
+        assert np.abs(traj.states - states).max() <= 1e-12
+
+    def test_below_crossover_uses_propagator(self, monkeypatch):
+        n_dim = dynamics._DENSITY_CROSSOVER - 1
+        shapes = []
+        original = dynamics._rk4_propagator
+
+        def counted(matrix, dt):
+            shapes.append(matrix.shape)
+            return original(matrix, dt)
+
+        monkeypatch.setattr(dynamics, "_rk4_propagator", counted)
+        coeffs = HamiltonianCoefficients(0.0, np.zeros(n_dim * n_dim - 1), self.HBAR)
+        integrate_bloch(build_f_table(n_dim), coeffs, np.zeros(n_dim * n_dim - 1),
+                        IntegrationSpec(t_final=0.1, dt=0.01))
+        dim = n_dim * n_dim - 1
+        assert shapes == [(dim, dim)]
+
+    def test_d_table_rejected(self):
+        n_dim = dynamics._DENSITY_CROSSOVER
+        coeffs = HamiltonianCoefficients(0.0, np.zeros(n_dim * n_dim - 1), self.HBAR)
+        with pytest.raises(ValueError, match="'f' table"):
+            integrate_bloch(build_d_table(n_dim), coeffs, np.zeros(n_dim * n_dim - 1),
+                            IntegrationSpec(t_final=0.1, dt=0.01))
+
+    @pytest.mark.parametrize("t_final", [20.0, 0.0])
+    def test_unstable_step_rejected(self, t_final):
+        # Unscaled Gaussian Hermitian: dt = 0.2 puts dt * spread beyond 2 sqrt(2).
+        n_dim = dynamics._DENSITY_CROSSOVER
+        rng = np.random.default_rng(n_dim)
+        a = rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim))
+        mat = a + a.conj().T
+        energies = np.linalg.eigvalsh(mat)
+        assert 0.2 * (energies[-1] - energies[0]) > 2.0 * math.sqrt(2.0)
+        cfg = AlgebraConfig(n_dim)
+        s0 = state_to_bloch(cfg, random_state(rng, n_dim))
+        spec = IntegrationSpec(t_final=t_final, dt=0.2)
+        with pytest.raises(ValueError, match="unstable"):
+            integrate_bloch(build_f_table(n_dim), decompose_hamiltonian(cfg, mat), s0, spec)
 
 
 class TestStabilityGuard:
