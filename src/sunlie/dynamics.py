@@ -83,7 +83,10 @@ _PROPAGATOR_BLOCK = 128
 #     density     28 ms   31 ms   30 ms   35 ms   38 ms   42 ms
 #
 # The propagator jumps at N = 11 (d = 120), where building P hands its
-# matrix products to the threaded BLAS kernel.
+# matrix products to the threaded BLAS kernel; a warm in-process loop puts
+# the crossover near N = 18 instead.  The value depends on the BLAS build and
+# its threading, and no perfbench workload lies between N = 7 and N = 31, so
+# the benchmark does not check it; retune it against a large-N workload.
 _DENSITY_CROSSOVER = 11
 # |psi|**2 must be 1 within _NORM_TOL on input; the amplitude trajectory of a
 # TDSE comparison may drift from it by _NORM_DRIFT_TOL before the comparison
@@ -376,13 +379,16 @@ def _density_step(stages: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray
     ``stages`` is `_density_stages` of G and the step h.  L is linear, so the
     step is the RK4 polynomial rho + hL(rho + (h/2)L(rho + (h/3)L(rho +
     (h/4)L rho))): four evaluations of L on Hermitian arguments, one N x N
-    matmul each.
+    matmul each.  Each stage is b + b^dagger first and rho after, so it is
+    Hermitian in floating point too (entry (j, i) is the exact conjugate of
+    (i, j)); adding rho into b first would round the two differently and
+    leave an anti-Hermitian residue that accumulates from step to step.
     """
     x = rho
     for scaled in stages:
         b = scaled @ x
-        x = b + rho
-        x += b.conj().T
+        x = b + b.conj().T
+        x += rho
     return x
 
 

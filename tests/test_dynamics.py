@@ -493,6 +493,38 @@ class TestDensityPath:
         assert traj.states.shape == states.shape
         assert np.abs(traj.states - states).max() <= 1e-12
 
+    def test_stable_near_guard_with_skewed_spectrum(self, monkeypatch):
+        # One excited level: eigenvalues -1/N (N - 1 times) and (N - 1)/N,
+        # spread 1, so max |lambda_a + lambda_b| is nearly twice the spread.
+        # At dt * spread / hbar = 2.8, just inside the guard, the path must
+        # follow stage-wise RK4 on Omega for hundreds of steps, and rho must
+        # stay exactly Hermitian.
+        n_dim = dynamics._DENSITY_CROSSOVER
+        rng = np.random.default_rng(900 + n_dim)
+        q, _ = np.linalg.qr(rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim)))
+        energies = np.full(n_dim, -1.0 / n_dim)
+        energies[-1] = (n_dim - 1) / n_dim
+        cfg = AlgebraConfig(n_dim, hbar=self.HBAR)
+        table = build_f_table(n_dim)
+        coeffs = decompose_hamiltonian(cfg, (q * energies) @ q.conj().T)
+        s0 = state_to_bloch(cfg, random_state(rng, n_dim))
+        dt = 2.8 * self.HBAR
+        # 300 full steps plus a half step.
+        times, states = stagewise_rk4(precession_matrix(table, coeffs), s0, 300.5 * dt, dt, 7)
+        residues = []
+        original = dynamics._density_step
+
+        def checked(stages, rho):
+            rho = original(stages, rho)
+            residues.append(np.abs(rho - rho.conj().T).max())
+            return rho
+
+        monkeypatch.setattr(dynamics, "_density_step", checked)
+        traj = integrate_bloch(table, coeffs, s0, IntegrationSpec(300.5 * dt, dt, output_stride=7))
+        np.testing.assert_array_equal(traj.times, times)
+        assert np.abs(traj.states - states).max() <= 1e-12
+        assert len(residues) == 301 and max(residues) == 0.0
+
     def test_below_crossover_uses_propagator(self, monkeypatch):
         n_dim = dynamics._DENSITY_CROSSOVER - 1
         shapes = []
