@@ -32,9 +32,9 @@ from .dynamics import (
     RK4,
     RK45,
     IntegrationSpec,
+    _integrate_precession,
     _tdse_deviation,
     decompose_hamiltonian,
-    integrate_bloch,
     state_to_bloch,
 )
 from .generators import AlgebraConfig, make_generator
@@ -264,15 +264,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         rtol=args.rtol,
         output_stride=args.stride,
     )
-    table = build_f_table(n_dim)
     coeffs = decompose_hamiltonian(cfg, hamiltonian)
-    s0 = state_to_bloch(cfg, psi0)
-    traj = integrate_bloch(table, coeffs, s0, spec)
+    traj = _integrate_precession(n_dim, coeffs, state_to_bloch(cfg, psi0), spec)
     with _open_output(args.output) as fh:
         header = ",".join(["t"] + [f"s_{k}" for k in range(1, cfg.dim + 1)])
         fh.write(header + "\n")
-        for t, row in zip(traj.times, traj.states):
-            fh.write(",".join([repr(float(t))] + [repr(float(x)) for x in row]) + "\n")
+        for t, row in zip(traj.times.tolist(), traj.states.tolist()):
+            fh.write(",".join([repr(t)] + [repr(x) for x in row]) + "\n")
     if args.compare_tdse:
         deviation = _tdse_deviation(cfg, hamiltonian, psi0, spec, traj)
         print(f"max_tdse_deviation={deviation!r}")

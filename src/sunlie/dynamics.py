@@ -35,7 +35,8 @@ full step is the single mat-vec y <- P y.  RK4 is refused when dt times the
 spectral radius of A exceeds 2 sqrt(2), the edge of its stability interval
 on the imaginary axis; that radius is (lambda_max - lambda_min)/hbar for the
 precession flow and max |lambda|/hbar for the amplitudes, read off the
-eigenvalues of the N x N Hamiltonian.
+eigenvalues of the N x N Hamiltonian.  scipy is imported only when RK45
+runs, because its import costs more than most RK4 runs.
 
 The precession flow has two RK4 paths.  Below N = _DENSITY_CROSSOVER it is
 the propagator path above, on the d x d matrix Omega of `precession_matrix`
@@ -57,13 +58,14 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .generators import (
     AlgebraConfig, _bloch_maps, _check_hbar, _check_square, _check_vector, _expansion,
     _generator_traces,
 )
-from .structure_constants import ConstantTable, _check_f_table, _signed_permutations
+from .structure_constants import (
+    ConstantTable, _check_f_table, _signed_permutations, build_f_table,
+)
 
 RK4 = "rk4"
 RK45 = "rk45"
@@ -331,6 +333,8 @@ def _integrate_linear(
         _march(y0, states, record, remainder, advance,
                lambda y, h: _rk4_step(matrix, y, h), lambda y: y)
     elif spec.t_final > 0.0:
+        from scipy.integrate import solve_ivp  # deferred: see the module docstring
+
         sol = solve_ivp(
             lambda t, y: matrix @ y,
             (0.0, spec.t_final),
@@ -404,12 +408,27 @@ def integrate_bloch(
     (see the module docstring): the same RK4 polynomial on the same linear
     flow, without the d x d matrix or its propagator.
     """
-    n_dim = table.n_dim
+    _check_f_table(table)
+    return _integrate_precession(table.n_dim, coeffs, s0, spec, table)
+
+
+def _integrate_precession(
+    n_dim: int,
+    coeffs: HamiltonianCoefficients,
+    s0: np.ndarray,
+    spec: IntegrationSpec,
+    table: ConstantTable | None = None,
+) -> Trajectory:
+    """`integrate_bloch` at dimension N, where ``table`` is N's f table.
+
+    Only the Omega path reads the table; it builds it when ``table`` is None,
+    so `simulate` builds none on the density path.
+    """
     s0 = _check_vector(s0, n_dim * n_dim - 1, "coherence vector")
     on_density = spec.method == RK4 and n_dim >= _DENSITY_CROSSOVER
-    if on_density:
-        _check_f_table(table)
-    else:
+    if not on_density:
+        if table is None:
+            table = build_f_table(n_dim)
         omega = precession_matrix(table, coeffs)
     # The trace of H does not enter the flow; leaving it out keeps the
     # commutator stages free of its cancellation error.

@@ -188,12 +188,19 @@ class ConstantTable:
         Only O(N) values are distinct, so each is formatted once.  Fields are
         gathered from tables of NUL-padded byte strings; dropping the NULs joins them.
         """
-        labels = np.array([f"{x}," for x in range(1, self.n_dim * self.n_dim)], dtype=bytes)
-        distinct = np.unique(self._values)
+        names = [f"{x}," for x in range(1, self.n_dim * self.n_dim)]
+        labels = np.array(names, dtype=bytes)
+        # np.unique and np.char.add would import numpy.ma and numpy.char on
+        # first use.  The constructor keeps every value finite and non-zero,
+        # so != between sorted neighbours finds each distinct one exactly.
+        ordered = np.sort(self._values)
+        first = np.ones(ordered.size, dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        distinct = ordered[first]
         text = np.array([f"{v!r}\n" for v in distinct.tolist()], dtype=bytes)
         i, j, k = self._index
         fields = (
-            np.char.add(prefix.encode(), labels)[i],
+            np.array([prefix + name for name in names], dtype=bytes)[i],
             labels[j],
             labels[k],
             text[np.searchsorted(distinct, self._values)],

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +219,7 @@ class TestSimulate:
 
         count(cli, "decompose_hamiltonian")
         count(dynamics, "decompose_hamiltonian")
+        count(dynamics, "build_f_table")
         count(dynamics, "precession_matrix")
         count(dynamics, "_rk4_propagator")
         h_path, psi_path = problem_files
@@ -227,14 +231,15 @@ class TestSimulate:
         assert status == 0 and "max_tdse_deviation=" in out
         assert calls == [
             ("decompose_hamiltonian", None),
+            ("build_f_table", None),
             ("precession_matrix", None),
             ("_rk4_propagator", (3, 3)),
             ("_rk4_propagator", (2, 2)),
         ]
 
     def test_compare_tdse_on_density_path(self, capsys, tmp_path, monkeypatch):
-        # From the crossover on, the precession flow is stepped on rho: no
-        # Omega, and only the amplitude flow's N x N propagator is built.
+        # From the crossover on, the precession flow is stepped on rho: no f
+        # table, no Omega, and only the amplitude flow's N x N propagator is built.
         n_dim = dynamics._DENSITY_CROSSOVER
         shapes = []
         original = dynamics._rk4_propagator
@@ -243,7 +248,12 @@ class TestSimulate:
             shapes.append(matrix.shape)
             return original(matrix, dt)
 
+        def refuse(*args):
+            raise AssertionError("the density path builds no f table")
+
         monkeypatch.setattr(dynamics, "_rk4_propagator", counted)
+        monkeypatch.setattr(dynamics, "build_f_table", refuse)
+        monkeypatch.setattr(cli, "build_f_table", refuse)
         rng = np.random.default_rng(12)
         a = rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim))
         mat = (a + a.conj().T) / 8.0
@@ -263,6 +273,26 @@ class TestSimulate:
         assert shapes == [(n_dim, n_dim)]
         assert len(out_path.read_text().splitlines()) == 12  # header + 11 samples
         assert float(out.split("max_tdse_deviation=")[1]) <= 1e-6
+
+    def test_fields_are_repr_of_the_trajectory(self, capsys, tmp_path, problem_files):
+        h_path, psi_path = problem_files
+        out_path = tmp_path / "traj.csv"
+        status, _, _ = run(
+            capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+            "--t-final", "0.25", "--dt", "0.01", "--stride", "4", "--output", str(out_path),
+        )
+        assert status == 0
+        cfg = AlgebraConfig(2)
+        h = json.loads(h_path.read_text())
+        hamiltonian = np.asarray(h["re"]) + 1j * np.asarray(h["im"])
+        coeffs = dynamics.decompose_hamiltonian(cfg, hamiltonian)
+        traj = dynamics.integrate_bloch(
+            build_f_table(2), coeffs, dynamics.state_to_bloch(cfg, np.array([1.0, 0.0])),
+            dynamics.IntegrationSpec(t_final=0.25, dt=0.01, output_stride=4),
+        )
+        rows = [",".join(repr(float(x)) for x in (t, *row)) + "\n"
+                for t, row in zip(traj.times, traj.states)]
+        assert out_path.read_text() == "t,s_1,s_2,s_3\n" + "".join(rows)
 
     def test_deterministic_output(self, capsys, tmp_path, problem_files):
         h_path, psi_path = problem_files
@@ -403,6 +433,52 @@ class TestSimulate:
         assert status == 2
         assert err.startswith("error:") and "norm drifted" in err
         assert out == ""
+
+
+class TestColdImports:
+    """Imports seen by a fresh interpreter; the test process may already hold scipy."""
+
+    LAZY = ("scipy", "numpy.ma", "numpy.char")
+
+    def python(self, tmp_path, code):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    def test_cli_and_constants_load_no_lazy_module(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import sunlie.cli\n"
+            f"lazy = {self.LAZY!r}\n"
+            "print([m for m in lazy if m in sys.modules])\n"
+            "assert sunlie.cli.main(['constants', '--n', '4', '--output', 'c.csv']) == 0\n"
+            "print([m for m in lazy if m in sys.modules])\n"
+        )
+        lines = self.python(tmp_path, code)
+        # Between the two checks are the stats lines of the f and d tables.
+        assert len(lines) == 4 and lines[0] == lines[-1] == "[]"
+        assert (tmp_path / "c.csv").read_bytes() == (GOLDEN / "constants_n4.csv").read_bytes()
+
+    def test_rk45_loads_scipy(self, tmp_path):
+        (tmp_path / "h.json").write_text(json.dumps({
+            "n": 3, "re": [[0.5, 0.1, 0.0], [0.1, 0.0, 0.2], [0.0, 0.2, -0.5]],
+            "im": [[0.0, 0.3, 0.0], [-0.3, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        }))
+        (tmp_path / "psi.json").write_text(json.dumps({"re": [1.0, 0.0, 0.0],
+                                                       "im": [0.0, 0.0, 0.0]}))
+        code = (
+            "import sys\n"
+            "import sunlie.cli\n"
+            "status = sunlie.cli.main(['simulate', '--hamiltonian', 'h.json', '--initial',\n"
+            "    'psi.json', '--method', 'rk45', '--t-final', '0.5', '--dt', '0.1',\n"
+            "    '--output', 'traj.csv'])\n"
+            "print(status, 'scipy' in sys.modules)\n"
+        )
+        assert self.python(tmp_path, code) == ["0 True"]
+        assert len((tmp_path / "traj.csv").read_text().splitlines()) == 7  # header + 6 samples
 
 
 class TestBench:
