@@ -30,20 +30,23 @@ Only time-independent Hamiltonians are supported.  Integration is a
 fixed-step RK4 by default (deterministic, reproducible trajectories) with
 an adaptive RK45 available through scipy.  For a linear flow y' = A y one
 RK4 step is always the same matrix, P = I + M + M**2/2 + M**3/6 + M**4/24
-with M = dt A (the RK4 stability function), so P is built once and every
-full step is the single mat-vec y <- P y.  RK4 is refused when dt times the
-spectral radius of A exceeds 2 sqrt(2), the edge of its stability interval
-on the imaginary axis; that radius is (lambda_max - lambda_min)/hbar for the
-precession flow and max |lambda|/hbar for the amplitudes, read off the
-eigenvalues of the N x N Hamiltonian.  scipy is imported only when RK45
-runs, because its import costs more than most RK4 runs.
+with M = dt A (the RK4 stability function), and k steps are the matrix
+P**k.  So P and Q = P**output_stride are built once, Q by repeated squaring,
+and each recorded sample is one mat-vec y <- Q y (Moler & Van Loan, SIAM
+Rev. 45, 3 (2003)); only the last full-step gap, when shorter, steps by P.
+RK4 is refused when dt times the spectral radius of A exceeds 2 sqrt(2),
+the edge of its stability interval on the imaginary axis; that radius is
+(lambda_max - lambda_min)/hbar for the precession flow and max |lambda|/hbar
+for the amplitudes, read off the eigenvalues of the N x N Hamiltonian.
+scipy is imported only when RK45 runs, because its import costs more than
+most RK4 runs.
 
 The precession flow has two RK4 paths.  Below N = _DENSITY_CROSSOVER it is
 the propagator path above, on the d x d matrix Omega of `precession_matrix`
-(d = N**2 - 1): P costs O(d**3) to build and O(d**2) per step.  From the
-crossover on, RK4 steps the density matrix instead: ds/dt = Omega s is the
-von Neumann flow drho/dt = (-i/hbar)[H, rho] read through the linear map
-rho <-> s, so the same RK4 polynomial applied to rho, with commutator
+(d = N**2 - 1): P and Q cost O(d**3) to build and O(d**2) per sample.
+From the crossover on, RK4 steps the density matrix instead: ds/dt = Omega s
+is the von Neumann flow drho/dt = (-i/hbar)[H, rho] read through the linear
+map rho <-> s, so the same RK4 polynomial applied to rho, with commutator
 stages, gives the same trajectory at O(N**3) per step and O(N**2) memory
 (Hairer, Lubich & Wanner, Geometric Numerical Integration, ch. IV).  For
 Hermitian X, [H, X] = HX - (HX)^dagger, one N x N matmul per stage.  Each
@@ -71,24 +74,30 @@ RK4 = "rk4"
 RK45 = "rk45"
 _METHODS = (RK4, RK45)
 _RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
+# The full-step count t_final / dt and the output stride are each at most
+# 2**62, so that every full-step index of the sample grid fits in an int64.
+_MAX_STEPS = 2**62
 # Columns of the RK4 propagator built per batch.  The stage temporaries and
 # BLAS packing buffers grow with the width: at N = 32 a full-width build
 # holds about 40 MB more than this one.
 _PROPAGATOR_BLOCK = 128
 # RK4 precession at N >= _DENSITY_CROSSOVER steps the N x N density matrix
 # instead of the d x d propagator.  One cold `integrate_bloch` per process,
-# 1000 steps of dt = 1e-3, stride 10, median of 9 (2-core x86, numpy 2.4
-# with scipy-openblas 0.3.31):
+# 1000 steps of dt = 1e-3, stride 10, median of 9; each entry is the median
+# of three such runs (2-core x86, numpy 2.4 with scipy-openblas 0.3.31):
 #
 #     N           10      11      12      13      16      17
-#     propagator  4.8 ms  72 ms   40 ms   72 ms   91 ms   125 ms
-#     density     28 ms   31 ms   30 ms   35 ms   38 ms   42 ms
+#     propagator  1.3 ms  1.8 ms  2.4 ms  3.0 ms  7.5 ms  8.5 ms
+#     density     14 ms   15 ms   15 ms   16 ms   18 ms   19 ms
 #
-# The propagator jumps at N = 11 (d = 120), where building P hands its
-# matrix products to the threaded BLAS kernel; a warm in-process loop puts
-# the crossover near N = 18 instead.  The value depends on the BLAS build and
-# its threading, and no perfbench workload lies between N = 7 and N = 31, so
-# the benchmark does not check it; retune it against a large-N workload.
+# With one mat-vec by P**stride per sample the propagator path leads at every
+# N measured, so here the crossover lies above N = 17.  An earlier timing,
+# one mat-vec by P per step, saw the propagator jump to 40-125 ms from N = 11
+# (d = 120), where building P hands its products to the threaded BLAS kernel.
+# That jump did not recur, but a threaded product stalls while another
+# process holds a core.  The value depends on the BLAS build and its
+# threading, and no perfbench workload lies between N = 7 and N = 31, so the
+# benchmark does not check it; retune it against a large-N workload.
 _DENSITY_CROSSOVER = 11
 # |psi|**2 must be 1 within _NORM_TOL on input; the amplitude trajectory of a
 # TDSE comparison may drift from it by _NORM_DRIFT_TOL before the comparison
@@ -132,8 +141,11 @@ class IntegrationSpec:
             raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.output_stride < 1:
-            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
+        if not 1 <= self.output_stride <= _MAX_STEPS:
+            raise ValueError(f"output_stride must be in [1, 2**62], got {self.output_stride}")
+        steps = self.t_final / self.dt
+        if not steps <= _MAX_STEPS:
+            raise ValueError(f"t_final / dt = {steps:.3g} steps exceeds 2**62; raise dt")
 
 
 @dataclass(frozen=True)
@@ -316,16 +328,23 @@ def _integrate_linear(
     """Fixed-step RK4 or scipy RK45 for y' = matrix @ y, sampled on the dt grid.
 
     ``radius`` is the spectral radius of ``matrix``, for the RK4 guard of
-    `_sample_grid`.  RK4 applies the precomputed one-step propagator of
-    `_rk4_propagator` to every full step; the tail step short of ``t_final``
-    is taken stage-wise.  Both methods fill the same sample array.
+    `_sample_grid`.  RK4 applies the one-step propagator P of
+    `_rk4_propagator` as Q = P**output_stride, built once by repeated
+    squaring, so that each sample costs one mat-vec; the one shorter gap
+    before the last full-step sample steps by P, and the tail step short of
+    ``t_final`` is taken stage-wise.  Both methods fill the same sample array.
     """
     y0 = np.asarray(y0, dtype=np.result_type(matrix, y0))
     times, record, remainder, states = _sample_grid(spec, radius, y0)
     if spec.method == RK4:
         propagator = _rk4_propagator(matrix, spec.dt)
+        stride = spec.output_stride
+        if 1 < stride <= record[-1]:
+            jump = np.linalg.matrix_power(propagator, stride)
 
         def advance(y, count):
+            if count == stride > 1:
+                return jump @ y
             for _ in range(count):
                 y = propagator @ y
             return y

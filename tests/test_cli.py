@@ -342,6 +342,23 @@ class TestSimulate:
         assert err.startswith("error:") and "finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "grid, match",
+        [
+            (["--t-final", "1e10", "--dt", "1e-300"], "steps exceeds 2"),
+            (["--t-final", "1e300", "--dt", "1e-10"], "steps exceeds 2"),
+            (["--t-final", "1", "--dt", "1e-3", "--stride", str(10**30)], "output_stride"),
+        ],
+    )
+    def test_step_index_overflow_rejected(self, capsys, problem_files, grid, match):
+        h_path, psi_path = problem_files
+        status, out, err = run(
+            capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path), *grid,
+        )
+        assert status == 2
+        assert err.startswith("error:") and match in err
+        assert out == ""
+
     def test_sample_count_beyond_memory_rejected(self, capsys, problem_files):
         h_path, psi_path = problem_files
         status, out, err = run(

@@ -372,6 +372,10 @@ class TestIntegration:
             {"t_final": -1.0, "dt": 0.1},
             {"t_final": 1.0, "dt": 0.1, "method": "euler"},
             {"t_final": 1.0, "dt": 0.1, "output_stride": 0},
+            # Step indices beyond int64: refused before any grid is allocated.
+            {"t_final": 1e300, "dt": 1e-10},
+            {"t_final": 1e10, "dt": 1e-300},
+            {"t_final": 1.0, "dt": 1e-3, "output_stride": 10**30},
         ],
     )
     def test_bad_spec_rejected(self, kwargs):
@@ -425,13 +429,13 @@ class TestRk4Propagator:
 
     HBAR = 1.3
 
-    def check_both_flows(self, n_dim, t_final, dt):
+    def check_both_flows(self, n_dim, t_final, dt, stride=3):
         rng = np.random.default_rng(600 + n_dim)
         cfg = AlgebraConfig(n_dim, hbar=self.HBAR)
         table = build_f_table(n_dim)
         mat = random_hermitian(rng, n_dim)
         psi0 = random_state(rng, n_dim)
-        spec = IntegrationSpec(t_final=t_final, dt=dt, output_stride=3)
+        spec = IntegrationSpec(t_final=t_final, dt=dt, output_stride=stride)
         coeffs = decompose_hamiltonian(cfg, mat)
         s0 = state_to_bloch(cfg, psi0)
         cases = [
@@ -439,7 +443,7 @@ class TestRk4Propagator:
             (integrate_tdse(cfg, mat, psi0, spec), (-1j / self.HBAR) * mat, psi0),
         ]
         for traj, matrix, y0 in cases:
-            times, states = stagewise_rk4(matrix, y0, t_final, dt, 3)
+            times, states = stagewise_rk4(matrix, y0, t_final, dt, stride)
             np.testing.assert_array_equal(traj.times, times)
             assert traj.states.shape == states.shape
             assert np.abs(traj.states - states).max() <= 1e-12
@@ -448,6 +452,33 @@ class TestRk4Propagator:
     def test_matches_stagewise_with_stride_and_tail(self, n_dim):
         # 200 full steps (not a multiple of the stride) plus a half step.
         self.check_both_flows(n_dim, t_final=2.005, dt=0.01)
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 6])
+    def test_matches_stagewise_at_ensemble_shape(self, n_dim):
+        # The shape of the benchmark ensemble: 1000 jumps of P**10, then a
+        # one-step gap to the last full step (10,001) and a half-step tail.
+        self.check_both_flows(n_dim, t_final=10.0015, dt=1e-3, stride=10)
+
+    @pytest.mark.parametrize(
+        "t_final, stride, jumps",
+        [
+            (0.205, 1, False),  # every gap is one step: P itself
+            (0.205, 50, False),  # the stride exceeds the 20 full steps
+            (0.0, 3, False),  # no steps at all
+            (0.205, 20, True),  # one jump spans every full step
+        ],
+    )
+    def test_stride_power_built_only_when_a_gap_uses_it(self, t_final, stride, jumps, monkeypatch):
+        powers = []
+        original = np.linalg.matrix_power
+
+        def counted(matrix, n):
+            powers.append(n)
+            return original(matrix, n)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", counted)
+        self.check_both_flows(3, t_final=t_final, dt=0.01, stride=stride)
+        assert powers == ([stride, stride] if jumps else [])
 
     def test_matches_stagewise_across_column_blocks(self):
         # d = 143 at N = 12: a propagator would be built in more than one
@@ -524,6 +555,33 @@ class TestDensityPath:
         np.testing.assert_array_equal(traj.times, times)
         assert np.abs(traj.states - states).max() <= 1e-12
         assert len(residues) == 301 and max(residues) == 0.0
+
+    def test_omega_path_matches_density_path(self, monkeypatch):
+        # Both sides of the crossover at one N, over the ensemble's 10,001
+        # full steps plus a half step, with a stride that does not divide it.
+        n_dim = 6
+        rng = np.random.default_rng(800 + n_dim)
+        cfg = AlgebraConfig(n_dim, hbar=self.HBAR)
+        table = build_f_table(n_dim)
+        coeffs = decompose_hamiltonian(cfg, random_hermitian(rng, n_dim))
+        s0 = state_to_bloch(cfg, random_state(rng, n_dim))
+        spec = IntegrationSpec(t_final=10.0015, dt=1e-3, output_stride=7)
+        shapes = []
+        original = dynamics._rk4_propagator
+
+        def counted(matrix, dt):
+            shapes.append(matrix.shape)
+            return original(matrix, dt)
+
+        monkeypatch.setattr(dynamics, "_rk4_propagator", counted)
+        monkeypatch.setattr(dynamics, "_DENSITY_CROSSOVER", n_dim + 1)
+        omega_path = integrate_bloch(table, coeffs, s0, spec)
+        monkeypatch.setattr(dynamics, "_DENSITY_CROSSOVER", n_dim)
+        density_path = integrate_bloch(table, coeffs, s0, spec)
+        assert shapes == [(n_dim * n_dim - 1,) * 2]
+        np.testing.assert_array_equal(omega_path.times, density_path.times)
+        assert omega_path.times.shape == (1431,)
+        assert np.abs(omega_path.states - density_path.states).max() <= 1e-12
 
     def test_below_crossover_uses_propagator(self, monkeypatch):
         n_dim = dynamics._DENSITY_CROSSOVER - 1
