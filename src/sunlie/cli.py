@@ -29,8 +29,8 @@ import numpy as np
 
 from .adjoint import adjoint_matrix
 from .dynamics import (
+    EXACT,
     RK4,
-    RK45,
     IntegrationSpec,
     _integrate_precession,
     _tdse_deviation,
@@ -260,8 +260,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         t_final=args.t_final,
         dt=args.dt,
         method=args.method,
-        atol=args.atol,
-        rtol=args.rtol,
         output_stride=args.stride,
     )
     coeffs = decompose_hamiltonian(cfg, hamiltonian)
@@ -345,9 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", required=True, help="JSON file {re, im}")
     p.add_argument("--t-final", type=float, required=True)
     p.add_argument("--dt", type=_positive_float, required=True)
-    p.add_argument("--method", choices=(RK4, RK45), default=RK4)
-    p.add_argument("--atol", type=_positive_float, default=1e-10)
-    p.add_argument("--rtol", type=_positive_float, default=1e-10)
+    p.add_argument("--method", choices=(RK4, EXACT), default=RK4)
     p.add_argument("--stride", type=int, default=1, help="record every k-th step")
     p.add_argument("--hbar", type=_positive_float, default=1.0)
     p.add_argument("--output", help="trajectory CSV path (default stdout)")

@@ -27,19 +27,16 @@ exactly.  In the hbar = 2 convention (lambda matrices) they reduce to the
 familiar 1/hbar and 1/2.
 
 Only time-independent Hamiltonians are supported.  Integration is a
-fixed-step RK4 by default (deterministic, reproducible trajectories) with
-an adaptive RK45 available through scipy.  For a linear flow y' = A y one
-RK4 step is always the same matrix, P = I + M + M**2/2 + M**3/6 + M**4/24
-with M = dt A (the RK4 stability function), and k steps are the matrix
-P**k.  So P and Q = P**output_stride are built once, Q by repeated squaring,
-and each recorded sample is one mat-vec y <- Q y (Moler & Van Loan, SIAM
-Rev. 45, 3 (2003)); only the last full-step gap, when shorter, steps by P.
-RK4 is refused when dt times the spectral radius of A exceeds 2 sqrt(2),
-the edge of its stability interval on the imaginary axis; that radius is
-(lambda_max - lambda_min)/hbar for the precession flow and max |lambda|/hbar
-for the amplitudes, read off the eigenvalues of the N x N Hamiltonian.
-scipy is imported only when RK45 runs, because its import costs more than
-most RK4 runs.
+fixed-step RK4 by default (deterministic, reproducible trajectories).  For a
+linear flow y' = A y one RK4 step is always the same matrix, P = I + M +
+M**2/2 + M**3/6 + M**4/24 with M = dt A (the RK4 stability function), and k
+steps are the matrix P**k.  So P and Q = P**output_stride are built once, Q
+by repeated squaring, and each recorded sample is one mat-vec y <- Q y; only
+the last full-step gap, when shorter, steps by P.  RK4 is refused when dt
+times the spectral radius of A exceeds 2 sqrt(2), the edge of its stability
+interval on the imaginary axis; that radius is (lambda_max -
+lambda_min)/hbar for the precession flow and max |lambda|/hbar for the
+amplitudes, read off the eigenvalues of the N x N Hamiltonian.
 
 The precession flow has two RK4 paths.  Below N = _DENSITY_CROSSOVER it is
 the propagator path above, on the d x d matrix Omega of `precession_matrix`
@@ -51,7 +48,15 @@ stages, gives the same trajectory at O(N**3) per step and O(N**2) memory
 (Hairer, Lubich & Wanner, Geometric Numerical Integration, ch. IV).  For
 Hermitian X, [H, X] = HX - (HX)^dagger, one N x N matmul per stage.  Each
 sample is read back off rho's entries.  The crossover is measured (see the
-constant).  RK45 always uses Omega.
+constant).
+
+With method "exact", one eigendecomposition H = V Lambda V^dagger gives
+both flows in closed form (the eigenvector method of Moler & Van Loan, SIAM
+Rev. 45, 3 (2003), well conditioned for Hermitian H): with phi =
+exp(-i Lambda t / hbar), psi(t) = V (phi * V^dagger psi0) and rho(t) =
+V ((V^dagger rho0 V) * phi phi^dagger) V^dagger.  It has no truncation error
+and no stability limit on dt, costs O(N**3) per sample whatever the step
+count, and builds neither the f table nor Omega.
 """
 
 from __future__ import annotations
@@ -71,16 +76,12 @@ from .structure_constants import (
 )
 
 RK4 = "rk4"
-RK45 = "rk45"
-_METHODS = (RK4, RK45)
+EXACT = "exact"
+_METHODS = (RK4, EXACT)
 _RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 # The full-step count t_final / dt and the output stride are each at most
 # 2**62, so that every full-step index of the sample grid fits in an int64.
 _MAX_STEPS = 2**62
-# Columns of the RK4 propagator built per batch.  The stage temporaries and
-# BLAS packing buffers grow with the width: at N = 32 a full-width build
-# holds about 40 MB more than this one.
-_PROPAGATOR_BLOCK = 128
 # RK4 precession at N >= _DENSITY_CROSSOVER steps the N x N density matrix
 # instead of the d x d propagator.  One cold `integrate_bloch` per process,
 # 1000 steps of dt = 1e-3, stride 10, median of 9; each entry is the median
@@ -122,16 +123,14 @@ class HamiltonianCoefficients:
 class IntegrationSpec:
     """Stepping parameters shared by both integrators.
 
-    ``dt`` is the RK4 step and the output grid spacing; ``output_stride``
-    thins the recorded samples (the final point is always kept).  ``atol``
-    and ``rtol`` apply to the adaptive method only.
+    ``dt`` is the output grid spacing and, for RK4, the step; ``output_stride``
+    thins the recorded samples (the final point is always kept).  ``method``
+    is "rk4" or "exact" (see the module docstring).
     """
 
     t_final: float
     dt: float
     method: str = RK4
-    atol: float = 1e-10
-    rtol: float = 1e-10
     output_stride: int = 1
 
     def __post_init__(self) -> None:
@@ -325,63 +324,49 @@ def _march(
 def _integrate_linear(
     matrix: np.ndarray, y0: np.ndarray, spec: IntegrationSpec, radius: float
 ) -> Trajectory:
-    """Fixed-step RK4 or scipy RK45 for y' = matrix @ y, sampled on the dt grid.
+    """Fixed-step RK4 for y' = matrix @ y, sampled on the dt grid.
 
     ``radius`` is the spectral radius of ``matrix``, for the RK4 guard of
-    `_sample_grid`.  RK4 applies the one-step propagator P of
-    `_rk4_propagator` as Q = P**output_stride, built once by repeated
-    squaring, so that each sample costs one mat-vec; the one shorter gap
-    before the last full-step sample steps by P, and the tail step short of
-    ``t_final`` is taken stage-wise.  Both methods fill the same sample array.
+    `_sample_grid`.  The one-step propagator P of `_rk4_propagator` is applied
+    as Q = P**output_stride, built once by repeated squaring, so that each
+    sample costs one mat-vec; the one shorter gap before the last full-step
+    sample steps by P, and the tail step short of ``t_final`` is taken
+    stage-wise.
     """
     y0 = np.asarray(y0, dtype=np.result_type(matrix, y0))
     times, record, remainder, states = _sample_grid(spec, radius, y0)
-    if spec.method == RK4:
-        propagator = _rk4_propagator(matrix, spec.dt)
-        stride = spec.output_stride
-        if 1 < stride <= record[-1]:
-            jump = np.linalg.matrix_power(propagator, stride)
+    propagator = _rk4_propagator(matrix, spec.dt)
+    stride = spec.output_stride
+    if 1 < stride <= record[-1]:
+        jump = np.linalg.matrix_power(propagator, stride)
 
-        def advance(y, count):
-            if count == stride > 1:
-                return jump @ y
-            for _ in range(count):
-                y = propagator @ y
-            return y
+    def advance(y, count):
+        if count == stride > 1:
+            return jump @ y
+        for _ in range(count):
+            y = propagator @ y
+        return y
 
-        _march(y0, states, record, remainder, advance,
-               lambda y, h: _rk4_step(matrix, y, h), lambda y: y)
-    elif spec.t_final > 0.0:
-        from scipy.integrate import solve_ivp  # deferred: see the module docstring
-
-        sol = solve_ivp(
-            lambda t, y: matrix @ y,
-            (0.0, spec.t_final),
-            y0,
-            method="RK45",
-            t_eval=times,
-            atol=spec.atol,
-            rtol=spec.rtol,
-        )
-        if not sol.success:
-            raise RuntimeError(f"adaptive integration failed: {sol.message}")
-        states[:] = sol.y.T
+    _march(y0, states, record, remainder, advance,
+           lambda y, h: _rk4_step(matrix, y, h), lambda y: y)
     return Trajectory(times=times, states=states)
 
 
 def _rk4_propagator(matrix: np.ndarray, dt: float) -> np.ndarray:
-    """The RK4 step as a matrix: column j is the step taken from e_j.
+    """The RK4 step as a matrix: column j is the step taken from e_j."""
+    return _rk4_step(matrix, np.eye(matrix.shape[0], dtype=matrix.dtype), dt)
 
-    Built _PROPAGATOR_BLOCK columns at a time, so that beside ``matrix`` and
-    the result only one block of stage temporaries is alive.
-    """
-    dim = matrix.shape[0]
-    propagator = np.empty_like(matrix)
-    for start in range(0, dim, _PROPAGATOR_BLOCK):
-        width = min(_PROPAGATOR_BLOCK, dim - start)
-        basis = np.eye(dim, width, -start, dtype=matrix.dtype)
-        propagator[:, start : start + width] = _rk4_step(matrix, basis, dt)
-    return propagator
+
+def _eigenbasis_flow(
+    hamiltonian: np.ndarray, hbar: float, spec: IntegrationSpec, first: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(times, states, phases, vectors) of the exact method: the grid of
+    `_sample_grid` with ``first`` as row 0, exp(-i lambda t / hbar) per later
+    sample (rows) and eigenvalue (columns), and the eigenvectors of H."""
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    times, _, _, states = _sample_grid(spec, 0.0, first)
+    phases = np.exp((-1j / hbar) * np.outer(times[1:], energies))
+    return times, states, phases, vectors
 
 
 def _rk4_step(matrix: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
@@ -423,9 +408,8 @@ def integrate_bloch(
 ) -> Trajectory:
     """Integrate the precession equation from coherence vector s0.
 
-    RK4 at N >= _DENSITY_CROSSOVER steps the density matrix instead of s
-    (see the module docstring): the same RK4 polynomial on the same linear
-    flow, without the d x d matrix or its propagator.
+    RK4 at N >= _DENSITY_CROSSOVER and the exact method evolve the density
+    matrix instead of s (see the module docstring), without the d x d matrix.
     """
     _check_f_table(table)
     return _integrate_precession(table.n_dim, coeffs, s0, spec, table)
@@ -440,12 +424,12 @@ def _integrate_precession(
 ) -> Trajectory:
     """`integrate_bloch` at dimension N, where ``table`` is N's f table.
 
-    Only the Omega path reads the table; it builds it when ``table`` is None,
-    so `simulate` builds none on the density path.
+    Only the RK4 Omega path reads the table; it builds it when ``table`` is
+    None, so `simulate` builds none on the density path or the exact method.
     """
     s0 = _check_vector(s0, n_dim * n_dim - 1, "coherence vector")
-    on_density = spec.method == RK4 and n_dim >= _DENSITY_CROSSOVER
-    if not on_density:
+    on_omega = spec.method == RK4 and n_dim < _DENSITY_CROSSOVER
+    if on_omega:
         if table is None:
             table = build_f_table(n_dim)
         omega = precession_matrix(table, coeffs)
@@ -454,16 +438,26 @@ def _integrate_precession(
     cfg = AlgebraConfig(n_dim, coeffs.hbar)
     traceless = HamiltonianCoefficients(0.0, coeffs.h, cfg.hbar)
     hamiltonian = hamiltonian_from_coefficients(cfg, traceless)
+    m_idx, n_idx = _bloch_maps(n_dim)[:2]
+
+    def read(rho):
+        return _generator_traces(cfg, rho[n_idx, m_idx], rho.diagonal().real)
+
+    if spec.method == EXACT:
+        times, states, phases, vectors = _eigenbasis_flow(hamiltonian, cfg.hbar, spec, s0)
+        rho0 = vectors.conj().T @ reconstruct_density(cfg, s0) @ vectors
+        for row, phase in enumerate(phases, start=1):
+            states[row] = read(vectors @ (rho0 * np.outer(phase, phase.conj())) @ vectors.conj().T)
+        return Trajectory(times=times, states=states)
     # The spectrum of the flow is {i (lambda_a - lambda_b) / hbar} over the eigenvalues of H.
     energies = np.linalg.eigvalsh(hamiltonian)
     radius = (energies[-1] - energies[0]) / cfg.hbar
-    if not on_density:
+    if on_omega:
         return _integrate_linear(omega, s0, spec, radius)
 
     times, record, remainder, states = _sample_grid(spec, radius, s0)
     generator = (-1j / cfg.hbar) * hamiltonian
     full = _density_stages(generator, spec.dt)
-    m_idx, n_idx = _bloch_maps(n_dim)[:2]
 
     def advance(rho, count):
         for _ in range(count):
@@ -471,8 +465,7 @@ def _integrate_precession(
         return rho
 
     _march(reconstruct_density(cfg, s0), states, record, remainder, advance,
-           lambda rho, h: _density_step(_density_stages(generator, h), rho),
-           lambda rho: _generator_traces(cfg, rho[n_idx, m_idx], rho.diagonal().real))
+           lambda rho, h: _density_step(_density_stages(generator, h), rho), read)
     return Trajectory(times=times, states=states)
 
 
@@ -485,6 +478,10 @@ def integrate_tdse(
     """Integrate the amplitude equation dc/dt = (-i/hbar) H c."""
     hamiltonian = _check_hermitian(hamiltonian, cfg.n_dim)
     psi0 = _check_normalized(psi0, cfg.n_dim)
+    if spec.method == EXACT:
+        times, states, phases, vectors = _eigenbasis_flow(hamiltonian, cfg.hbar, spec, psi0)
+        states[1:] = (phases * (vectors.conj().T @ psi0)) @ vectors.T
+        return Trajectory(times=times, states=states)
     # The amplitude flow's own radius is max |lambda| / hbar; the spread is
     # checked as well, so that a step the precession flow refuses is refused here.
     energies = np.linalg.eigvalsh(hamiltonian)

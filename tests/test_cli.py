@@ -379,17 +379,39 @@ class TestSimulate:
         assert "error:" in err
 
     def test_adaptive_grid_ends_at_t_final(self, capsys, tmp_path, problem_files):
-        # 3 * 0.1 > 0.3 in floating point; RK45 must not be handed a time past t_final.
+        # 3 * 0.1 > 0.3 in floating point; the exact method must not sample past t_final.
         h_path, psi_path = problem_files
         out_path = tmp_path / "traj.csv"
         status, _, err = run(
             capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
-            "--method", "rk45", "--t-final", "0.3", "--dt", "0.1", "--output", str(out_path),
+            "--method", "exact", "--t-final", "0.3", "--dt", "0.1", "--output", str(out_path),
         )
         assert status == 0, err
         lines = out_path.read_text().splitlines()
         assert len(lines) == 5
         assert lines[-1].split(",")[0] == "0.3"
+
+    def test_exact_method_compare_tdse(self, capsys, tmp_path):
+        # dt * spread = 3.5 is beyond RK4's guard; the exact method has none.
+        h_path, psi_path = self.eight_level_files(tmp_path, np.linspace(-8.75, 8.75, 8))
+        out_path = tmp_path / "traj.csv"
+        status, out, err = run(
+            capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+            "--method", "exact", "--t-final", "20", "--dt", "0.2", "--stride", "10",
+            "--output", str(out_path), "--compare-tdse",
+        )
+        assert status == 0, err
+        assert len(out_path.read_text().splitlines()) == 12  # header + 11 samples
+        assert float(out.split("max_tdse_deviation=")[1]) <= 1e-12
+
+    def test_removed_rk45_method_rejected(self, capsys, problem_files):
+        h_path, psi_path = problem_files
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+                      "--method", "rk45", "--t-final", "1.0", "--dt", "0.1"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'rk45'" in captured.err
 
     @pytest.mark.parametrize(
         "which, payload",
@@ -479,7 +501,7 @@ class TestColdImports:
         assert len(lines) == 4 and lines[0] == lines[-1] == "[]"
         assert (tmp_path / "c.csv").read_bytes() == (GOLDEN / "constants_n4.csv").read_bytes()
 
-    def test_rk45_loads_scipy(self, tmp_path):
+    def test_exact_simulate_loads_no_lazy_module(self, tmp_path):
         (tmp_path / "h.json").write_text(json.dumps({
             "n": 3, "re": [[0.5, 0.1, 0.0], [0.1, 0.0, 0.2], [0.0, 0.2, -0.5]],
             "im": [[0.0, 0.3, 0.0], [-0.3, 0.0, 0.0], [0.0, 0.0, 0.0]],
@@ -490,11 +512,11 @@ class TestColdImports:
             "import sys\n"
             "import sunlie.cli\n"
             "status = sunlie.cli.main(['simulate', '--hamiltonian', 'h.json', '--initial',\n"
-            "    'psi.json', '--method', 'rk45', '--t-final', '0.5', '--dt', '0.1',\n"
+            "    'psi.json', '--method', 'exact', '--t-final', '0.5', '--dt', '0.1',\n"
             "    '--output', 'traj.csv'])\n"
-            "print(status, 'scipy' in sys.modules)\n"
+            f"print(status, [m for m in {self.LAZY!r} if m in sys.modules])\n"
         )
-        assert self.python(tmp_path, code) == ["0 True"]
+        assert self.python(tmp_path, code) == ["0 []"]
         assert len((tmp_path / "traj.csv").read_text().splitlines()) == 7  # header + 6 samples
 
 

@@ -347,7 +347,7 @@ class TestIntegration:
         np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0, 1.05], atol=1e-12)
         assert traj.states.shape == (6, 3)
 
-    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    @pytest.mark.parametrize("method", ["rk4", "exact"])
     def test_grid_ends_at_t_final(self, method):
         # 3 * 0.1 rounds to 0.30000000000000004; the last sample is still t = 0.3.
         table = build_f_table(2)
@@ -389,7 +389,7 @@ class TestIntegration:
         with pytest.raises(ValueError, match="finite"):
             IntegrationSpec(t_final=t_final, dt=dt)
 
-    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    @pytest.mark.parametrize("method", ["rk4", "exact"])
     def test_sample_count_beyond_memory_rejected(self, method):
         # 10**18 + 1 samples: numpy refuses the array without allocating it.
         table = build_f_table(2)
@@ -481,20 +481,9 @@ class TestRk4Propagator:
         assert powers == ([stride, stride] if jumps else [])
 
     def test_matches_stagewise_across_column_blocks(self):
-        # d = 143 at N = 12: a propagator would be built in more than one
-        # block.  The precession flow takes the density path here;
-        # test_propagator_across_column_blocks covers the blocks directly.
+        # N = 12: the precession flow takes the density path here, the
+        # amplitudes the N x N propagator.
         self.check_both_flows(12, t_final=0.205, dt=0.01)
-
-    def test_propagator_across_column_blocks(self):
-        # d = 200 spans two blocks of _PROPAGATOR_BLOCK = 128 columns.
-        dim = 200
-        assert dim > dynamics._PROPAGATOR_BLOCK
-        a = np.random.default_rng(200).normal(size=(dim, dim))
-        matrix = (a - a.T) / dim
-        _, states = stagewise_rk4(matrix, np.eye(dim), 0.01, 0.01, 1)
-        propagator = dynamics._rk4_propagator(matrix, 0.01)
-        assert np.abs(propagator - states[-1]).max() <= 1e-14
 
 
 class TestDensityPath:
@@ -655,10 +644,18 @@ class TestStabilityGuard:
             integrate_tdse(cfg, mat, psi0, spec)
 
     def test_adaptive_method_not_refused(self, unstable_problem):
+        # The exact method has no stability limit: the dt RK4 refuses above
+        # gives the same samples as a step ten times finer.
         cfg, mat, psi0 = unstable_problem
-        spec = IntegrationSpec(t_final=0.4, dt=0.2, method="rk45")
-        traj = integrate_tdse(cfg, mat, psi0, spec)
-        assert traj.times.shape == (3,)
+        coeffs = decompose_hamiltonian(cfg, mat)
+        s0 = state_to_bloch(cfg, psi0)
+        coarse = IntegrationSpec(t_final=0.4, dt=0.2, method="exact")
+        fine = IntegrationSpec(t_final=0.4, dt=0.02, method="exact", output_stride=10)
+        bloch = [integrate_bloch(build_f_table(8), coeffs, s0, spec) for spec in (coarse, fine)]
+        amps = [integrate_tdse(cfg, mat, psi0, spec) for spec in (coarse, fine)]
+        for a, b in (bloch, amps):
+            assert a.times.shape == b.times.shape == (3,)
+            assert np.abs(a.states - b.states).max() <= 1e-12
 
     @pytest.mark.parametrize("hbar", [1.0, 1.3])
     def test_largest_stable_step_accepted(self, hbar):
@@ -711,6 +708,7 @@ class TestEquivalence:
             assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-9)
 
     def test_adaptive_matches_fixed_step(self):
+        # RK4 against the exact method: at dt = 1e-3 RK4's error is near rounding.
         rng = np.random.default_rng(57)
         cfg = AlgebraConfig(3)
         table = build_f_table(3)
@@ -719,21 +717,51 @@ class TestEquivalence:
         coeffs = decompose_hamiltonian(cfg, mat)
         s0 = state_to_bloch(cfg, psi0)
         fixed = integrate_bloch(table, coeffs, s0, IntegrationSpec(t_final=2.0, dt=1e-3))
-        adaptive = integrate_bloch(
-            table,
-            coeffs,
-            s0,
-            IntegrationSpec(t_final=2.0, dt=1e-3, method="rk45", atol=1e-12, rtol=1e-12),
+        exact = integrate_bloch(
+            table, coeffs, s0, IntegrationSpec(t_final=2.0, dt=1e-3, method="exact")
         )
-        np.testing.assert_allclose(adaptive.times, fixed.times, atol=1e-12)
-        assert np.abs(adaptive.states - fixed.states).max() <= 1e-7
+        np.testing.assert_array_equal(exact.times, fixed.times)
+        assert np.abs(exact.states - fixed.states).max() <= 1e-12
 
     def test_adaptive_amplitude_integration(self):
         rng = np.random.default_rng(58)
         cfg = AlgebraConfig(3)
         mat = random_hermitian(rng, 3)
         psi0 = random_state(rng, 3)
-        spec = IntegrationSpec(t_final=2.0, dt=1e-2, method="rk45", atol=1e-11, rtol=1e-11)
+        spec = IntegrationSpec(t_final=2.0, dt=1e-2, method="exact")
         traj = integrate_tdse(cfg, mat, psi0, spec)
         norms = np.sum(np.abs(traj.states) ** 2, axis=1)
-        assert np.abs(norms - 1.0).max() <= 1e-8
+        assert np.abs(norms - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_dim", [3, 12])
+    def test_exact_precession_tracks_exact_amplitudes(self, n_dim):
+        rng = np.random.default_rng(300 + n_dim)
+        cfg = AlgebraConfig(n_dim, hbar=1.5)
+        mat = random_hermitian(rng, n_dim)
+        psi0 = random_state(rng, n_dim)
+        spec = IntegrationSpec(t_final=10.0, dt=0.01, output_stride=7, method="exact")
+        assert bloch_tdse_deviation(cfg, build_f_table(n_dim), mat, psi0, spec) <= 1e-12
+
+    @pytest.mark.parametrize("n_dim", [3, dynamics._DENSITY_CROSSOVER])
+    def test_rk4_converges_at_fourth_order(self, n_dim):
+        # Against the exact method, RK4's global error on both flows falls by
+        # about 2**4 = 16 per halving of dt.  N = 3 steps Omega, the crossover rho.
+        rng = np.random.default_rng(1000 + n_dim)
+        cfg = AlgebraConfig(n_dim, hbar=1.5)
+        table = build_f_table(n_dim)
+        mat = random_hermitian(rng, n_dim)
+        psi0 = random_state(rng, n_dim)
+        coeffs = decompose_hamiltonian(cfg, mat)
+        s0 = state_to_bloch(cfg, psi0)
+
+        def errors(dt):
+            rk4, exact = (IntegrationSpec(4.0, dt, method) for method in ("rk4", "exact"))
+            return [
+                np.abs(integrate_bloch(table, coeffs, s0, rk4).states
+                       - integrate_bloch(table, coeffs, s0, exact).states).max(),
+                np.abs(integrate_tdse(cfg, mat, psi0, rk4).states
+                       - integrate_tdse(cfg, mat, psi0, exact).states).max(),
+            ]
+
+        for coarse, fine in zip(errors(0.1), errors(0.05)):
+            assert 12.0 <= coarse / fine <= 20.0
