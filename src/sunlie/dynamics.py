@@ -26,37 +26,34 @@ they are the ones forced by the basis normalization Tr[S_i S_j]
 exactly.  In the hbar = 2 convention (lambda matrices) they reduce to the
 familiar 1/hbar and 1/2.
 
-Only time-independent Hamiltonians are supported.  Integration is a
-fixed-step RK4 by default (deterministic, reproducible trajectories).  For a
-linear flow y' = A y one RK4 step is always the same matrix, P = I + M +
-M**2/2 + M**3/6 + M**4/24 with M = dt A (the RK4 stability function), and k
-steps are the matrix P**k.  So P and Q = P**output_stride are built once, Q
-by repeated squaring, and each recorded sample is one mat-vec y <- Q y; only
-the last full-step gap, when shorter, steps by P.  RK4 is refused when dt
-times the spectral radius of A exceeds 2 sqrt(2), the edge of its stability
-interval on the imaginary axis; that radius is (lambda_max -
-lambda_min)/hbar for the precession flow and max |lambda|/hbar for the
-amplitudes, read off the eigenvalues of the N x N Hamiltonian.
+Only time-independent Hamiltonians are supported, so both flows are linear
+with constant coefficients, and one eigendecomposition H = V Lambda
+V^dagger splits each into independent modes y' = -i w y (the eigenvector
+method of Moler & Van Loan, SIAM Rev. 45, 3 (2003), well conditioned for
+Hermitian H): the amplitudes c = V^dagger psi with w_a = lambda_a / hbar,
+and the entries of rho~ = V^dagger rho V with w_ab = (lambda_a - lambda_b)
+/ hbar.  A sample multiplies each mode by a factor F and maps back as an
+increment, psi = psi0 + V ((F - 1) * c0) and s = s0 + read(V ((F - 1) *
+rho~0) V^dagger), where read takes s off rho's entries; where F = 1 the
+state is kept bit for bit.  The method only picks F:
 
-The precession flow has two RK4 paths.  Below N = _DENSITY_CROSSOVER it is
-the propagator path above, on the d x d matrix Omega of `precession_matrix`
-(d = N**2 - 1): P and Q cost O(d**3) to build and O(d**2) per sample.
-From the crossover on, RK4 steps the density matrix instead: ds/dt = Omega s
-is the von Neumann flow drho/dt = (-i/hbar)[H, rho] read through the linear
-map rho <-> s, so the same RK4 polynomial applied to rho, with commutator
-stages, gives the same trajectory at O(N**3) per step and O(N**2) memory
-(Hairer, Lubich & Wanner, Geometric Numerical Integration, ch. IV).  For
-Hermitian X, [H, X] = HX - (HX)^dagger, one N x N matmul per stage.  Each
-sample is read back off rho's entries.  The crossover is measured (see the
-constant).
+- "rk4", the default: fixed-step RK4, deterministic and reproducible.  One
+  RK4 step of y' = (z / dt) y is exactly y <- R(z) y, with R(z) = 1 + z +
+  z**2/2 + z**3/6 + z**4/24 the RK4 stability function (Hairer, Lubich &
+  Wanner, Geometric Numerical Integration, ch. IV).  So k full steps and a
+  tail step h give F = R(-i w dt)**k R(-i w h), the trajectory stage-wise
+  RK4 takes, at a cost per sample rather than per step; R**k is taken as
+  exp(k log R).  RK4 is refused when dt times the spectral radius of the
+  flow exceeds 2 sqrt(2), the edge of its stability interval on the
+  imaginary axis; that radius is (lambda_max - lambda_min)/hbar for the
+  precession flow and max |lambda|/hbar for the amplitudes.
+- "exact": F = exp(-i w t), with no truncation error and no stability limit
+  on dt.
 
-With method "exact", one eigendecomposition H = V Lambda V^dagger gives
-both flows in closed form (the eigenvector method of Moler & Van Loan, SIAM
-Rev. 45, 3 (2003), well conditioned for Hermitian H): with phi =
-exp(-i Lambda t / hbar), psi(t) = V (phi * V^dagger psi0) and rho(t) =
-V ((V^dagger rho0 V) * phi phi^dagger) V^dagger.  It has no truncation error
-and no stability limit on dt, costs O(N**3) per sample whatever the step
-count, and builds neither the f table nor Omega.
+Either way a sample costs O(N**3) whatever the step count, and neither
+method builds the f table or the d x d matrix Omega of `precession_matrix`
+(d = N**2 - 1), which stays as the f-driven reference.  The eigenvectors
+come from an SVD, not eigh (see `_eigensystem`).
 """
 
 from __future__ import annotations
@@ -71,9 +68,7 @@ from .generators import (
     AlgebraConfig, _bloch_maps, _check_hbar, _check_square, _check_vector, _expansion,
     _generator_traces,
 )
-from .structure_constants import (
-    ConstantTable, _check_f_table, _signed_permutations, build_f_table,
-)
+from .structure_constants import ConstantTable, _check_f_table, _signed_permutations
 
 RK4 = "rk4"
 EXACT = "exact"
@@ -82,24 +77,10 @@ _RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 # The full-step count t_final / dt and the output stride are each at most
 # 2**62, so that every full-step index of the sample grid fits in an int64.
 _MAX_STEPS = 2**62
-# RK4 precession at N >= _DENSITY_CROSSOVER steps the N x N density matrix
-# instead of the d x d propagator.  One cold `integrate_bloch` per process,
-# 1000 steps of dt = 1e-3, stride 10, median of 9; each entry is the median
-# of three such runs (2-core x86, numpy 2.4 with scipy-openblas 0.3.31):
-#
-#     N           10      11      12      13      16      17
-#     propagator  1.3 ms  1.8 ms  2.4 ms  3.0 ms  7.5 ms  8.5 ms
-#     density     14 ms   15 ms   15 ms   16 ms   18 ms   19 ms
-#
-# With one mat-vec by P**stride per sample the propagator path leads at every
-# N measured, so here the crossover lies above N = 17.  An earlier timing,
-# one mat-vec by P per step, saw the propagator jump to 40-125 ms from N = 11
-# (d = 120), where building P hands its products to the threaded BLAS kernel.
-# That jump did not recur, but a threaded product stalls while another
-# process holds a core.  The value depends on the BLAS build and its
-# threading, and no perfbench workload lies between N = 7 and N = 31, so the
-# benchmark does not check it; retune it against a large-N workload.
-_DENSITY_CROSSOVER = 11
+# Samples are filled in blocks whose mode array, (B, N, N) or (B, N) complex,
+# takes at most this many bytes, so that the work arrays stay a few such
+# blocks however many samples the trajectory holds.
+_BLOCK_BYTES = 2**19
 # |psi|**2 must be 1 within _NORM_TOL on input; the amplitude trajectory of a
 # TDSE comparison may drift from it by _NORM_DRIFT_TOL before the comparison
 # is refused as meaningless.
@@ -247,8 +228,9 @@ def precession_rhs(
 def precession_matrix(table: ConstantTable, coeffs: HamiltonianCoefficients) -> np.ndarray:
     """Dense generator of the linear flow: ds/dt = matrix @ s.
 
-    Same contraction as precession_rhs with the state factored out; the
-    integrator uses this so each step is a single mat-vec.
+    Same contraction as precession_rhs with the state factored out: the
+    f-driven form of the flow that the integrators, which work in the
+    eigenbasis of H, are checked against.
     """
     i, j, k, f = _signed_permutations(table)
     dim = table.n_dim * table.n_dim - 1
@@ -300,104 +282,69 @@ def _sample_grid(
     return times, record, remainder, states
 
 
-def _march(
-    y: np.ndarray,
-    states: np.ndarray,
-    record: np.ndarray,
-    remainder: float,
-    advance: Callable[[np.ndarray, int], np.ndarray],
-    step: Callable[[np.ndarray, float], np.ndarray],
+def _eigensystem(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of Hermitian H.
+
+    ||H||_inf bounds the spectral radius, so H + ||H||_inf I is positive
+    semidefinite: its singular value decomposition is its eigendecomposition,
+    and the singular values less the shift are the eigenvalues of H.  numpy's
+    eigh (zheevd) switches to divide and conquer above N = 25, where it took
+    6-16 ms at N = 26-48 against 0.2-0.7 ms for this SVD (2-core x86), with
+    eigenvalues within 1e-13 of each other.
+    """
+    shift = np.abs(hamiltonian).sum(axis=1).max()
+    u, sigma, _ = np.linalg.svd(hamiltonian + shift * np.eye(len(hamiltonian)))
+    return sigma[::-1] - shift, u[:, ::-1]
+
+
+def _rk4_log(x: np.ndarray) -> np.ndarray:
+    """log R(-i x) for real x, where R(z) = 1 + z + z**2/2 + z**3/6 + z**4/24.
+
+    Written out for an imaginary argument, |R(i x)|**2 = 1 - x**6/72 +
+    x**8/576 and arg R(i x) = atan2(x - x**3/6, 1 - x**2/2 + x**4/24), so
+    both parts are accurate to rounding; numpy's complex log1p(R - 1) forms
+    |R| from 1 + Re(R - 1) and loses the real part, about -x**6/144, to
+    cancellation.
+    """
+    x2 = x * x
+    modulus = 0.5 * np.log1p(x2**3 * (x2 / 576.0 - 1.0 / 72.0))
+    return modulus - 1j * np.arctan2(x * (1.0 - x2 / 6.0), 1.0 - x2 / 2.0 + x2 * x2 / 24.0)
+
+
+def _evolve_modes(
+    spec: IntegrationSpec,
+    frequencies: np.ndarray,
+    radius: float,
+    first: np.ndarray,
+    modes: np.ndarray,
     read: Callable[[np.ndarray], np.ndarray],
-) -> None:
-    """Fill states[1:] by RK4 from y, on the grid of `_sample_grid`.
-
-    ``advance(y, count)`` takes ``count`` full steps, ``step(y, h)`` one step
-    of h (the tail), and ``read(y)`` turns a state into a sample row.
-    """
-    for row, count in enumerate(np.diff(record).tolist(), start=1):
-        y = advance(y, count)
-        states[row] = read(y)
-    if remainder:
-        states[-1] = read(step(y, remainder))
-
-
-def _integrate_linear(
-    matrix: np.ndarray, y0: np.ndarray, spec: IntegrationSpec, radius: float
 ) -> Trajectory:
-    """Fixed-step RK4 for y' = matrix @ y, sampled on the dt grid.
+    """Sample a linear flow whose modes y' = -i w y start at ``modes``.
 
-    ``radius`` is the spectral radius of ``matrix``, for the RK4 guard of
-    `_sample_grid`.  The one-step propagator P of `_rk4_propagator` is applied
-    as Q = P**output_stride, built once by repeated squaring, so that each
-    sample costs one mat-vec; the one shorter gap before the last full-step
-    sample steps by P, and the tail step short of ``t_final`` is taken
-    stage-wise.
+    ``frequencies`` holds each mode's w (the shape of ``modes``), ``radius``
+    the flow's spectral radius for the RK4 guard of `_sample_grid`, ``first``
+    the state at t = 0, and ``read`` maps a block of mode increments, shape
+    (B,) + modes.shape, to the B matching state increments.  Sample row j is
+    ``first + read(modes * (F - 1))``, with log F = steps[j] * log_step, plus
+    log_tail on the last row (RK4's tail step; 0 for exact and without one).
     """
-    y0 = np.asarray(y0, dtype=np.result_type(matrix, y0))
-    times, record, remainder, states = _sample_grid(spec, radius, y0)
-    propagator = _rk4_propagator(matrix, spec.dt)
-    stride = spec.output_stride
-    if 1 < stride <= record[-1]:
-        jump = np.linalg.matrix_power(propagator, stride)
-
-    def advance(y, count):
-        if count == stride > 1:
-            return jump @ y
-        for _ in range(count):
-            y = propagator @ y
-        return y
-
-    _march(y0, states, record, remainder, advance,
-           lambda y, h: _rk4_step(matrix, y, h), lambda y: y)
+    times, record, remainder, states = _sample_grid(spec, radius, first)
+    if spec.method == EXACT:
+        steps, log_step, log_tail = times, -1j * frequencies, 0.0
+    else:
+        steps = np.append(record, record[-1]) if remainder else record
+        log_step, log_tail = _rk4_log(spec.dt * frequencies), _rk4_log(remainder * frequencies)
+    block = max(1, _BLOCK_BYTES // (16 * modes.size))
+    for start in range(1, len(times), block):
+        stop = min(start + block, len(times))
+        exponent = np.multiply.outer(steps[start:stop], log_step)
+        if stop == len(times):
+            exponent[-1] += log_tail
+        increment = np.exp(exponent, out=exponent)
+        increment -= 1.0
+        increment *= modes
+        states[start:stop] = first + read(increment)
     return Trajectory(times=times, states=states)
-
-
-def _rk4_propagator(matrix: np.ndarray, dt: float) -> np.ndarray:
-    """The RK4 step as a matrix: column j is the step taken from e_j."""
-    return _rk4_step(matrix, np.eye(matrix.shape[0], dtype=matrix.dtype), dt)
-
-
-def _eigenbasis_flow(
-    hamiltonian: np.ndarray, hbar: float, spec: IntegrationSpec, first: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(times, states, phases, vectors) of the exact method: the grid of
-    `_sample_grid` with ``first`` as row 0, exp(-i lambda t / hbar) per later
-    sample (rows) and eigenvalue (columns), and the eigenvectors of H."""
-    energies, vectors = np.linalg.eigh(hamiltonian)
-    times, _, _, states = _sample_grid(spec, 0.0, first)
-    phases = np.exp((-1j / hbar) * np.outer(times[1:], energies))
-    return times, states, phases, vectors
-
-
-def _rk4_step(matrix: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
-    k1 = matrix @ y
-    k2 = matrix @ (y + 0.5 * dt * k1)
-    k3 = matrix @ (y + 0.5 * dt * k2)
-    k4 = matrix @ (y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _density_stages(generator: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
-    return tuple((h / c) * generator for c in (4.0, 3.0, 2.0, 1.0))
-
-
-def _density_step(stages: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray:
-    """One RK4 step of rho' = L(rho) = G rho + (G rho)^dagger, G = -iH/hbar.
-
-    ``stages`` is `_density_stages` of G and the step h.  L is linear, so the
-    step is the RK4 polynomial rho + hL(rho + (h/2)L(rho + (h/3)L(rho +
-    (h/4)L rho))): four evaluations of L on Hermitian arguments, one N x N
-    matmul each.  Each stage is b + b^dagger first and rho after, so it is
-    Hermitian in floating point too (entry (j, i) is the exact conjugate of
-    (i, j)); adding rho into b first would round the two differently and
-    leave an anti-Hermitian residue that accumulates from step to step.
-    """
-    x = rho
-    for scaled in stages:
-        b = scaled @ x
-        x = b + b.conj().T
-        x += rho
-    return x
 
 
 def integrate_bloch(
@@ -408,65 +355,33 @@ def integrate_bloch(
 ) -> Trajectory:
     """Integrate the precession equation from coherence vector s0.
 
-    RK4 at N >= _DENSITY_CROSSOVER and the exact method evolve the density
-    matrix instead of s (see the module docstring), without the d x d matrix.
+    Both methods evolve the density matrix in the eigenbasis of H (see the
+    module docstring); the f table is validated but not contracted.
     """
     _check_f_table(table)
-    return _integrate_precession(table.n_dim, coeffs, s0, spec, table)
+    return _integrate_precession(table.n_dim, coeffs, s0, spec)
 
 
 def _integrate_precession(
-    n_dim: int,
-    coeffs: HamiltonianCoefficients,
-    s0: np.ndarray,
-    spec: IntegrationSpec,
-    table: ConstantTable | None = None,
+    n_dim: int, coeffs: HamiltonianCoefficients, s0: np.ndarray, spec: IntegrationSpec
 ) -> Trajectory:
-    """`integrate_bloch` at dimension N, where ``table`` is N's f table.
-
-    Only the RK4 Omega path reads the table; it builds it when ``table`` is
-    None, so `simulate` builds none on the density path or the exact method.
-    """
+    """`integrate_bloch` at dimension N; `simulate` calls it without an f table."""
     s0 = _check_vector(s0, n_dim * n_dim - 1, "coherence vector")
-    on_omega = spec.method == RK4 and n_dim < _DENSITY_CROSSOVER
-    if on_omega:
-        if table is None:
-            table = build_f_table(n_dim)
-        omega = precession_matrix(table, coeffs)
     # The trace of H does not enter the flow; leaving it out keeps the
-    # commutator stages free of its cancellation error.
+    # eigenvalue differences free of its cancellation error.
     cfg = AlgebraConfig(n_dim, coeffs.hbar)
     traceless = HamiltonianCoefficients(0.0, coeffs.h, cfg.hbar)
-    hamiltonian = hamiltonian_from_coefficients(cfg, traceless)
+    energies, vectors = _eigensystem(hamiltonian_from_coefficients(cfg, traceless))
     m_idx, n_idx = _bloch_maps(n_dim)[:2]
 
-    def read(rho):
-        return _generator_traces(cfg, rho[n_idx, m_idx], rho.diagonal().real)
+    def read(block):
+        rho = vectors @ block @ vectors.conj().T
+        return _generator_traces(cfg, rho[:, n_idx, m_idx], rho.diagonal(0, 1, 2).real)
 
-    if spec.method == EXACT:
-        times, states, phases, vectors = _eigenbasis_flow(hamiltonian, cfg.hbar, spec, s0)
-        rho0 = vectors.conj().T @ reconstruct_density(cfg, s0) @ vectors
-        for row, phase in enumerate(phases, start=1):
-            states[row] = read(vectors @ (rho0 * np.outer(phase, phase.conj())) @ vectors.conj().T)
-        return Trajectory(times=times, states=states)
-    # The spectrum of the flow is {i (lambda_a - lambda_b) / hbar} over the eigenvalues of H.
-    energies = np.linalg.eigvalsh(hamiltonian)
-    radius = (energies[-1] - energies[0]) / cfg.hbar
-    if on_omega:
-        return _integrate_linear(omega, s0, spec, radius)
-
-    times, record, remainder, states = _sample_grid(spec, radius, s0)
-    generator = (-1j / cfg.hbar) * hamiltonian
-    full = _density_stages(generator, spec.dt)
-
-    def advance(rho, count):
-        for _ in range(count):
-            rho = _density_step(full, rho)
-        return rho
-
-    _march(reconstruct_density(cfg, s0), states, record, remainder, advance,
-           lambda rho, h: _density_step(_density_stages(generator, h), rho), read)
-    return Trajectory(times=times, states=states)
+    # The spectrum of the flow is {-i (lambda_a - lambda_b) / hbar}, one mode per entry of rho.
+    rho0 = vectors.conj().T @ reconstruct_density(cfg, s0) @ vectors
+    frequencies = np.subtract.outer(energies, energies) / cfg.hbar
+    return _evolve_modes(spec, frequencies, (energies[-1] - energies[0]) / cfg.hbar, s0, rho0, read)
 
 
 def integrate_tdse(
@@ -478,15 +393,12 @@ def integrate_tdse(
     """Integrate the amplitude equation dc/dt = (-i/hbar) H c."""
     hamiltonian = _check_hermitian(hamiltonian, cfg.n_dim)
     psi0 = _check_normalized(psi0, cfg.n_dim)
-    if spec.method == EXACT:
-        times, states, phases, vectors = _eigenbasis_flow(hamiltonian, cfg.hbar, spec, psi0)
-        states[1:] = (phases * (vectors.conj().T @ psi0)) @ vectors.T
-        return Trajectory(times=times, states=states)
+    energies, vectors = _eigensystem(hamiltonian)
     # The amplitude flow's own radius is max |lambda| / hbar; the spread is
     # checked as well, so that a step the precession flow refuses is refused here.
-    energies = np.linalg.eigvalsh(hamiltonian)
     radius = max(energies[-1] - energies[0], np.abs(energies).max()) / cfg.hbar
-    return _integrate_linear((-1j / cfg.hbar) * hamiltonian, psi0, spec, radius)
+    return _evolve_modes(spec, energies / cfg.hbar, radius, psi0, vectors.conj().T @ psi0,
+                         lambda block: block @ vectors.T)
 
 
 def bloch_tdse_deviation(

@@ -204,24 +204,27 @@ class TestSimulate:
 
     def test_compare_tdse_integrates_once(self, capsys, tmp_path, problem_files, monkeypatch):
         # The deviation is taken against the trajectory already written: H is
-        # decomposed and Omega built once, and one RK4 propagator is built per
-        # equation (Omega, d = 3, then -iH/hbar, N = 2).
+        # decomposed once, each flow diagonalizes its N x N matrix once, and
+        # neither the f table nor Omega is built.
         calls = []
 
         def count(module, name):
             original = getattr(module, name)
 
             def counted(*args, **kwargs):
-                calls.append((name, args[0].shape if name == "_rk4_propagator" else None))
+                calls.append((name, args[0].shape if name == "_eigensystem" else None))
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
 
+        def refuse(*args):
+            raise AssertionError("simulate builds no f table and no Omega")
+
         count(cli, "decompose_hamiltonian")
         count(dynamics, "decompose_hamiltonian")
-        count(dynamics, "build_f_table")
-        count(dynamics, "precession_matrix")
-        count(dynamics, "_rk4_propagator")
+        count(dynamics, "_eigensystem")
+        monkeypatch.setattr(cli, "build_f_table", refuse)
+        monkeypatch.setattr(dynamics, "precession_matrix", refuse)
         h_path, psi_path = problem_files
         status, out, _ = run(
             capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
@@ -231,29 +234,27 @@ class TestSimulate:
         assert status == 0 and "max_tdse_deviation=" in out
         assert calls == [
             ("decompose_hamiltonian", None),
-            ("build_f_table", None),
-            ("precession_matrix", None),
-            ("_rk4_propagator", (3, 3)),
-            ("_rk4_propagator", (2, 2)),
+            ("_eigensystem", (2, 2)),
+            ("_eigensystem", (2, 2)),
         ]
 
     def test_compare_tdse_on_density_path(self, capsys, tmp_path, monkeypatch):
-        # From the crossover on, the precession flow is stepped on rho: no f
-        # table, no Omega, and only the amplitude flow's N x N propagator is built.
-        n_dim = dynamics._DENSITY_CROSSOVER
+        # At N = 11, where Omega would have 120 rows: still one
+        # diagonalization per flow, no f table and no Omega.
+        n_dim = 11
         shapes = []
-        original = dynamics._rk4_propagator
+        original = dynamics._eigensystem
 
-        def counted(matrix, dt):
+        def counted(matrix):
             shapes.append(matrix.shape)
-            return original(matrix, dt)
+            return original(matrix)
 
         def refuse(*args):
-            raise AssertionError("the density path builds no f table")
+            raise AssertionError("simulate builds no f table and no Omega")
 
-        monkeypatch.setattr(dynamics, "_rk4_propagator", counted)
-        monkeypatch.setattr(dynamics, "build_f_table", refuse)
+        monkeypatch.setattr(dynamics, "_eigensystem", counted)
         monkeypatch.setattr(cli, "build_f_table", refuse)
+        monkeypatch.setattr(dynamics, "precession_matrix", refuse)
         rng = np.random.default_rng(12)
         a = rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim))
         mat = (a + a.conj().T) / 8.0
@@ -270,7 +271,7 @@ class TestSimulate:
             "--output", str(out_path), "--compare-tdse",
         )
         assert status == 0, err
-        assert shapes == [(n_dim, n_dim)]
+        assert shapes == [(n_dim, n_dim)] * 2
         assert len(out_path.read_text().splitlines()) == 12  # header + 11 samples
         assert float(out.split("max_tdse_deviation=")[1]) <= 1e-6
 

@@ -398,6 +398,53 @@ class TestIntegration:
         with pytest.raises(ValueError, match=r"^\d{19} samples of 3 values \(\d{20} bytes\)"):
             integrate_bloch(table, coeffs, np.array([0.5, 0.0, 0.0]), spec)
 
+    def test_working_memory_stays_bounded(self):
+        # 20,001 samples at N = 16: one N x N work array per sample would add
+        # about 82 MB beside the 41 MB of states.
+        n_dim = 16
+        rng = np.random.default_rng(n_dim)
+        cfg = AlgebraConfig(n_dim)
+        coeffs = decompose_hamiltonian(cfg, random_hermitian(rng, n_dim))
+        s0 = state_to_bloch(cfg, random_state(rng, n_dim))
+        table = build_f_table(n_dim)
+        traj, peak = traced_peak(integrate_bloch, table, coeffs, s0, IntegrationSpec(20.0, 1e-3))
+        assert traj.states.shape == (20001, cfg.dim)
+        assert peak <= traj.states.nbytes + 4e6
+
+
+class TestEigensystem:
+    """The shifted SVD of `_eigensystem` against numpy's eigh."""
+
+    @staticmethod
+    def check(mat):
+        energies, vectors = dynamics._eigensystem(mat)
+        scale = max(1.0, float(np.abs(mat).max()))
+        eye = np.eye(len(mat))
+        assert np.abs(energies - np.linalg.eigvalsh(mat)).max() <= 1e-12 * scale
+        assert np.abs(mat @ vectors - vectors * energies).max() <= 1e-12 * scale
+        assert np.abs(vectors.conj().T @ vectors - eye).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_dim", [2, 25, 26, 32, 64])
+    def test_matches_eigh(self, n_dim):
+        # eigh switches to divide and conquer above N = 25.
+        rng = np.random.default_rng(1100 + n_dim)
+        a = rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim))
+        self.check(a + a.conj().T)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            pytest.param(np.zeros((4, 4)), id="zero"),
+            pytest.param(2.5 * np.eye(5), id="multiple-of-identity"),
+            pytest.param(np.diag(np.r_[np.full(10, -1.0 / 11), 10.0 / 11]), id="one-excited"),
+            pytest.param(np.diag([100.0, 101.0]), id="large-trace"),
+        ],
+    )
+    def test_degenerate_and_shifted_spectra(self, mat):
+        rng = np.random.default_rng(len(mat))
+        q, _ = np.linalg.qr(rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape))
+        self.check(q @ mat @ q.conj().T)
+
 
 def stagewise_rk4(matrix, y0, t_final, dt, stride):
     """Plain four-stage RK4, sampled every ``stride`` steps, at the last full
@@ -425,7 +472,7 @@ def stagewise_rk4(matrix, y0, t_final, dt, stride):
 
 
 class TestRk4Propagator:
-    """The precomputed one-step propagator against stage-wise RK4."""
+    """RK4 on both flows against stage-wise RK4 on Omega and on -iH/hbar."""
 
     HBAR = 1.3
 
@@ -448,148 +495,124 @@ class TestRk4Propagator:
             assert traj.states.shape == states.shape
             assert np.abs(traj.states - states).max() <= 1e-12
 
-    @pytest.mark.parametrize("n_dim", [2, 3, 4])
-    def test_matches_stagewise_with_stride_and_tail(self, n_dim):
-        # 200 full steps (not a multiple of the stride) plus a half step.
-        self.check_both_flows(n_dim, t_final=2.005, dt=0.01)
-
-    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 6])
-    def test_matches_stagewise_at_ensemble_shape(self, n_dim):
-        # The shape of the benchmark ensemble: 1000 jumps of P**10, then a
-        # one-step gap to the last full step (10,001) and a half-step tail.
-        self.check_both_flows(n_dim, t_final=10.0015, dt=1e-3, stride=10)
-
     @pytest.mark.parametrize(
-        "t_final, stride, jumps",
+        "n_dim, t_final, stride",
         [
-            (0.205, 1, False),  # every gap is one step: P itself
-            (0.205, 50, False),  # the stride exceeds the 20 full steps
-            (0.0, 3, False),  # no steps at all
-            (0.205, 20, True),  # one jump spans every full step
+            # 200 full steps (not a multiple of the stride) plus a half step.
+            pytest.param(2, 2.005, 3, id="2"),
+            pytest.param(3, 2.005, 3, id="3"),
+            pytest.param(4, 2.005, 3, id="4"),
+            pytest.param(3, 0.205, 1, id="3-0.205-1"),  # every gap is one step
+            pytest.param(3, 0.205, 50, id="3-0.205-50"),  # the stride exceeds the 20 full steps
+            pytest.param(3, 0.0, 3, id="3-0.0-3"),  # no steps at all
+            pytest.param(3, 0.205, 20, id="3-0.205-20"),  # one gap spans every full step
         ],
     )
-    def test_stride_power_built_only_when_a_gap_uses_it(self, t_final, stride, jumps, monkeypatch):
-        powers = []
-        original = np.linalg.matrix_power
+    def test_matches_stagewise_with_stride_and_tail(self, n_dim, t_final, stride):
+        self.check_both_flows(n_dim, t_final=t_final, dt=0.01, stride=stride)
 
-        def counted(matrix, n):
-            powers.append(n)
-            return original(matrix, n)
-
-        monkeypatch.setattr(np.linalg, "matrix_power", counted)
-        self.check_both_flows(3, t_final=t_final, dt=0.01, stride=stride)
-        assert powers == ([stride, stride] if jumps else [])
+    @pytest.mark.parametrize(
+        "n_dim, stride",
+        [*(pytest.param(n, 10, id=str(n)) for n in (2, 3, 4, 5, 6)),
+         # A stride that does not divide the 10,001 full steps.
+         pytest.param(6, 7, id="6-stride7")],
+    )
+    def test_matches_stagewise_at_ensemble_shape(self, n_dim, stride):
+        # The shape of the benchmark ensemble: 10,001 full steps sampled every
+        # ``stride``, a shorter gap to the last full step and a half-step tail.
+        self.check_both_flows(n_dim, t_final=10.0015, dt=1e-3, stride=stride)
 
     def test_matches_stagewise_across_column_blocks(self):
-        # N = 12: the precession flow takes the density path here, the
-        # amplitudes the N x N propagator.
+        # N = 12: 143 coherence components against 12 amplitudes.
         self.check_both_flows(12, t_final=0.205, dt=0.01)
+
+    def test_million_steps_match_repeated_squaring(self):
+        # h = (0, 0, 1) at N = 2 turns s_1 + i s_2 by one mode, z = i dt per
+        # step, so after k steps it is 0.5 R(z)**k.  The reference squares
+        # w = R(z) - 1 as a Python complex, (1 + w)**2 = 1 + (2w + w**2), so
+        # that no rounding of 1 + w is raised to the millionth power.  Taking
+        # R**k as exp(k log1p(R - 1)) with numpy's complex log1p misses the
+        # bound here (3e-11).
+        def power(z, k):
+            w, acc = z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))), 0j
+            while k:
+                if k & 1:
+                    acc += w + acc * w
+                w = 2 * w + w * w
+                k >>= 1
+            return 1 + acc
+
+        dt, stride = 0.01, 10**5
+        spec = IntegrationSpec(t_final=10**6 * dt, dt=dt, output_stride=stride)
+        traj = integrate_bloch(build_f_table(2), _su2([0.0, 0.0, 1.0]), [0.5, 0.0, 0.0], spec)
+        assert traj.times.shape == (11,)
+        expected = [0.5 * power(1j * dt, row * stride) for row in range(11)]
+        np.testing.assert_array_equal(traj.states[:, 2], 0.0)
+        assert np.abs(traj.states[:, 0] + 1j * traj.states[:, 1] - expected).max() <= 1e-11
 
 
 class TestDensityPath:
-    """RK4 on the N x N density matrix from N = _DENSITY_CROSSOVER on."""
+    """The precession flow at N >= 11, where Omega has d >= 120 rows, and the
+    amplitude flow beside it, against stage-wise RK4."""
 
     HBAR = 1.3
 
-    @pytest.mark.parametrize("n_dim", [dynamics._DENSITY_CROSSOVER, 16])
+    @pytest.mark.parametrize("n_dim", [11, 16])
     def test_matches_stagewise_precession_matrix(self, n_dim, monkeypatch):
         rng = np.random.default_rng(700 + n_dim)
         cfg = AlgebraConfig(n_dim, hbar=self.HBAR)
         table = build_f_table(n_dim)
-        coeffs = decompose_hamiltonian(cfg, random_hermitian(rng, n_dim))
-        s0 = state_to_bloch(cfg, random_state(rng, n_dim))
+        mat = random_hermitian(rng, n_dim)
+        psi0 = random_state(rng, n_dim)
+        coeffs = decompose_hamiltonian(cfg, mat)
+        s0 = state_to_bloch(cfg, psi0)
         omega = precession_matrix(table, coeffs)
         # 20 full steps (not a multiple of the stride) plus a half step.
-        times, states = stagewise_rk4(omega, s0, 0.205, 0.01, 3)
+        expected = [stagewise_rk4(matrix, y0, 0.205, 0.01, 3)
+                    for matrix, y0 in ((omega, s0), ((-1j / self.HBAR) * mat, psi0))]
 
         def refuse(*args):
-            raise AssertionError("the density path builds no d x d matrix")
+            raise AssertionError("integration builds no d x d matrix")
 
         monkeypatch.setattr(dynamics, "precession_matrix", refuse)
-        monkeypatch.setattr(dynamics, "_rk4_propagator", refuse)
         spec = IntegrationSpec(t_final=0.205, dt=0.01, output_stride=3)
-        traj = integrate_bloch(table, coeffs, s0, spec)
-        np.testing.assert_array_equal(traj.times, times)
-        assert traj.states.shape == states.shape
-        assert np.abs(traj.states - states).max() <= 1e-12
+        trajectories = [integrate_bloch(table, coeffs, s0, spec),
+                        integrate_tdse(cfg, mat, psi0, spec)]
+        for traj, (times, states) in zip(trajectories, expected):
+            np.testing.assert_array_equal(traj.times, times)
+            assert traj.states.shape == states.shape
+            assert np.abs(traj.states - states).max() <= 1e-12
 
-    def test_stable_near_guard_with_skewed_spectrum(self, monkeypatch):
+    def test_stable_near_guard_with_skewed_spectrum(self):
         # One excited level: eigenvalues -1/N (N - 1 times) and (N - 1)/N,
         # spread 1, so max |lambda_a + lambda_b| is nearly twice the spread.
-        # At dt * spread / hbar = 2.8, just inside the guard, the path must
-        # follow stage-wise RK4 on Omega for hundreds of steps, and rho must
-        # stay exactly Hermitian.
-        n_dim = dynamics._DENSITY_CROSSOVER
+        # At dt * spread / hbar = 2.8, just inside the guard, both flows must
+        # follow stage-wise RK4 for hundreds of steps.
+        n_dim = 11
         rng = np.random.default_rng(900 + n_dim)
         q, _ = np.linalg.qr(rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim)))
         energies = np.full(n_dim, -1.0 / n_dim)
         energies[-1] = (n_dim - 1) / n_dim
         cfg = AlgebraConfig(n_dim, hbar=self.HBAR)
         table = build_f_table(n_dim)
-        coeffs = decompose_hamiltonian(cfg, (q * energies) @ q.conj().T)
-        s0 = state_to_bloch(cfg, random_state(rng, n_dim))
+        mat = (q * energies) @ q.conj().T
+        coeffs = decompose_hamiltonian(cfg, mat)
+        psi0 = random_state(rng, n_dim)
+        s0 = state_to_bloch(cfg, psi0)
         dt = 2.8 * self.HBAR
         # 300 full steps plus a half step.
-        times, states = stagewise_rk4(precession_matrix(table, coeffs), s0, 300.5 * dt, dt, 7)
-        residues = []
-        original = dynamics._density_step
-
-        def checked(stages, rho):
-            rho = original(stages, rho)
-            residues.append(np.abs(rho - rho.conj().T).max())
-            return rho
-
-        monkeypatch.setattr(dynamics, "_density_step", checked)
-        traj = integrate_bloch(table, coeffs, s0, IntegrationSpec(300.5 * dt, dt, output_stride=7))
-        np.testing.assert_array_equal(traj.times, times)
-        assert np.abs(traj.states - states).max() <= 1e-12
-        assert len(residues) == 301 and max(residues) == 0.0
-
-    def test_omega_path_matches_density_path(self, monkeypatch):
-        # Both sides of the crossover at one N, over the ensemble's 10,001
-        # full steps plus a half step, with a stride that does not divide it.
-        n_dim = 6
-        rng = np.random.default_rng(800 + n_dim)
-        cfg = AlgebraConfig(n_dim, hbar=self.HBAR)
-        table = build_f_table(n_dim)
-        coeffs = decompose_hamiltonian(cfg, random_hermitian(rng, n_dim))
-        s0 = state_to_bloch(cfg, random_state(rng, n_dim))
-        spec = IntegrationSpec(t_final=10.0015, dt=1e-3, output_stride=7)
-        shapes = []
-        original = dynamics._rk4_propagator
-
-        def counted(matrix, dt):
-            shapes.append(matrix.shape)
-            return original(matrix, dt)
-
-        monkeypatch.setattr(dynamics, "_rk4_propagator", counted)
-        monkeypatch.setattr(dynamics, "_DENSITY_CROSSOVER", n_dim + 1)
-        omega_path = integrate_bloch(table, coeffs, s0, spec)
-        monkeypatch.setattr(dynamics, "_DENSITY_CROSSOVER", n_dim)
-        density_path = integrate_bloch(table, coeffs, s0, spec)
-        assert shapes == [(n_dim * n_dim - 1,) * 2]
-        np.testing.assert_array_equal(omega_path.times, density_path.times)
-        assert omega_path.times.shape == (1431,)
-        assert np.abs(omega_path.states - density_path.states).max() <= 1e-12
-
-    def test_below_crossover_uses_propagator(self, monkeypatch):
-        n_dim = dynamics._DENSITY_CROSSOVER - 1
-        shapes = []
-        original = dynamics._rk4_propagator
-
-        def counted(matrix, dt):
-            shapes.append(matrix.shape)
-            return original(matrix, dt)
-
-        monkeypatch.setattr(dynamics, "_rk4_propagator", counted)
-        coeffs = HamiltonianCoefficients(0.0, np.zeros(n_dim * n_dim - 1), self.HBAR)
-        integrate_bloch(build_f_table(n_dim), coeffs, np.zeros(n_dim * n_dim - 1),
-                        IntegrationSpec(t_final=0.1, dt=0.01))
-        dim = n_dim * n_dim - 1
-        assert shapes == [(dim, dim)]
+        spec = IntegrationSpec(300.5 * dt, dt, output_stride=7)
+        cases = [
+            (integrate_bloch(table, coeffs, s0, spec), precession_matrix(table, coeffs), s0),
+            (integrate_tdse(cfg, mat, psi0, spec), (-1j / self.HBAR) * mat, psi0),
+        ]
+        for traj, matrix, y0 in cases:
+            times, states = stagewise_rk4(matrix, y0, 300.5 * dt, dt, 7)
+            np.testing.assert_array_equal(traj.times, times)
+            assert np.abs(traj.states - states).max() <= 1e-12
 
     def test_d_table_rejected(self):
-        n_dim = dynamics._DENSITY_CROSSOVER
+        n_dim = 11
         coeffs = HamiltonianCoefficients(0.0, np.zeros(n_dim * n_dim - 1), self.HBAR)
         with pytest.raises(ValueError, match="'f' table"):
             integrate_bloch(build_d_table(n_dim), coeffs, np.zeros(n_dim * n_dim - 1),
@@ -598,7 +621,7 @@ class TestDensityPath:
     @pytest.mark.parametrize("t_final", [20.0, 0.0])
     def test_unstable_step_rejected(self, t_final):
         # Unscaled Gaussian Hermitian: dt = 0.2 puts dt * spread beyond 2 sqrt(2).
-        n_dim = dynamics._DENSITY_CROSSOVER
+        n_dim = 11
         rng = np.random.default_rng(n_dim)
         a = rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim))
         mat = a + a.conj().T
@@ -742,7 +765,7 @@ class TestEquivalence:
         spec = IntegrationSpec(t_final=10.0, dt=0.01, output_stride=7, method="exact")
         assert bloch_tdse_deviation(cfg, build_f_table(n_dim), mat, psi0, spec) <= 1e-12
 
-    @pytest.mark.parametrize("n_dim", [3, dynamics._DENSITY_CROSSOVER])
+    @pytest.mark.parametrize("n_dim", [3, 11])
     def test_rk4_converges_at_fourth_order(self, n_dim):
         # Against the exact method, RK4's global error on both flows falls by
         # about 2**4 = 16 per halving of dt.  N = 3 steps Omega, the crossover rho.
