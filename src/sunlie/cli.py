@@ -43,6 +43,8 @@ from .structure_constants import (
     D_KIND,
     F_KIND,
     ConstantTable,
+    _checksum,
+    _prefix_lines,
     build_d_table,
     build_f_table,
 )
@@ -118,10 +120,9 @@ def _open_output(path: str | None) -> ContextManager[IO[str]]:
     return open(path, "w", newline="\n")
 
 
-def _write_tables_csv(fh: IO[str], tables: Sequence[ConstantTable]) -> None:
-    fh.write("kind,i,j,k,value\n")
-    for table in tables:
-        fh.write(table.rows(f"{table.kind},"))
+def _report_stream(output: str | None) -> IO[str]:
+    """Where a command's report lines go: stderr while its main output is on stdout."""
+    return sys.stderr if output is None or output == "-" else sys.stdout
 
 
 def _write_tables_json(
@@ -167,16 +168,22 @@ def _cmd_generators(args: argparse.Namespace) -> int:
 
 def _cmd_constants(args: argparse.Namespace) -> int:
     tables = _build_tables(args.n, args.kind)
-    stats = [table.stats() for table in tables]
-    stats_stream = sys.stdout if args.output else sys.stderr
     with _open_output(args.output) as fh:
         if args.format == "csv":
-            _write_tables_csv(fh, tables)
+            # Each table is formatted once: its stats come from the text it writes.
+            stats = []
+            fh.write("kind,i,j,k,value\n")
+            for table in tables:
+                text = table.rows()
+                stats.append((len(table), _checksum(table, text)))
+                fh.write(_prefix_lines(text, f"{table.kind},", len(table)))
+                del text  # one table's text at a time
         else:
+            stats = [table.stats() for table in tables]
             _write_tables_json(fh, args.n, tables, stats)
     for table, (count, checksum) in zip(tables, stats):
         print(f"kind={table.kind} n={table.n_dim} count={count} checksum={checksum}",
-              file=stats_stream)
+              file=_report_stream(args.output))
     return 0
 
 
@@ -271,7 +278,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             fh.write(",".join([repr(t)] + [repr(x) for x in row]) + "\n")
     if args.compare_tdse:
         deviation = _tdse_deviation(cfg, hamiltonian, psi0, spec, traj)
-        print(f"max_tdse_deviation={deviation!r}")
+        print(f"max_tdse_deviation={deviation!r}", file=_report_stream(args.output))
     return 0
 
 
@@ -346,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=(RK4, EXACT), default=RK4)
     p.add_argument("--stride", type=int, default=1, help="record every k-th step")
     p.add_argument("--hbar", type=_positive_float, default=1.0)
-    p.add_argument("--output", help="trajectory CSV path (default stdout)")
+    p.add_argument("--output",
+                   help="trajectory CSV path (default stdout; the gap then goes to stderr)")
     p.add_argument("--compare-tdse", action="store_true",
                    help="also integrate the amplitude equation and print the max gap")
     p.set_defaults(func=_cmd_simulate)

@@ -179,17 +179,17 @@ class ConstantTable:
 
     def stats(self) -> tuple[int, str]:
         """Triple count and an order-independent content digest (16 hex chars)."""
-        text = f"{self.kind},{self.n_dim}\n" + self.rows()
-        return len(self), hashlib.sha256(text.encode()).hexdigest()[:16]
+        return len(self), _checksum(self, self.rows())
 
     def rows(self, prefix: str = "") -> str:
         """One line ``prefix`` + 'i,j,k,repr(value)' per canonical triple, in order.
 
-        Only O(N) values are distinct, so each is formatted once.  Fields are
-        gathered from tables of NUL-padded byte strings; dropping the NULs joins them.
+        The lines are formatted in a single pass without the prefix: only
+        O(N) values are distinct, so each is formatted once, and fields are
+        gathered from tables of NUL-padded byte strings; dropping the NULs
+        joins them.  One ``replace`` then puts ``prefix`` on every line.
         """
-        names = [f"{x}," for x in range(1, self.n_dim * self.n_dim)]
-        labels = np.array(names, dtype=bytes)
+        labels = np.array([f"{x}," for x in range(1, self.n_dim * self.n_dim)], dtype=bytes)
         # np.unique and np.char.add would import numpy.ma and numpy.char on
         # first use.  The constructor keeps every value finite and non-zero,
         # so != between sorted neighbours finds each distinct one exactly.
@@ -199,14 +199,9 @@ class ConstantTable:
         distinct = ordered[first]
         text = np.array([f"{v!r}\n" for v in distinct.tolist()], dtype=bytes)
         i, j, k = self._index
-        fields = (
-            np.array([prefix + name for name in names], dtype=bytes)[i],
-            labels[j],
-            labels[k],
-            text[np.searchsorted(distinct, self._values)],
-        )
+        fields = (labels[i], labels[j], labels[k], text[np.searchsorted(distinct, self._values)])
         lines = np.hstack([f.view(np.uint8).reshape(len(self), f.itemsize) for f in fields])
-        return lines[lines != 0].tobytes().decode()
+        return _prefix_lines(lines[lines != 0].tobytes().decode(), prefix, len(self))
 
     def contraction_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Canonical triples as parallel arrays (a, b, c, value), 0-based.
@@ -216,6 +211,24 @@ class ConstantTable:
         """
         a, b, c = self._index
         return a, b, c, self._values
+
+
+def _checksum(table: ConstantTable, text: str) -> str:
+    """16 hex chars of sha256("{kind},{n}\n" + text), where ``text`` is ``table.rows()``.
+
+    The header and the text are fed to the hash one after the other, so the
+    text is never copied into a joined string.
+    """
+    digest = hashlib.sha256(f"{table.kind},{table.n_dim}\n".encode())
+    digest.update(text.encode())
+    return digest.hexdigest()[:16]
+
+
+def _prefix_lines(text: str, prefix: str, count: int) -> str:
+    """``text`` of ``count`` newline-terminated lines with ``prefix`` at the start of each."""
+    if not (text and prefix):
+        return text
+    return prefix + text.replace("\n", "\n" + prefix, count - 1)
 
 
 def _check_table_dimension(n_dim: int) -> None:

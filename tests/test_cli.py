@@ -12,7 +12,7 @@ import sunlie.cli as cli
 import sunlie.dynamics as dynamics
 from sunlie.generators import AlgebraConfig, make_generator
 from sunlie.indexing import index_to_label
-from sunlie.structure_constants import build_d_table, build_f_table
+from sunlie.structure_constants import ConstantTable, build_d_table, build_f_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -81,6 +81,55 @@ class TestConstants:
         assert out.startswith("kind,i,j,k,value\n")
         assert "f,1,2,3,1.0" in out
         assert "count=1" in err
+
+    def test_dash_output_keeps_stats_on_stderr(self, capsys):
+        status, out, err = run(capsys, "constants", "--n", "2", "--output", "-")
+        assert status == 0
+        assert out == (GOLDEN / "constants_n2.csv").read_text()
+        assert err.splitlines() == [
+            f"kind={t.kind} n=2 count={len(t)} checksum={t.stats()[1]}"
+            for t in (build_f_table(2), build_d_table(2))]
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    @pytest.mark.parametrize("kind", ["f", "d", "both"])
+    @pytest.mark.parametrize("n_dim", range(2, 8))
+    def test_csv_stats_lines_equal_library_stats(self, capsys, tmp_path, n_dim, kind, to_file):
+        # The CSV path takes its stats from the text it writes, not from stats().
+        out_path = tmp_path / "table.csv"
+        argv = ["constants", "--n", str(n_dim), "--kind", kind]
+        status, out, err = run(capsys, *argv, *(["--output", str(out_path)] if to_file else []))
+        assert status == 0
+        csv_text, report = (out_path.read_text(), out) if to_file else (out, err)
+        tables = [build(n_dim) for name, build in (("f", build_f_table), ("d", build_d_table))
+                  if kind in (name, "both")]
+        assert report.splitlines() == [
+            f"kind={t.kind} n={n_dim} count={count} checksum={checksum}"
+            for t in tables for count, checksum in [t.stats()]]
+        assert csv_text == "kind,i,j,k,value\n" + "".join(t.rows(f"{t.kind},") for t in tables)
+        if n_dim == 2 and kind == "d":
+            assert csv_text == "kind,i,j,k,value\n"  # the d table of su(2) is empty
+
+    def test_csv_formats_each_table_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        rows = ConstantTable.rows
+
+        def counted(self, prefix=""):
+            calls.append((self.kind, prefix))
+            return rows(self, prefix)
+
+        def refuse(self):
+            raise AssertionError("the CSV path formats no table a second time for stats()")
+
+        monkeypatch.setattr(ConstantTable, "rows", counted)
+        monkeypatch.setattr(ConstantTable, "stats", refuse)
+        out_path = tmp_path / "table.csv"
+        status, out, _ = run(
+            capsys, "constants", "--n", "5", "--kind", "both", "--format", "csv",
+            "--output", str(out_path),
+        )
+        assert status == 0
+        assert calls == [("f", ""), ("d", "")]
+        assert len(out.splitlines()) == 2
 
     def test_json_format(self, capsys, tmp_path):
         out_path = tmp_path / "table.json"
@@ -201,6 +250,21 @@ class TestSimulate:
         np.testing.assert_allclose(first, [0.0, 0.0, 0.0, 0.5], atol=1e-15)
         deviation = float(out.split("max_tdse_deviation=")[1])
         assert deviation <= 1e-6
+
+    @pytest.mark.parametrize("output", [None, "-"])
+    def test_compare_tdse_on_stdout_reports_on_stderr(self, capsys, tmp_path, problem_files,
+                                                      output):
+        h_path, psi_path = problem_files
+        argv = ["simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+                "--t-final", "1.0", "--dt", "0.001", "--stride", "100"]
+        out_path = tmp_path / "traj.csv"
+        assert run(capsys, *argv, "--output", str(out_path)) == (0, "", "")
+        extra = ["--output", output] if output else []
+        status, out, err = run(capsys, *argv, *extra, "--compare-tdse")
+        assert status == 0
+        assert out == out_path.read_text()
+        (line,) = err.splitlines()
+        assert float(line.removeprefix("max_tdse_deviation=")) <= 1e-6
 
     def test_compare_tdse_integrates_once(self, capsys, tmp_path, problem_files, monkeypatch):
         # The deviation is taken against the trajectory already written: H is

@@ -316,3 +316,13 @@ def test_tables_of_different_n_share_prefix():
     large = build_f_table(5).as_dict()
     for key, value in small.items():
         assert large[key] == value
+
+
+def test_rows_prefix_and_the_empty_table():
+    table = build_f_table(3)
+    lines = table.rows().splitlines(keepends=True)
+    assert table.rows("x,") == "".join("x," + line for line in lines)
+    empty = build_d_table(2)  # every d family vanishes at N = 2
+    assert len(empty) == 0
+    assert empty.rows() == empty.rows("d,") == ""
+    assert empty.stats() == (0, hashlib.sha256(b"d,2\n").hexdigest()[:16])
