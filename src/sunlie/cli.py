@@ -23,7 +23,7 @@ import sys
 import time
 from contextlib import nullcontext
 from itertools import permutations
-from typing import IO, ContextManager, Sequence
+from typing import IO, ContextManager, Iterator, Sequence
 
 import numpy as np
 
@@ -143,6 +143,13 @@ def _write_tables_json(
     fh.write("\n")
 
 
+def _write_rows(fh: IO[str], table: ConstantTable) -> Iterator[bytes]:
+    """The pieces of ``table``'s rows, each written to ``fh`` with its kind prefix as it passes."""
+    for piece in table._row_chunks():
+        fh.write(_prefix_lines(piece.decode(), f"{table.kind},"))
+        yield piece
+
+
 def _build_tables(n_dim: int, kind: str) -> list[ConstantTable]:
     tables = []
     if kind in (F_KIND, "both"):
@@ -170,14 +177,9 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     tables = _build_tables(args.n, args.kind)
     with _open_output(args.output) as fh:
         if args.format == "csv":
-            # Each table is formatted once: its stats come from the text it writes.
-            stats = []
+            # Each table is formatted once, a piece at a time; its stats hash the pieces it writes.
             fh.write("kind,i,j,k,value\n")
-            for table in tables:
-                text = table.rows()
-                stats.append((len(table), _checksum(table, text)))
-                fh.write(_prefix_lines(text, f"{table.kind},", len(table)))
-                del text  # one table's text at a time
+            stats = [(len(table), _checksum(table, _write_rows(fh, table))) for table in tables]
         else:
             stats = [table.stats() for table in tables]
             _write_tables_json(fh, args.n, tables, stats)

@@ -49,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -63,6 +64,9 @@ MAX_MAGNITUDE = math.sqrt(2.0)
 # Sorting packs a key (i, j, k) into one int64 as (i N**2 + j) N**2 + k, which
 # holds while N**6 <= 2**63; an f table at this N has ~2.5e9 entries.
 MAX_TABLE_N = 1448
+
+# Table text is formatted in pieces of whole lines of at most this many bytes.
+_CHUNK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class ConstantTable:
     __slots__ = ("n_dim", "kind", "_index", "_values", "_mapping")
 
     def __init__(self, n_dim: int, kind: str, entries: dict[tuple[int, int, int], float]):
-        keys = np.array(list(entries), dtype=np.int64).reshape(len(entries), 3).T
+        keys = np.array(list(zip(*entries)), dtype=np.int64).reshape(3, len(entries))
         values = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
         self._set_arrays(n_dim, kind, keys, values)
 
@@ -97,15 +101,15 @@ class ConstantTable:
     def _from_arrays(
         cls, n_dim: int, kind: str, keys: np.ndarray, values: np.ndarray
     ) -> ConstantTable:
-        """Table from 1-based (3, count) keys and their values, in any column order."""
+        """Table from 1-based (3, count) keys and values in any column order, sorted in place."""
         table = cls.__new__(cls)
         table._set_arrays(n_dim, kind, keys, values)
         return table
 
     def _set_arrays(self, n_dim: int, kind: str, keys: np.ndarray, values: np.ndarray) -> None:
-        """Sort 1-based (3, count) keys and their values into key order, check
-        them and keep them 0-based and read-only.  Out-of-range keys may pack
-        out of order, but they are rejected before the order matters.
+        """Sort 1-based (3, count) keys and their values into key order in place,
+        check them and keep them 0-based and read-only.  Out-of-range keys may
+        pack out of order, but they are rejected before the order matters.
         """
         _check_table_dimension(n_dim)
         if kind not in (F_KIND, D_KIND):
@@ -114,7 +118,9 @@ class ConstantTable:
         keys, values = np.asarray(keys, dtype=np.int64), np.asarray(values, dtype=np.float64)
         packed = (keys[0] * (top + 1) + keys[1]) * (top + 1) + keys[2]
         order = np.argsort(packed, kind="stable")
-        packed, keys, values = packed[order], np.take(keys, order, axis=1), values[order]
+        for row in (*keys, values, packed):  # one row at a time: no second copy of the keys
+            row[...] = np.take(row, order)
+        del order
         i, j, k = keys
         ordered = (i < j) & (j < k) if kind == F_KIND else (i <= j) & (j <= k)
         # NaN fails every comparison, so the band also rejects non-finite values.
@@ -179,29 +185,36 @@ class ConstantTable:
 
     def stats(self) -> tuple[int, str]:
         """Triple count and an order-independent content digest (16 hex chars)."""
-        return len(self), _checksum(self, self.rows())
+        return len(self), _checksum(self, self._row_chunks())
 
     def rows(self, prefix: str = "") -> str:
-        """One line ``prefix`` + 'i,j,k,repr(value)' per canonical triple, in order.
+        """One line ``prefix`` + 'i,j,k,repr(value)' per canonical triple, in order."""
+        return "".join(_prefix_lines(piece.decode(), prefix) for piece in self._row_chunks())
 
-        The lines are formatted in a single pass without the prefix: only
-        O(N) values are distinct, so each is formatted once, and fields are
-        gathered from tables of NUL-padded byte strings; dropping the NULs
-        joins them.  One ``replace`` then puts ``prefix`` on every line.
+    def _row_chunks(self) -> Iterator[bytes]:
+        """The text of `rows()` as ASCII bytes, in pieces of whole lines.
+
+        Only O(N) values are distinct, so each is formatted once.  The fields
+        of a piece's lines are gathered from arrays of NUL-padded byte strings
+        into one record buffer of at most _CHUNK_BYTES (or one line); dropping
+        the NULs joins them.
         """
         labels = np.array([f"{x}," for x in range(1, self.n_dim * self.n_dim)], dtype=bytes)
-        # np.unique and np.char.add would import numpy.ma and numpy.char on
-        # first use.  The constructor keeps every value finite and non-zero,
-        # so != between sorted neighbours finds each distinct one exactly.
-        ordered = np.sort(self._values)
-        first = np.ones(ordered.size, dtype=bool)
-        first[1:] = ordered[1:] != ordered[:-1]
-        distinct = ordered[first]
+        # np.unique would import numpy.ma on first use.  The constructor keeps
+        # every value finite and non-zero, so != between sorted neighbours
+        # finds each distinct one exactly.
+        distinct = np.sort(self._values)
+        distinct = np.concatenate((distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]]))
         text = np.array([f"{v!r}\n" for v in distinct.tolist()], dtype=bytes)
-        i, j, k = self._index
-        fields = (labels[i], labels[j], labels[k], text[np.searchsorted(distinct, self._values)])
-        lines = np.hstack([f.view(np.uint8).reshape(len(self), f.itemsize) for f in fields])
-        return _prefix_lines(lines[lines != 0].tobytes().decode(), prefix, len(self))
+        line = np.dtype([("", labels.dtype)] * 3 + [("", text.dtype)])
+        buffer = np.empty(max(1, _CHUNK_BYTES // line.itemsize), dtype=line)
+        for start in range(0, len(self), buffer.size):
+            lines, stop = buffer[: len(self) - start], start + buffer.size
+            picks = *self._index[:, start:stop], np.searchsorted(distinct, self._values[start:stop])
+            for name, field, pick in zip(line.names, (labels, labels, labels, text), picks):
+                lines[name] = field[pick]
+            raw = lines.view(np.uint8)
+            yield raw[raw != 0].tobytes()
 
     def contraction_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Canonical triples as parallel arrays (a, b, c, value), 0-based.
@@ -213,22 +226,19 @@ class ConstantTable:
         return a, b, c, self._values
 
 
-def _checksum(table: ConstantTable, text: str) -> str:
-    """16 hex chars of sha256("{kind},{n}\n" + text), where ``text`` is ``table.rows()``.
-
-    The header and the text are fed to the hash one after the other, so the
-    text is never copied into a joined string.
-    """
+def _checksum(table: ConstantTable, pieces: Iterable[bytes]) -> str:
+    """16 hex chars of sha256("{kind},{n}\n" + text), fed the ``pieces`` that join to ``text``."""
     digest = hashlib.sha256(f"{table.kind},{table.n_dim}\n".encode())
-    digest.update(text.encode())
+    for piece in pieces:
+        digest.update(piece)
     return digest.hexdigest()[:16]
 
 
-def _prefix_lines(text: str, prefix: str, count: int) -> str:
-    """``text`` of ``count`` newline-terminated lines with ``prefix`` at the start of each."""
+def _prefix_lines(text: str, prefix: str) -> str:
+    """``text`` of newline-terminated lines with ``prefix`` at the start of each."""
     if not (text and prefix):
         return text
-    return prefix + text.replace("\n", "\n" + prefix, count - 1)
+    return prefix + text.replace("\n", "\n" + prefix, text.count("\n") - 1)
 
 
 def _check_table_dimension(n_dim: int) -> None:
@@ -273,12 +283,21 @@ def _coordinates(n_dim: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return pairs, triples
 
 
+def _gather(*families: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """1-based (3, count) keys and values of (i, j, k, value) families, gathered in order."""
+    i, j, k, values = zip(*families)
+    keys = np.empty((3, sum(map(len, values))), dtype=np.int64)
+    for row, parts in zip(keys, (i, j, k)):
+        np.concatenate(parts, out=row)
+    return keys, np.concatenate(values)
+
+
 def build_f_table(n_dim: int) -> ConstantTable:
     """Enumerate every non-zero anti-symmetric constant f_ijk for su(n_dim).
 
     Families are emitted in their docstring order, then each triple is sorted
-    (the middle index is the sum less the two ends); the parity of that sort
-    is the sign of the product of the pairwise index differences.
+    in place by three compare-exchanges; the parity of that sort, the parity
+    of the triple's inversions, is the sign of its value.
     """
     _check_table_dimension(n_dim)
     (m, n), (m3, p, q) = _coordinates(n_dim)
@@ -288,7 +307,7 @@ def build_f_table(n_dim: int) -> ConstantTable:
     s_qp, a_qp = symmetric_index(q, p), antisymmetric_index(q, p)
     low = m >= 2  # the D_m family is zero at m = 1, omitted
     half = np.full(m3.size, 0.5)
-    i, j, k, values = (np.concatenate(part) for part in zip(
+    keys, values = _gather(
         (s_nm, a_nm, diagonal_index(n), np.sqrt(n / (2.0 * (n - 1)))),
         (s_nm[low], a_nm[low], diagonal_index(m[low]), -np.sqrt((m[low] - 1) / (2.0 * m[low]))),
         (s_pm, s_qp, a_qm, half),
@@ -296,12 +315,12 @@ def build_f_table(n_dim: int) -> ConstantTable:
         (s_pm, s_qm, a_qp, half),
         (a_pm, a_qm, a_qp, half),
         (s_qm, a_qm, diagonal_index(p), np.sqrt(1.0 / (2.0 * p * (p - 1)))),
-    ))
-    keys = np.stack((i, j, k))
-    sign = np.sign(j - i) * np.sign(k - i) * np.sign(k - j)
-    first, last = keys.min(axis=0), keys.max(axis=0)
-    ordered = np.stack((first, keys.sum(axis=0) - first - last, last))
-    return ConstantTable._from_arrays(n_dim, F_KIND, ordered, sign * values)
+    )
+    i, j, k = keys
+    np.negative(values, out=values, where=(i > j) ^ (i > k) ^ (j > k))
+    for a, b in ((0, 1), (1, 2), (0, 1)):
+        keys[a], keys[b] = np.minimum(keys[a], keys[b]), np.maximum(keys[a], keys[b])
+    return ConstantTable._from_arrays(n_dim, F_KIND, keys, values)
 
 
 def build_d_table(n_dim: int) -> ConstantTable:
@@ -328,7 +347,7 @@ def build_d_table(n_dim: int) -> ConstantTable:
     half = np.full(m3.size, 0.5)
     v_mid = np.sqrt(1.0 / (2.0 * p * (p - 1)))
     v_above = np.sqrt(2.0 / (q * (q - 1)))
-    i, j, k, values = (np.concatenate(part) for part in zip(
+    return ConstantTable._from_arrays(n_dim, D_KIND, *_gather(
         (s_nm[top], s_nm[top], d_n[top], v_top),
         (a_nm[top], a_nm[top], d_n[top], v_top),
         (d_m, s_nm[low], s_nm[low], v_low),
@@ -344,4 +363,3 @@ def build_d_table(n_dim: int) -> ConstantTable:
         (s_pm, s_pm, d_q, v_above),
         (a_pm, a_pm, d_q, v_above),
     ))
-    return ConstantTable._from_arrays(n_dim, D_KIND, np.stack((i, j, k)), values)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,8 @@ import pytest
 
 import sunlie.cli as cli
 import sunlie.dynamics as dynamics
+import sunlie.structure_constants as structure_constants
+from conftest import traced_peak
 from sunlie.generators import AlgebraConfig, make_generator
 from sunlie.indexing import index_to_label
 from sunlie.structure_constants import ConstantTable, build_d_table, build_f_table
@@ -111,16 +114,16 @@ class TestConstants:
 
     def test_csv_formats_each_table_once(self, capsys, tmp_path, monkeypatch):
         calls = []
-        rows = ConstantTable.rows
+        row_chunks = ConstantTable._row_chunks
 
-        def counted(self, prefix=""):
-            calls.append((self.kind, prefix))
-            return rows(self, prefix)
+        def counted(self):
+            calls.append(self.kind)
+            return row_chunks(self)
 
         def refuse(self):
             raise AssertionError("the CSV path formats no table a second time for stats()")
 
-        monkeypatch.setattr(ConstantTable, "rows", counted)
+        monkeypatch.setattr(ConstantTable, "_row_chunks", counted)
         monkeypatch.setattr(ConstantTable, "stats", refuse)
         out_path = tmp_path / "table.csv"
         status, out, _ = run(
@@ -128,8 +131,56 @@ class TestConstants:
             "--output", str(out_path),
         )
         assert status == 0
-        assert calls == [("f", ""), ("d", "")]
+        assert calls == ["f", "d"]
         assert len(out.splitlines()) == 2
+
+    @pytest.mark.parametrize("build, kind", [(build_f_table, "f"), (build_d_table, "d")])
+    def test_pieces_of_any_size_give_the_same_bytes(
+        self, capsys, tmp_path, monkeypatch, build, kind
+    ):
+        table = build(5)
+        values = table.contraction_arrays()[3].tolist()
+        width = 3 * len(f"{5 * 5 - 1},") + max(len(f"{v!r}\n") for v in values)  # one padded line
+        out_path = tmp_path / "table.csv"
+
+        def outputs():
+            status, _, _ = run(capsys, "constants", "--n", "5", "--kind", kind,
+                               "--output", str(out_path))
+            assert status == 0
+            empty = build_d_table(2)
+            return (table.rows(), table.rows(f"{kind},"), table.stats(), out_path.read_bytes(),
+                    empty.rows(), empty.rows("d,"), empty.stats())
+
+        expected = outputs()
+        assert expected[4:] == ("", "", (0, hashlib.sha256(b"d,2\n").hexdigest()[:16]))
+        count = len(table)
+        for lines in (1, 3, count - 1, count, count + 1):
+            monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", lines * width)
+            whole, rest = divmod(count, lines)
+            assert [piece.count(b"\n") for piece in table._row_chunks()] == (
+                [lines] * whole + [rest] * (rest > 0))
+            assert outputs() == expected
+
+    def test_csv_holds_one_piece_of_text_beside_the_tables(self, capsys, tmp_path, monkeypatch):
+        # The tables are built before the traced call, so the peak is the
+        # writer's alone.  One table is formatted at a time: beside what its
+        # stats() holds (9 bytes per triple for its sorted values, and six
+        # arrays of a piece), each piece is decoded, prefixed and encoded by
+        # the text file: four more of at most 1.2 budgets, as a 2-byte prefix
+        # adds at most a fifth to a line of at least 10 bytes.  2**18 covers
+        # the N**2 labels and their strings, and 2**18 the argument parser.
+        budget = 2**14
+        monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", budget)
+        tables = [build_f_table(48), build_d_table(48)]
+        monkeypatch.setattr(cli, "build_f_table", lambda n_dim: tables[0])
+        monkeypatch.setattr(cli, "build_d_table", lambda n_dim: tables[1])
+        out_path = tmp_path / "table.csv"
+        status, peak = traced_peak(
+            cli.main, ["constants", "--n", "48", "--output", str(out_path)])
+        assert status == 0
+        bound = 9 * max(len(t) for t in tables) + 11 * budget + 2 * 2**18
+        assert bound < len(tables[1].rows())  # the d table's text would not fit whole
+        assert peak <= bound
 
     def test_json_format(self, capsys, tmp_path):
         out_path = tmp_path / "table.json"

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import traced_peak
+from sunlie import structure_constants
 from sunlie.structure_constants import (
     MAX_MAGNITUDE,
     MAX_TABLE_N,
@@ -326,3 +328,34 @@ def test_rows_prefix_and_the_empty_table():
     assert len(empty) == 0
     assert empty.rows() == empty.rows("d,") == ""
     assert empty.stats() == (0, hashlib.sha256(b"d,2\n").hexdigest()[:16])
+
+
+@pytest.mark.parametrize("build", [build_f_table, build_d_table])
+def test_stats_hold_one_piece_of_text_beside_the_table(build, monkeypatch):
+    # What grows with the count is the sorted copy of the values and its
+    # neighbour mask, 9 bytes per triple against the table's own 32.  Each
+    # piece holds at most six arrays of at most one budget: the record
+    # buffer, one gathered field, the value picks (8 bytes a line of at least
+    # 10), the NUL mask, the joined copy and its bytes.  2**18 covers the
+    # N**2 labels and their strings.
+    budget = 2**14
+    monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", budget)
+    table = build(48)
+    bound = 9 * len(table) + 6 * budget + 2**18
+    assert bound < len(table.rows())  # the text would not fit whole
+    (count, _), peak = traced_peak(table.stats)
+    assert count == len(table)
+    assert peak <= bound
+
+
+def test_build_d_working_memory_is_bounded():
+    # The families are gathered into the result's own arrays (1x), which are
+    # then sorted a row at a time.  Beside them live at most 32 more bytes
+    # per triple (1x): the packed key, the sort order, the row being permuted
+    # and the sort's merge buffer, or later the packed key, np.diff's two
+    # temporaries and the check masks.  The builder also holds 14 arrays of
+    # 8 bytes over the coordinate triples m < p < q, 112 bytes against the
+    # 8 * 32 of the d entries each triple gives (0.44x).
+    table, peak = traced_peak(build_d_table, 48)
+    assert len(table) == d_count(48)
+    assert peak <= 2.5 * sum(a.nbytes for a in table.contraction_arrays())
