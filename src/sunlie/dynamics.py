@@ -33,9 +33,13 @@ method of Moler & Van Loan, SIAM Rev. 45, 3 (2003), well conditioned for
 Hermitian H): the amplitudes c = V^dagger psi with w_a = lambda_a / hbar,
 and the entries of rho~ = V^dagger rho V with w_ab = (lambda_a - lambda_b)
 / hbar.  A sample multiplies each mode by a factor F and maps back as an
-increment, psi = psi0 + V ((F - 1) * c0) and s = s0 + read(V ((F - 1) *
-rho~0) V^dagger), where read takes s off rho's entries; where F = 1 the
-state is kept bit for bit.  The method only picks F:
+increment, psi = psi0 + V ((F - 1) * c0) and s = s0 + read(V X V^dagger)
+with X = (F - 1) * rho~0, where read takes s off rho's entries; where F = 1
+the state is kept bit for bit.  As F_ba = conj(F_ab) and F_aa = 1, only the
+N(N-1)/2 modes above the diagonal are sampled.  Groups of samples map back
+by flat (rows, N) @ (N, N) products, X^T V^T = (V X)^T, then (V X) V^dagger,
+each below 2**16 multiply-adds, where OpenBLAS 0.3.31 wakes a second thread
+(on a 2-core x86 it stays on one at 64,800).  The method only picks F:
 
 - "rk4", the default: fixed-step RK4, deterministic and reproducible.  One
   RK4 step of y' = (z / dt) y is exactly y <- R(z) y, with R(z) = 1 + z +
@@ -77,10 +81,10 @@ _RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 # The full-step count t_final / dt and the output stride are each at most
 # 2**62, so that every full-step index of the sample grid fits in an int64.
 _MAX_STEPS = 2**62
-# Samples are filled in blocks whose mode array, (B, N, N) or (B, N) complex,
-# takes at most this many bytes, so that the work arrays stay a few such
-# blocks however many samples the trajectory holds.
-_BLOCK_BYTES = 2**19
+# Products in the sample loop stay below this many multiply-adds (see above);
+# a precession block, whole groups of <= _BLOCK_ROWS rows of X^T, stays in cache.
+_MAX_MULTIPLY_ADDS = 2**16
+_BLOCK_ROWS = 2**9
 # |psi|**2 must be 1 within _NORM_TOL on input; the amplitude trajectory of a
 # TDSE comparison may drift from it by _NORM_DRIFT_TOL before the comparison
 # is refused as meaningless.
@@ -311,22 +315,29 @@ def _rk4_log(x: np.ndarray) -> np.ndarray:
     return modulus - 1j * np.arctan2(x * (1.0 - x2 / 6.0), 1.0 - x2 / 2.0 + x2 * x2 / 24.0)
 
 
+def _block_samples(n_dim: int, rows: int) -> tuple[int, int]:
+    """Samples per (rows, N) @ (N, N) product of ``rows`` rows each, and per block."""
+    group = max(1, (_MAX_MULTIPLY_ADDS - 1) // (rows * n_dim * n_dim))
+    return group, group * max(1, _BLOCK_ROWS // (group * rows))
+
+
 def _evolve_modes(
     spec: IntegrationSpec,
     frequencies: np.ndarray,
     radius: float,
     first: np.ndarray,
-    modes: np.ndarray,
     read: Callable[[np.ndarray], np.ndarray],
+    block: int,
 ) -> Trajectory:
-    """Sample a linear flow whose modes y' = -i w y start at ``modes``.
+    """Sample a linear flow whose modes y' = -i w y have the ``frequencies`` w.
 
-    ``frequencies`` holds each mode's w (the shape of ``modes``), ``radius``
-    the flow's spectral radius for the RK4 guard of `_sample_grid`, ``first``
-    the state at t = 0, and ``read`` maps a block of mode increments, shape
-    (B,) + modes.shape, to the B matching state increments.  Sample row j is
-    ``first + read(modes * (F - 1))``, with log F = steps[j] * log_step, plus
-    log_tail on the last row (RK4's tail step; 0 for exact and without one).
+    ``radius`` is the spectral radius for the RK4 guard of `_sample_grid` and
+    ``first`` the state at t = 0.  Row j is ``first + read(F - 1)``, log F =
+    steps[j] * log_step, plus log_tail on the last row (RK4's tail step, or 0).
+    ``read`` takes ``block`` samples in groups of flat products below 2**16
+    multiply-adds (`_block_samples`).  Precession passes only the modes above
+    the diagonal and mirrors F, not the increment: V^dagger rho V is
+    Hermitian only to rounding.
     """
     times, record, remainder, states = _sample_grid(spec, radius, first)
     if spec.method == EXACT:
@@ -334,16 +345,14 @@ def _evolve_modes(
     else:
         steps = np.append(record, record[-1]) if remainder else record
         log_step, log_tail = _rk4_log(spec.dt * frequencies), _rk4_log(remainder * frequencies)
-    block = max(1, _BLOCK_BYTES // (16 * modes.size))
     for start in range(1, len(times), block):
         stop = min(start + block, len(times))
         exponent = np.multiply.outer(steps[start:stop], log_step)
         if stop == len(times):
             exponent[-1] += log_tail
-        increment = np.exp(exponent, out=exponent)
-        increment -= 1.0
-        increment *= modes
-        states[start:stop] = first + read(increment)
+        factor = np.exp(exponent, out=exponent)
+        factor -= 1.0
+        states[start:stop] = first + read(factor)
     return Trajectory(times=times, states=states)
 
 
@@ -373,15 +382,24 @@ def _integrate_precession(
     traceless = HamiltonianCoefficients(0.0, coeffs.h, cfg.hbar)
     energies, vectors = _eigensystem(hamiltonian_from_coefficients(cfg, traceless))
     m_idx, n_idx = _bloch_maps(n_dim)[:2]
+    # One mode per entry of rho~ = V^dagger rho V, w_ab = (lambda_a - lambda_b) / hbar.
+    rho0 = vectors.conj().T @ reconstruct_density(cfg, s0) @ vectors
+    a, b = np.triu_indices(n_dim, 1)
+    group, block = _block_samples(n_dim, n_dim)
 
-    def read(block):
-        rho = vectors @ block @ vectors.conj().T
+    def read(factor):
+        groups = -(-len(factor) // group)  # X^T in equal groups of <= group, zero-padded
+        xt = np.zeros((groups * -(-len(factor) // groups), n_dim, n_dim), dtype=np.complex128)
+        xt[: len(factor), b, a] = factor * rho0[a, b]
+        xt[: len(factor), a, b] = factor.conj() * rho0[b, a]
+        vx = xt.reshape(groups, -1, n_dim) @ vectors.T  # (V X)^T, then V X back in xt
+        xt[...] = vx.reshape(xt.shape).transpose(0, 2, 1)
+        rho = np.matmul(xt.reshape(vx.shape), vectors.conj().T, out=vx).reshape(xt.shape)
+        rho = rho[: len(factor)]
         return _generator_traces(cfg, rho[:, n_idx, m_idx], rho.diagonal(0, 1, 2).real)
 
-    # The spectrum of the flow is {-i (lambda_a - lambda_b) / hbar}, one mode per entry of rho.
-    rho0 = vectors.conj().T @ reconstruct_density(cfg, s0) @ vectors
-    frequencies = np.subtract.outer(energies, energies) / cfg.hbar
-    return _evolve_modes(spec, frequencies, (energies[-1] - energies[0]) / cfg.hbar, s0, rho0, read)
+    w = (energies[a] - energies[b]) / cfg.hbar
+    return _evolve_modes(spec, w, (energies[-1] - energies[0]) / cfg.hbar, s0, read, block)
 
 
 def integrate_tdse(
@@ -397,8 +415,9 @@ def integrate_tdse(
     # The amplitude flow's own radius is max |lambda| / hbar; the spread is
     # checked as well, so that a step the precession flow refuses is refused here.
     radius = max(energies[-1] - energies[0], np.abs(energies).max()) / cfg.hbar
-    return _evolve_modes(spec, energies / cfg.hbar, radius, psi0, vectors.conj().T @ psi0,
-                         lambda block: block @ vectors.T)
+    c0, block = vectors.conj().T @ psi0, _block_samples(cfg.n_dim, 1)[0]  # one product per block
+    return _evolve_modes(spec, energies / cfg.hbar, radius, psi0,
+                         lambda factor: np.multiply(factor, c0, out=factor) @ vectors.T, block)
 
 
 def bloch_tdse_deviation(

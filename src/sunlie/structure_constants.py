@@ -300,6 +300,16 @@ def build_f_table(n_dim: int) -> ConstantTable:
     of the triple's inversions, is the sign of its value.
     """
     _check_table_dimension(n_dim)
+    keys, values = _f_families(n_dim)
+    i, j, k = keys
+    np.negative(values, out=values, where=(i > j) ^ (i > k) ^ (j > k))
+    for a, b in ((0, 1), (1, 2), (0, 1)):
+        keys[a], keys[b] = np.minimum(keys[a], keys[b]), np.maximum(keys[a], keys[b])
+    return ConstantTable._from_arrays(n_dim, F_KIND, keys, values)
+
+
+def _f_families(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The f families gathered, unsorted; their coordinate arrays die on return."""
     (m, n), (m3, p, q) = _coordinates(n_dim)
     s_nm, a_nm = symmetric_index(n, m), antisymmetric_index(n, m)
     s_pm, a_pm = symmetric_index(p, m3), antisymmetric_index(p, m3)
@@ -307,7 +317,7 @@ def build_f_table(n_dim: int) -> ConstantTable:
     s_qp, a_qp = symmetric_index(q, p), antisymmetric_index(q, p)
     low = m >= 2  # the D_m family is zero at m = 1, omitted
     half = np.full(m3.size, 0.5)
-    keys, values = _gather(
+    return _gather(
         (s_nm, a_nm, diagonal_index(n), np.sqrt(n / (2.0 * (n - 1)))),
         (s_nm[low], a_nm[low], diagonal_index(m[low]), -np.sqrt((m[low] - 1) / (2.0 * m[low]))),
         (s_pm, s_qp, a_qm, half),
@@ -316,11 +326,6 @@ def build_f_table(n_dim: int) -> ConstantTable:
         (a_pm, a_qm, a_qp, half),
         (s_qm, a_qm, diagonal_index(p), np.sqrt(1.0 / (2.0 * p * (p - 1)))),
     )
-    i, j, k = keys
-    np.negative(values, out=values, where=(i > j) ^ (i > k) ^ (j > k))
-    for a, b in ((0, 1), (1, 2), (0, 1)):
-        keys[a], keys[b] = np.minimum(keys[a], keys[b]), np.maximum(keys[a], keys[b])
-    return ConstantTable._from_arrays(n_dim, F_KIND, keys, values)
 
 
 def build_d_table(n_dim: int) -> ConstantTable:
@@ -331,6 +336,11 @@ def build_d_table(n_dim: int) -> ConstantTable:
     the pairs (s_qm < a_qm < s_qp < a_qp for m < p).
     """
     _check_table_dimension(n_dim)
+    return ConstantTable._from_arrays(n_dim, D_KIND, *_d_families(n_dim))
+
+
+def _d_families(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d families gathered, unsorted; their coordinate arrays die on return."""
     (m, n), (m3, p, q) = _coordinates(n_dim)
     s_nm, a_nm, d_n = symmetric_index(n, m), antisymmetric_index(n, m), diagonal_index(n)
     s_pm, a_pm = symmetric_index(p, m3), antisymmetric_index(p, m3)
@@ -347,7 +357,7 @@ def build_d_table(n_dim: int) -> ConstantTable:
     half = np.full(m3.size, 0.5)
     v_mid = np.sqrt(1.0 / (2.0 * p * (p - 1)))
     v_above = np.sqrt(2.0 / (q * (q - 1)))
-    return ConstantTable._from_arrays(n_dim, D_KIND, *_gather(
+    return _gather(
         (s_nm[top], s_nm[top], d_n[top], v_top),
         (a_nm[top], a_nm[top], d_n[top], v_top),
         (d_m, s_nm[low], s_nm[low], v_low),
@@ -362,4 +372,4 @@ def build_d_table(n_dim: int) -> ConstantTable:
         (d_p, a_qm, a_qm, v_mid),
         (s_pm, s_pm, d_q, v_above),
         (a_pm, a_pm, d_q, v_above),
-    ))
+    )

@@ -19,7 +19,7 @@ from sunlie.dynamics import (
     reconstruct_density,
     state_to_bloch,
 )
-from sunlie.generators import AlgebraConfig, all_generators
+from sunlie.generators import AlgebraConfig, _bloch_maps, _generator_traces, all_generators
 from sunlie.structure_constants import build_d_table, build_f_table
 
 
@@ -549,6 +549,109 @@ class TestRk4Propagator:
         expected = [0.5 * power(1j * dt, row * stride) for row in range(11)]
         np.testing.assert_array_equal(traj.states[:, 2], 0.0)
         assert np.abs(traj.states[:, 0] + 1j * traj.states[:, 1] - expected).max() <= 1e-11
+
+
+def full_mode_precession(coeffs, s0, spec, n_dim, chunk=256):
+    """The precession read on all N**2 modes: each sample is s0 plus the
+    coherence vector of vectors @ (rho~0 * (F - 1)) @ vectors^dagger, with F
+    from every entry's own frequency and no mirroring."""
+    cfg = AlgebraConfig(n_dim, coeffs.hbar)
+    traceless = HamiltonianCoefficients(0.0, coeffs.h, cfg.hbar)
+    energies, vectors = dynamics._eigensystem(hamiltonian_from_coefficients(cfg, traceless))
+    modes = vectors.conj().T @ reconstruct_density(cfg, s0) @ vectors
+    frequencies = np.subtract.outer(energies, energies) / cfg.hbar
+    radius = (energies[-1] - energies[0]) / cfg.hbar
+    times, record, remainder, states = dynamics._sample_grid(spec, radius, s0)
+    if spec.method == "exact":
+        steps, log_step, log_tail = times, -1j * frequencies, 0.0
+    else:
+        steps = np.append(record, record[-1]) if remainder else record
+        log_step = dynamics._rk4_log(spec.dt * frequencies)
+        log_tail = dynamics._rk4_log(remainder * frequencies)
+    m_idx, n_idx = _bloch_maps(n_dim)[:2]
+    for start in range(1, len(times), chunk):
+        stop = min(start + chunk, len(times))
+        exponent = np.multiply.outer(steps[start:stop], log_step)
+        if stop == len(times):
+            exponent[-1] += log_tail
+        rho = vectors @ (modes * (np.exp(exponent) - 1.0)) @ vectors.conj().T
+        states[start:stop] = s0 + _generator_traces(cfg, rho[:, n_idx, m_idx],
+                                                    rho.diagonal(0, 1, 2).real)
+    return times, states
+
+
+class TestHalfModeRead:
+    """The precession read over the modes above the diagonal, in grouped flat
+    products, against the read over all N**2 modes one sample at a time."""
+
+    # Full steps of dt = 0.01 per N: more samples than one block holds.  At
+    # N = 16 a block is two groups of 15 samples, and 113 = 3 * 30 + 23 leaves
+    # a last block that splits into groups of 12 and 11, zero-padded to 12.
+    STEPS = {2: 9000, 3: 3000, 4: 1500, 5: 1500, 6: 1500, 7: 1500, 12: 1050, 16: 113, 32: 100}
+
+    @pytest.mark.parametrize("hbar", [1.0, 1.5])
+    @pytest.mark.parametrize("method", ["rk4", "exact"])
+    @pytest.mark.parametrize("n_dim", sorted(STEPS))
+    def test_matches_full_mode_read(self, n_dim, method, hbar):
+        rng = np.random.default_rng(1600 + n_dim)
+        cfg = AlgebraConfig(n_dim, hbar=hbar)
+        coeffs = decompose_hamiltonian(cfg, random_hermitian(rng, n_dim))
+        s0 = state_to_bloch(cfg, random_state(rng, n_dim))
+        steps = self.STEPS[n_dim]
+        # Every step, then every 7th with the last full step and a half-step tail.
+        for t_final, stride in ((steps * 0.01, 1), ((steps + 0.5) * 0.01, 7)):
+            spec = IntegrationSpec(t_final, 0.01, method=method, output_stride=stride)
+            traj = dynamics._integrate_precession(n_dim, coeffs, s0, spec)
+            times, states = full_mode_precession(coeffs, s0, spec, n_dim)
+            np.testing.assert_array_equal(traj.times, times)
+            assert np.abs(traj.states - states).max() <= 2e-15
+
+    def test_rk4_log_of_the_mirrored_mode_is_the_conjugate(self):
+        # F_ba = conj(F_ab) needs log R(i x) = conj(log R(-i x)) to the bit.
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=2000) * 10.0 ** rng.uniform(-9.0, 0.5, size=2000)
+        x = np.concatenate((x, [1e-300, 1e-8, 0.5, 1.0, 2.0, 2.0 * math.sqrt(2.0)]))
+        mirrored, direct = dynamics._rk4_log(-x), dynamics._rk4_log(x).conj()
+        # A zero real part (x = 1e-300) may differ in its sign, which exp ignores.
+        np.testing.assert_array_equal(mirrored, direct)
+        np.testing.assert_array_equal(mirrored.imag.view(np.int64), direct.imag.view(np.int64))
+
+    @pytest.mark.parametrize("n_dim", [2, 6, 12, 32, 40, 41, 64])
+    def test_block_rule(self, n_dim):
+        # Precession reads a sample as N rows of X^T and holds N x N increments;
+        # the amplitudes read one row, hold N, and take one group per block.
+        # Only the rule is evaluated: nothing is allocated and no product runs.
+        for rows, width in ((n_dim, n_dim * n_dim), (1, n_dim)):
+            group, block = dynamics._block_samples(n_dim, rows)
+            one_sample = rows * n_dim * n_dim
+            if one_sample < 2**16:
+                assert group * one_sample < 2**16 <= (group + 1) * one_sample
+            else:
+                assert group == 1
+            assert block % group == 0 and block * rows <= max(group * rows, 2**9)
+            assert 16 * (block if rows > 1 else group) * width <= 2**19
+
+    def test_each_flow_takes_its_blocks_from_the_rule(self, monkeypatch):
+        blocks = []
+
+        def record(*args):
+            blocks.append(args[-1])
+            return evolve(*args)
+
+        evolve = dynamics._evolve_modes
+        monkeypatch.setattr(dynamics, "_evolve_modes", record)
+        rng = np.random.default_rng(5)
+        cfg = AlgebraConfig(16)
+        mat = random_hermitian(rng, 16)
+        psi0 = random_state(rng, 16)
+        spec = IntegrationSpec(0.1, 0.01)
+        integrate_bloch(build_f_table(16), decompose_hamiltonian(cfg, mat),
+                        state_to_bloch(cfg, psi0), spec)
+        integrate_tdse(cfg, mat, psi0, spec)
+        # At N = 16 a precession block is two groups of 15 samples, and an
+        # amplitude block one group of 255.
+        assert blocks == [30, 255]
+        assert blocks == [dynamics._block_samples(16, 16)[1], dynamics._block_samples(16, 1)[0]]
 
 
 class TestDensityPath:

@@ -348,14 +348,22 @@ def test_stats_hold_one_piece_of_text_beside_the_table(build, monkeypatch):
     assert peak <= bound
 
 
-def test_build_d_working_memory_is_bounded():
+def check_build_memory(build, count):
     # The families are gathered into the result's own arrays (1x), which are
     # then sorted a row at a time.  Beside them live at most 32 more bytes
-    # per triple (1x): the packed key, the sort order, the row being permuted
+    # per triple (1x): while gathering, the families' index and value pieces;
+    # while sorting, the packed key, the sort order, the row being permuted
     # and the sort's merge buffer, or later the packed key, np.diff's two
-    # temporaries and the check masks.  The builder also holds 14 arrays of
-    # 8 bytes over the coordinate triples m < p < q, 112 bytes against the
-    # 8 * 32 of the d entries each triple gives (0.44x).
-    table, peak = traced_peak(build_d_table, 48)
-    assert len(table) == d_count(48)
-    assert peak <= 2.5 * sum(a.nbytes for a in table.contraction_arrays())
+    # temporaries and the check masks.  The coordinate arrays over m < p < q
+    # are gone by then: they die with the function that lists the families.
+    table, peak = traced_peak(build, 48)
+    assert len(table) == count
+    assert peak <= 2.0 * sum(a.nbytes for a in table.contraction_arrays())
+
+
+def test_build_d_working_memory_is_bounded():
+    check_build_memory(build_d_table, d_count(48))
+
+
+def test_build_f_working_memory_is_bounded():
+    check_build_memory(build_f_table, f_count(48))
