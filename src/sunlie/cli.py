@@ -44,7 +44,6 @@ from .structure_constants import (
     F_KIND,
     ConstantTable,
     _checksum,
-    _prefix_lines,
     build_d_table,
     build_f_table,
 )
@@ -86,11 +85,15 @@ def _parse_label(text: str) -> GeneratorLabel:
     raise ValueError(f"bad label {text!r}: expected S:n,m A:n,m or D:n")
 
 
-def _matrix_json(mat: np.ndarray, n: int, **extra) -> str:
-    # + 0.0 flushes negative zeros so equal matrices serialize identically
-    payload = {"n": n, **extra,
-               "re": (mat.real + 0.0).tolist(), "im": (mat.imag + 0.0).tolist()}
-    return json.dumps(payload)
+def _write_matrix_json(fh: IO[str], mat: np.ndarray, n: int, **extra) -> None:
+    """The line json.dumps({"n": n, **extra, "re": ..., "im": ...}) writes, a row at a time."""
+    fh.write(json.dumps({"n": n, **extra})[:-1])
+    for key, part in (("re", mat.real), ("im", mat.imag)):
+        # + 0.0 flushes negative zeros so equal matrices serialize identically
+        fh.write(f', "{key}": [' + json.dumps((part[0] + 0.0).tolist()))
+        fh.writelines(", " + json.dumps((row + 0.0).tolist()) for row in part[1:])
+        fh.write("]")
+    fh.write("}\n")
 
 
 def _complex_from_json(path: str, *, matrix: bool) -> np.ndarray:
@@ -128,25 +131,30 @@ def _report_stream(output: str | None) -> IO[str]:
 def _write_tables_json(
     fh: IO[str], n_dim: int, tables: Sequence[ConstantTable], stats: Sequence[tuple[int, str]]
 ) -> None:
-    payload: dict = {"n": n_dim, "tables": []}
-    for table, (count, checksum) in zip(tables, stats):
-        a, b, c, values = table.contraction_arrays()
-        triples = [
-            {"kind": table.kind, "i": i, "j": j, "k": k, "value": v}
-            for i, j, k, v in zip((a + 1).tolist(), (b + 1).tolist(), (c + 1).tolist(),
-                                  values.tolist())
-        ]
-        payload["tables"].append(
-            {"kind": table.kind, "count": count, "checksum": checksum, "triples": triples}
-        )
-    json.dump(payload, fh, indent=2)
-    fh.write("\n")
+    """What json.dump(..., indent=2) and a newline write for {"n", "tables": [{"kind", "count",
+    "checksum", "triples": [{"kind", "i", "j", "k", "value"}]}]}, streamed by _row_chunks."""
+    fh.write(f'{{\n  "n": {n_dim},\n  "tables": [')
+    for t, (table, (count, checksum)) in enumerate(zip(tables, stats)):
+        fh.write(f'{"," * (t > 0)}\n    {{\n      "kind": "{table.kind}",\n'
+                 f'      "count": {count},\n      "checksum": "{checksum}",\n      "triples": [')
+        # Each object opens with the comma that parts it from the one before; the first drops it.
+        layout = (f',\n        {{\n          "kind": "{table.kind}",\n          "i": ',
+                  ',\n          "j": ', ',\n          "k": ', ',\n          "value": ',
+                  "\n        }")
+        start = 1
+        for piece in table._row_chunks(layout):
+            fh.write(piece[start:].decode())
+            start = 0
+        fh.write("\n      ]\n    }" if count else "]\n    }")
+    fh.write("\n  ]\n}\n")
 
 
 def _write_rows(fh: IO[str], table: ConstantTable) -> Iterator[bytes]:
     """The pieces of ``table``'s rows, each written to ``fh`` with its kind prefix as it passes."""
-    for piece in table._row_chunks():
-        fh.write(_prefix_lines(piece.decode(), f"{table.kind},"))
+    prefix = f"{table.kind},"
+    for piece in table._row_chunks():  # never empty: a piece holds at least one line
+        text = piece.decode()
+        fh.write(prefix + text.replace("\n", "\n" + prefix, text.count("\n") - 1))
         yield piece
 
 
@@ -169,7 +177,7 @@ def _cmd_generators(args: argparse.Namespace) -> int:
         label = _parse_label(args.label)
     mat = make_generator(cfg, label)
     with _open_output(args.output) as fh:
-        fh.write(_matrix_json(mat, cfg.n_dim) + "\n")
+        _write_matrix_json(fh, mat, cfg.n_dim)
     return 0
 
 
@@ -252,7 +260,7 @@ def _cmd_adjoint(args: argparse.Namespace) -> int:
     table = build_f_table(args.n)
     mat = adjoint_matrix(table, args.index)
     with _open_output(args.output) as fh:
-        fh.write(_matrix_json(mat, args.n, index=args.index, dim=mat.shape[0]) + "\n")
+        _write_matrix_json(fh, mat, args.n, index=args.index, dim=mat.shape[0])
     return 0
 
 

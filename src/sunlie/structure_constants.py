@@ -65,8 +65,10 @@ MAX_MAGNITUDE = math.sqrt(2.0)
 # holds while N**6 <= 2**63; an f table at this N has ~2.5e9 entries.
 MAX_TABLE_N = 1448
 
-# Table text is formatted in pieces of whole lines of at most this many bytes.
+# Table text is formatted in pieces of whole lines of at most this many bytes,
+# by default in the layout of a CSV line (see ConstantTable._row_chunks).
 _CHUNK_BYTES = 2**19
+_CSV_LAYOUT = ("", ",", ",", ",", "\n")
 
 
 @dataclass(frozen=True)
@@ -189,29 +191,36 @@ class ConstantTable:
 
     def rows(self, prefix: str = "") -> str:
         """One line ``prefix`` + 'i,j,k,repr(value)' per canonical triple, in order."""
-        return "".join(_prefix_lines(piece.decode(), prefix) for piece in self._row_chunks())
+        return b"".join(self._row_chunks((prefix, *_CSV_LAYOUT[1:]))).decode()
 
-    def _row_chunks(self) -> Iterator[bytes]:
-        """The text of `rows()` as ASCII bytes, in pieces of whole lines.
+    def _row_chunks(self, layout: tuple[str, str, str, str, str] = _CSV_LAYOUT) -> Iterator[bytes]:
+        """The triples as UTF-8 bytes in pieces of whole lines, each line
+        ``head i sep j sep k sep value tail`` for the five strings of ``layout``.
 
         Only O(N) values are distinct, so each is formatted once.  The fields
-        of a piece's lines are gathered from arrays of NUL-padded byte strings
-        into one record buffer of at most _CHUNK_BYTES (or one line); dropping
-        the NULs joins them.
+        of a piece's lines, separators included, are gathered from arrays of
+        NUL-padded byte strings into one record buffer of at most _CHUNK_BYTES
+        (or one line); dropping the NULs joins them.
         """
-        labels = np.array([f"{x}," for x in range(1, self.n_dim * self.n_dim)], dtype=bytes)
+        head, i_sep, j_sep, k_sep, tail = layout
+        numbers = range(1, self.n_dim * self.n_dim)
+        around = ((head, i_sep), ("", j_sep), ("", k_sep))
+        labels = {(before, after): np.array([f"{before}{x}{after}".encode() for x in numbers],
+                                            dtype=bytes)
+                  for before, after in set(around)}  # one array serves CSV's three equal fields
+        fields = [labels[pair] for pair in around]
         # np.unique would import numpy.ma on first use.  The constructor keeps
         # every value finite and non-zero, so != between sorted neighbours
         # finds each distinct one exactly.
         distinct = np.sort(self._values)
         distinct = np.concatenate((distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]]))
-        text = np.array([f"{v!r}\n" for v in distinct.tolist()], dtype=bytes)
-        line = np.dtype([("", labels.dtype)] * 3 + [("", text.dtype)])
+        fields.append(np.array([f"{v!r}{tail}".encode() for v in distinct.tolist()], dtype=bytes))
+        line = np.dtype([("", field.dtype) for field in fields])
         buffer = np.empty(max(1, _CHUNK_BYTES // line.itemsize), dtype=line)
         for start in range(0, len(self), buffer.size):
             lines, stop = buffer[: len(self) - start], start + buffer.size
             picks = *self._index[:, start:stop], np.searchsorted(distinct, self._values[start:stop])
-            for name, field, pick in zip(line.names, (labels, labels, labels, text), picks):
+            for name, field, pick in zip(line.names, fields, picks):
                 lines[name] = field[pick]
             raw = lines.view(np.uint8)
             yield raw[raw != 0].tobytes()
@@ -232,13 +241,6 @@ def _checksum(table: ConstantTable, pieces: Iterable[bytes]) -> str:
     for piece in pieces:
         digest.update(piece)
     return digest.hexdigest()[:16]
-
-
-def _prefix_lines(text: str, prefix: str) -> str:
-    """``text`` of newline-terminated lines with ``prefix`` at the start of each."""
-    if not (text and prefix):
-        return text
-    return prefix + text.replace("\n", "\n" + prefix, text.count("\n") - 1)
 
 
 def _check_table_dimension(n_dim: int) -> None:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,11 +14,37 @@ import sunlie.cli as cli
 import sunlie.dynamics as dynamics
 import sunlie.structure_constants as structure_constants
 from conftest import traced_peak
+from sunlie.adjoint import adjoint_matrix
 from sunlie.generators import AlgebraConfig, make_generator
 from sunlie.indexing import index_to_label
 from sunlie.structure_constants import ConstantTable, build_d_table, build_f_table
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def reference_tables_json(n_dim, tables):
+    """What `constants --format json` wrote through json.dump: one dict per triple."""
+    payload = {"n": n_dim, "tables": []}
+    for table in tables:
+        count, checksum = table.stats()
+        a, b, c, values = table.contraction_arrays()
+        triples = [
+            {"kind": table.kind, "i": i, "j": j, "k": k, "value": v}
+            for i, j, k, v in zip((a + 1).tolist(), (b + 1).tolist(), (c + 1).tolist(),
+                                  values.tolist())
+        ]
+        payload["tables"].append(
+            {"kind": table.kind, "count": count, "checksum": checksum, "triples": triples})
+    out = io.StringIO()
+    json.dump(payload, out, indent=2)
+    return out.getvalue() + "\n"
+
+
+def reference_matrix_json(mat, n_dim, **extra):
+    """What `generators` and `adjoint` wrote through json.dumps of the whole matrix."""
+    payload = {"n": n_dim, **extra,
+               "re": (mat.real + 0.0).tolist(), "im": (mat.imag + 0.0).tolist()}
+    return json.dumps(payload) + "\n"
 
 
 def run(capsys, *argv):
@@ -39,6 +66,24 @@ class TestGenerators:
         mat = np.asarray(payload["re"]) + 1j * np.asarray(payload["im"])
         expected = make_generator(AlgebraConfig(3, 2.0), index_to_label(8, 3))
         np.testing.assert_allclose(mat, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5])
+    def test_json_matches_json_dumps(self, capsys, n_dim):
+        cfg = AlgebraConfig(n_dim, 2.0)
+        for index in range(1, cfg.dim + 1):
+            status, out, _ = run(capsys, "generators", "--n", str(n_dim), "--hbar", "2",
+                                 "--index", str(index))
+            assert status == 0
+            assert out == reference_matrix_json(
+                make_generator(cfg, index_to_label(index, n_dim)), n_dim)
+
+    def test_json_flushes_negative_zeros(self):
+        mat = np.empty((2, 2), dtype=complex)
+        mat.real, mat.imag = [[-0.0, 1.0], [-2.5, 0.0]], [[0.0, -0.0], [-1.0, -0.0]]
+        out = io.StringIO()
+        cli._write_matrix_json(out, mat, 2, index=1)
+        assert out.getvalue() == reference_matrix_json(mat, 2, index=1)
+        assert "-0.0" not in out.getvalue() and "-2.5" in out.getvalue()
 
     def test_by_label(self, capsys):
         status, out, _ = run(capsys, "generators", "--n", "2", "--hbar", "2", "--label", "A:2,1")
@@ -113,18 +158,24 @@ class TestConstants:
             assert csv_text == "kind,i,j,k,value\n"  # the d table of su(2) is empty
 
     def test_csv_formats_each_table_once(self, capsys, tmp_path, monkeypatch):
+        # JSON formats each table twice: once for stats(), which its header
+        # needs first, and once in its own layout.  No path reads the arrays.
         calls = []
-        row_chunks = ConstantTable._row_chunks
+        row_chunks, stats = ConstantTable._row_chunks, ConstantTable.stats
 
-        def counted(self):
+        def counted(self, *layout):
             calls.append(self.kind)
-            return row_chunks(self)
+            return row_chunks(self, *layout)
 
         def refuse(self):
             raise AssertionError("the CSV path formats no table a second time for stats()")
 
+        def refuse_arrays(self):
+            raise AssertionError("table text comes from _row_chunks alone")
+
         monkeypatch.setattr(ConstantTable, "_row_chunks", counted)
         monkeypatch.setattr(ConstantTable, "stats", refuse)
+        monkeypatch.setattr(ConstantTable, "contraction_arrays", refuse_arrays)
         out_path = tmp_path / "table.csv"
         status, out, _ = run(
             capsys, "constants", "--n", "5", "--kind", "both", "--format", "csv",
@@ -133,33 +184,59 @@ class TestConstants:
         assert status == 0
         assert calls == ["f", "d"]
         assert len(out.splitlines()) == 2
+        calls.clear()
+        monkeypatch.setattr(ConstantTable, "stats", stats)
+        status, out, _ = run(
+            capsys, "constants", "--n", "5", "--kind", "both", "--format", "json",
+            "--output", str(out_path),
+        )
+        assert status == 0
+        assert calls == ["f", "d", "f", "d"]
+        assert len(out.splitlines()) == 2
 
     @pytest.mark.parametrize("build, kind", [(build_f_table, "f"), (build_d_table, "d")])
     def test_pieces_of_any_size_give_the_same_bytes(
         self, capsys, tmp_path, monkeypatch, build, kind
     ):
+        # In JSON each object opens with the comma that parts it from the one
+        # before, so a piece boundary between any two objects must not move it.
         table = build(5)
-        values = table.contraction_arrays()[3].tolist()
-        width = 3 * len(f"{5 * 5 - 1},") + max(len(f"{v!r}\n") for v in values)  # one padded line
-        out_path = tmp_path / "table.csv"
+        out_path = tmp_path / "table"
 
         def outputs():
-            status, _, _ = run(capsys, "constants", "--n", "5", "--kind", kind,
-                               "--output", str(out_path))
-            assert status == 0
+            written = []
+            for fmt in ("csv", "json"):
+                status, _, _ = run(capsys, "constants", "--n", "5", "--kind", kind,
+                                   "--format", fmt, "--output", str(out_path))
+                assert status == 0
+                written.append(out_path.read_bytes())
             empty = build_d_table(2)
-            return (table.rows(), table.rows(f"{kind},"), table.stats(), out_path.read_bytes(),
+            return (table.rows(), table.rows(f"{kind},"), table.stats(), *written,
                     empty.rows(), empty.rows("d,"), empty.stats())
 
-        expected = outputs()
-        assert expected[4:] == ("", "", (0, hashlib.sha256(b"d,2\n").hexdigest()[:16]))
+        # The layouts that the CLI passes: the CSV default and the JSON object.
+        layouts = []
+        row_chunks = ConstantTable._row_chunks
+        with monkeypatch.context() as patch:
+            patch.setattr(ConstantTable, "_row_chunks",
+                          lambda self, *layout: layouts.append(layout) or row_chunks(self, *layout))
+            expected = outputs()
+        assert expected[5:] == ("", "", (0, hashlib.sha256(b"d,2\n").hexdigest()[:16]))
+        (json_layout,) = layouts[2]  # after the CSV pass and the JSON run's stats()
+        assert json_layout[0].startswith(",\n        {")
+        values = table.contraction_arrays()[3].tolist()
         count = len(table)
-        for lines in (1, 3, count - 1, count, count + 1):
-            monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", lines * width)
-            whole, rest = divmod(count, lines)
-            assert [piece.count(b"\n") for piece in table._row_chunks()] == (
-                [lines] * whole + [rest] * (rest > 0))
-            assert outputs() == expected
+        for layout in (structure_constants._CSV_LAYOUT, json_layout):
+            head, *seps, tail = layout
+            # One line padded as _row_chunks pads it: each field as wide as its widest entry.
+            width = (len(head) + sum(len(f"{5 * 5 - 1}{sep}") for sep in seps)
+                     + max(len(f"{v!r}{tail}") for v in values))
+            for lines in (1, 3, count - 1, count, count + 1):
+                monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", lines * width)
+                whole, rest = divmod(count, lines)
+                assert [piece.count(tail.encode()) for piece in table._row_chunks(layout)] == (
+                    [lines] * whole + [rest] * (rest > 0))
+                assert outputs() == expected
 
     def test_csv_holds_one_piece_of_text_beside_the_tables(self, capsys, tmp_path, monkeypatch):
         # The tables are built before the traced call, so the peak is the
@@ -181,6 +258,46 @@ class TestConstants:
         bound = 9 * max(len(t) for t in tables) + 11 * budget + 2 * 2**18
         assert bound < len(tables[1].rows())  # the d table's text would not fit whole
         assert peak <= bound
+
+    def test_json_holds_one_piece_of_text_beside_the_tables(self, capsys, tmp_path, monkeypatch):
+        # As for the CSV, the peak is the writer's alone.  stats() comes first
+        # and holds what the stats() test bounds; the JSON pass then holds the
+        # same 9 bytes per triple and at most five arrays of a piece, plus the
+        # value picks (8 bytes a line of over 100).  The writer copies the
+        # first piece without its comma, decodes each piece and the text file
+        # encodes it: three more budgets, nine in all.  The labels carry their
+        # JSON keys: 71 + 21 + 25 bytes for i, j and k.  2**18 covers the
+        # argument parser.
+        budget = 2**14
+        monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", budget)
+        tables = [build_f_table(48), build_d_table(48)]
+        monkeypatch.setattr(cli, "build_f_table", lambda n_dim: tables[0])
+        monkeypatch.setattr(cli, "build_d_table", lambda n_dim: tables[1])
+        out_path = tmp_path / "table.json"
+        status, peak = traced_peak(
+            cli.main, ["constants", "--n", "48", "--format", "json", "--output", str(out_path)])
+        assert status == 0
+        bound = 9 * max(len(t) for t in tables) + 9 * budget + (48 * 48 - 1) * 117 + 2**18
+        assert bound < out_path.stat().st_size // 2  # a table's text would not fit whole
+        assert peak <= bound
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    @pytest.mark.parametrize("kind", ["f", "d", "both"])
+    @pytest.mark.parametrize("n_dim", range(2, 10))
+    def test_json_matches_json_dump_bytes(self, capsys, tmp_path, n_dim, kind, to_file):
+        out_path = tmp_path / "table.json"
+        argv = ["constants", "--n", str(n_dim), "--kind", kind, "--format", "json"]
+        status, out, err = run(capsys, *argv, *(["--output", str(out_path)] if to_file else []))
+        assert status == 0
+        text, report = (out_path.read_text(), out) if to_file else (out, err)
+        tables = [build(n_dim) for name, build in (("f", build_f_table), ("d", build_d_table))
+                  if kind in (name, "both")]
+        assert text == reference_tables_json(n_dim, tables)
+        assert report.splitlines() == [
+            f"kind={t.kind} n={n_dim} count={count} checksum={checksum}"
+            for t in tables for count, checksum in [t.stats()]]
+        if n_dim == 2 and kind == "d":
+            assert '"triples": []' in text  # the d table of su(2) is empty
 
     def test_json_format(self, capsys, tmp_path):
         out_path = tmp_path / "table.json"
@@ -265,6 +382,15 @@ class TestAdjoint:
         assert payload["n"] == 2 and payload["index"] == 1 and payload["dim"] == 3
         im = np.asarray(payload["im"])
         assert im[1, 2] == -1.0 and im[2, 1] == 1.0
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5])
+    def test_json_matches_json_dumps(self, capsys, n_dim):
+        table = build_f_table(n_dim)
+        for index in range(1, n_dim * n_dim):
+            status, out, _ = run(capsys, "adjoint", "--n", str(n_dim), "--index", str(index))
+            assert status == 0
+            mat = adjoint_matrix(table, index)
+            assert out == reference_matrix_json(mat, n_dim, index=index, dim=mat.shape[0])
 
     def test_out_of_range_index(self, capsys):
         status, _, err = run(capsys, "adjoint", "--n", "2", "--index", "4")
