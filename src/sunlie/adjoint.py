@@ -13,23 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .indexing import _integer
 from .structure_constants import ConstantTable, _signed_permutations
 
 # Exhaustive pair verification is the default up to this N; beyond it the
 # check samples pairs instead.
 EXHAUSTIVE_MAX_N = 6
 DEFAULT_SAMPLE_PAIRS = 200
+# A check passes when no entry of any pair's residual exceeds this.
+TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
 class AdjointReport:
-    """Outcome of the representation-property check [T_i,T_j] = i f_ijk T_k."""
+    """Outcome of the check [T_i,T_j] = i f_ijk T_k; passed is max_deviation <= TOLERANCE."""
 
     n_dim: int
     pairs_checked: int
     exhaustive: bool
     max_deviation: float
-    tolerance: float
     passed: bool
 
 
@@ -44,10 +46,9 @@ def adjoint_stack(table: ConstantTable) -> np.ndarray:
 
 def adjoint_matrix(table: ConstantTable, i: int) -> np.ndarray:
     """The (N**2-1) x (N**2-1) matrix T_i with [T_i]_jk = -i f_ijk."""
-    rows, j, k, f = _signed_permutations(table)
     d = table.n_dim * table.n_dim - 1
-    if not 1 <= i <= d:
-        raise ValueError(f"index {i} outside 1..{d} for N={table.n_dim}")
+    i = _integer(i, "index", 1, d)
+    rows, j, k, f = _signed_permutations(table)
     mine = rows == i - 1
     out = np.zeros((d, d), dtype=np.complex128)
     out[j[mine], k[mine]] = -1j * f[mine]
@@ -55,21 +56,20 @@ def adjoint_matrix(table: ConstantTable, i: int) -> np.ndarray:
 
 
 def verify_adjoint_commutators(
-    table: ConstantTable,
-    *,
-    sample: int | None = None,
-    seed: int = 42,
-    tol: float = 1e-12,
+    table: ConstantTable, *, sample: int | None = None, seed: int = 42
 ) -> AdjointReport:
     """Check [T_i, T_j] = i sum_k f_ijk T_k over index pairs.
 
     With ``sample=None`` all pairs are checked for N <= 6 and 200 seeded
-    random pairs beyond that; pass an explicit count to override.  Returns a
-    report rather than raising: max deviation is a result, not an error.
+    random pairs beyond that; pass an explicit count >= 1 to override.
+    Returns a report rather than raising: max deviation is a result, not an
+    error, and the check passes within TOLERANCE.
 
     Checks the real form [F_i, F_j] = -sum_k f_ijk F_k, T_i = -i F_i, one
     pair at a time from d x d matrices: O(d**2) memory, no (d, d, d) stack.
     """
+    if sample is not None:
+        sample = _integer(sample, "sample", 1)
     d = table.n_dim * table.n_dim - 1
     i_all, j_all, k_all, f_all = _signed_permutations(table)
     order = np.argsort(i_all, kind="stable")
@@ -102,6 +102,5 @@ def verify_adjoint_commutators(
         pairs_checked=len(firsts),
         exhaustive=exhaustive,
         max_deviation=max_dev,
-        tolerance=tol,
-        passed=max_dev <= tol,
+        passed=max_dev <= TOLERANCE,
     )

@@ -72,6 +72,7 @@ from .generators import (
     AlgebraConfig, _bloch_maps, _check_hbar, _check_square, _check_vector, _expansion,
     _generator_traces,
 )
+from .indexing import _integer
 from .structure_constants import ConstantTable, _check_f_table, _signed_permutations
 
 RK4 = "rk4"
@@ -125,8 +126,8 @@ class IntegrationSpec:
             raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not 1 <= self.output_stride <= _MAX_STEPS:
-            raise ValueError(f"output_stride must be in [1, 2**62], got {self.output_stride}")
+        stride = _integer(self.output_stride, "output_stride", 1, _MAX_STEPS)
+        object.__setattr__(self, "output_stride", stride)
         steps = self.t_final / self.dt
         if not steps <= _MAX_STEPS:
             raise ValueError(f"t_final / dt = {steps:.3g} steps exceeds 2**62; raise dt")

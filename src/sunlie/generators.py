@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .indexing import (
-    ANTISYMMETRIC, SYMMETRIC, GeneratorLabel, all_labels, antisymmetric_index, check_dimension,
+    ANTISYMMETRIC, SYMMETRIC, GeneratorLabel, _integer, all_labels, antisymmetric_index,
     diagonal_index, symmetric_index,
 )
 
@@ -55,7 +55,7 @@ class AlgebraConfig:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        check_dimension(self.n_dim)
+        object.__setattr__(self, "n_dim", _integer(self.n_dim, "N", 2))
         _check_hbar(self.hbar)
 
     @property

@@ -16,11 +16,13 @@ Closed forms of the map (1-based everywhere):
 `symmetric_index`, `antisymmetric_index` and `diagonal_index` are the one
 place these forms are written; they take Python ints or integer numpy
 arrays alike.  The inverse is pure block arithmetic (integer square root),
-so it stays O(1) for arbitrarily large N.
+so it stays O(1) for arbitrarily large N.  `_integer` is the one place that
+decides what a valid N, index or count is.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
@@ -32,10 +34,22 @@ DIAGONAL = "D"
 _KINDS = (SYMMETRIC, ANTISYMMETRIC, DIAGONAL)
 
 
-def check_dimension(n_dim: int) -> None:
-    """Raise ValueError unless n_dim is an integer N >= 2."""
-    if not isinstance(n_dim, int) or isinstance(n_dim, bool) or n_dim < 2:
-        raise ValueError(f"N must be >= 2, got {n_dim!r}")
+def _integer(value, what: str, low: int, high: int | None = None) -> int:
+    """``value`` as a Python int in low..high (no upper bound if high is None).
+
+    Anything with ``__index__`` counts, numpy integers too, except bool;
+    floats, even whole ones, do not.  Anything else raises ValueError.
+    """
+    if not isinstance(value, bool):
+        try:
+            number = operator.index(value)
+        except TypeError:  # no __index__: a float, a string, None, ...
+            pass
+        else:
+            if low <= number and (high is None or number <= high):
+                return number
+    span = f">= {low}" if high is None else f"{low}..{high}"
+    raise ValueError(f"{what} {value!r} is outside the integers {span}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +60,8 @@ class GeneratorLabel:
     anti-symmetric generators supported on coordinates m and n).  Kind "D"
     carries only the top coordinate n >= 2 of a Cartan generator; m is
     unused and fixed to 0.  D_1 does not exist: its normalization
-    1/sqrt(2n(n-1)) is singular at n = 1.
+    1/sqrt(2n(n-1)) is singular at n = 1.  Coordinates are stored as Python
+    ints whatever integer type they came in.
     """
 
     kind: str
@@ -56,16 +71,11 @@ class GeneratorLabel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.kind == DIAGONAL:
-            if self.n < 2:
-                raise ValueError(f"diagonal label needs n >= 2, got n={self.n}")
-            if self.m != 0:
-                raise ValueError("diagonal label takes no second coordinate")
-        else:
-            if self.m < 1:
-                raise ValueError(f"need m >= 1, got m={self.m}")
-            if self.m >= self.n:
-                raise ValueError(f"need m < n, got n={self.n}, m={self.m}")
+        n = _integer(self.n, "n", 2)
+        low, high = (0, 0) if self.kind == DIAGONAL else (1, n - 1)
+        m = _integer(self.m, "m", low, high)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
     def __str__(self) -> str:
         if self.kind == DIAGONAL:
@@ -102,7 +112,7 @@ def diagonal_index(n):
 
 def label_to_index(label: GeneratorLabel, n_dim: int) -> int:
     """Map a label to its linear index in 1..N**2-1 for the given N."""
-    check_dimension(n_dim)
+    n_dim = _integer(n_dim, "N", 2)
     if label.n > n_dim:
         raise ValueError(f"label {label} has top coordinate beyond N={n_dim}")
     if label.kind == SYMMETRIC:
@@ -120,10 +130,8 @@ def index_to_label(i: int, n_dim: int) -> GeneratorLabel:
     the kind (even offsets are symmetric, odd anti-symmetric, the last one
     diagonal) and the bottom coordinate.
     """
-    check_dimension(n_dim)
-    top = n_dim * n_dim - 1
-    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= top:
-        raise ValueError(f"index must be in 1..{top} for N={n_dim}, got {i!r}")
+    n_dim = _integer(n_dim, "N", 2)
+    i = _integer(i, "index", 1, n_dim * n_dim - 1)
     n = isqrt(i) + 1
     offset = i - (n - 1) * (n - 1)
     if offset == 2 * n - 2:
@@ -135,6 +143,6 @@ def index_to_label(i: int, n_dim: int) -> GeneratorLabel:
 
 def all_labels(n_dim: int) -> Iterator[GeneratorLabel]:
     """Yield every label for su(n_dim) in linear-index order (index 1 first)."""
-    check_dimension(n_dim)
+    n_dim = _integer(n_dim, "N", 2)
     for i in range(1, n_dim * n_dim):
         yield index_to_label(i, n_dim)

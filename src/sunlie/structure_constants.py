@@ -53,7 +53,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .indexing import antisymmetric_index, check_dimension, diagonal_index, symmetric_index
+from .indexing import _integer, antisymmetric_index, diagonal_index, symmetric_index
 
 F_KIND = "f"
 D_KIND = "d"
@@ -113,7 +113,7 @@ class ConstantTable:
         check them and keep them 0-based and read-only.  Out-of-range keys may
         pack out of order, but they are rejected before the order matters.
         """
-        _check_table_dimension(n_dim)
+        n_dim = _check_table_dimension(n_dim)
         if kind not in (F_KIND, D_KIND):
             raise ValueError(f"kind must be '{F_KIND}' or '{D_KIND}', got {kind!r}")
         top = n_dim * n_dim - 1
@@ -169,9 +169,8 @@ class ConstantTable:
     def lookup(self, i: int, j: int, k: int) -> float:
         """Constant for an arbitrary index order; 0.0 if absent from the table."""
         top = self.n_dim * self.n_dim - 1
-        for idx in (i, j, k):
-            if not 1 <= idx <= top:
-                raise ValueError(f"index {idx} outside 1..{top} for N={self.n_dim}")
+        i, j, k = (_integer(i, "index", 1, top), _integer(j, "index", 1, top),
+                   _integer(k, "index", 1, top))
         sign = 1.0
         if i > j:
             i, j, sign = j, i, -sign
@@ -243,10 +242,11 @@ def _checksum(table: ConstantTable, pieces: Iterable[bytes]) -> str:
     return digest.hexdigest()[:16]
 
 
-def _check_table_dimension(n_dim: int) -> None:
-    check_dimension(n_dim)
+def _check_table_dimension(n_dim: int) -> int:
+    n_dim = _integer(n_dim, "N", 2)
     if n_dim > MAX_TABLE_N:
         raise ValueError(f"N={n_dim} is beyond the largest table dimension {MAX_TABLE_N}")
+    return n_dim
 
 
 def _check_f_table(table: ConstantTable) -> None:
@@ -301,7 +301,7 @@ def build_f_table(n_dim: int) -> ConstantTable:
     in place by three compare-exchanges; the parity of that sort, the parity
     of the triple's inversions, is the sign of its value.
     """
-    _check_table_dimension(n_dim)
+    n_dim = _check_table_dimension(n_dim)
     keys, values = _f_families(n_dim)
     i, j, k = keys
     np.negative(values, out=values, where=(i > j) ^ (i > k) ^ (j > k))
@@ -337,7 +337,7 @@ def build_d_table(n_dim: int) -> ConstantTable:
     precede block-q indices, and inside block q the bottom coordinate orders
     the pairs (s_qm < a_qm < s_qp < a_qp for m < p).
     """
-    _check_table_dimension(n_dim)
+    n_dim = _check_table_dimension(n_dim)
     return ConstantTable._from_arrays(n_dim, D_KIND, *_d_families(n_dim))
 
 

@@ -80,17 +80,13 @@ def d_trace(cfg: AlgebraConfig, i: int, j: int, k: int) -> float:
     return _d_value(gi, gj, gk, cfg.hbar)
 
 
-def resolve_ceiling(ceiling: int | None = None) -> int:
-    """Explicit argument, else SUNLIE_ORACLE_CEILING, else the default of 8."""
-    if ceiling is not None:
-        return ceiling
-    env = os.environ.get(CEILING_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{CEILING_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_CEILING
+def resolve_ceiling() -> int:
+    """SUNLIE_ORACLE_CEILING if it is set, else the default of 8."""
+    env = os.environ.get(CEILING_ENV, str(DEFAULT_CEILING))
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{CEILING_ENV} must be an integer, got {env!r}") from None
 
 
 def estimate_cost(n_dim: int, kind: str) -> tuple[int, float]:
@@ -106,14 +102,8 @@ def estimate_cost(n_dim: int, kind: str) -> tuple[int, float]:
     return n_triples, seconds
 
 
-def full_oracle_table(
-    cfg: AlgebraConfig,
-    kind: str,
-    *,
-    ceiling: int | None = None,
-    threshold: float = ZERO_THRESHOLD,
-) -> ConstantTable:
-    """Every canonical triple with |value| above the threshold, by brute force.
+def full_oracle_table(cfg: AlgebraConfig, kind: str) -> ConstantTable:
+    """Every canonical triple with |value| above ZERO_THRESHOLD, by brute force.
 
     Canonicalization matches the closed-form tables: strictly ascending
     indices for 'f' (anything with a repeated index vanishes identically),
@@ -123,7 +113,7 @@ def full_oracle_table(
     """
     if kind not in (F_KIND, D_KIND):
         raise ValueError(f"kind must be '{F_KIND}' or '{D_KIND}', got {kind!r}")
-    limit = resolve_ceiling(ceiling)
+    limit = resolve_ceiling()
     if cfg.n_dim > limit:
         n_triples, seconds = estimate_cost(cfg.n_dim, kind)
         raise OracleCostError(
@@ -139,7 +129,7 @@ def full_oracle_table(
     entries: dict[tuple[int, int, int], float] = {}
     for i, j, k in enumerate_canonical(range(1, cfg.dim + 1), 3):
         value = value_of(gens[i - 1], gens[j - 1], gens[k - 1], cfg.hbar)
-        if abs(value) > threshold:
+        if abs(value) > ZERO_THRESHOLD:
             entries[(i, j, k)] = value
 
     if entries:

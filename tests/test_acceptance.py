@@ -44,7 +44,7 @@ def test_criterion_1_oracle_equivalence():
         cfg = AlgebraConfig(n_dim)
         for kind, build in ((F_KIND, build_f_table), (D_KIND, build_d_table)):
             closed = build(n_dim).as_dict()
-            oracle = full_oracle_table(cfg, kind, threshold=1e-10).as_dict()
+            oracle = full_oracle_table(cfg, kind).as_dict()
             assert closed.keys() == oracle.keys(), (
                 f"support mismatch at N={n_dim} kind={kind}: "
                 f"missing={sorted(oracle.keys() - closed.keys())[:5]} "
@@ -150,12 +150,10 @@ def test_criterion_3_symmetry_and_jacobi():
 def test_criterion_4_adjoint_representation():
     worst_exhaustive = 0.0
     for n_dim in range(2, 7):
-        rep = verify_adjoint_commutators(build_f_table(n_dim), tol=1e-12)
+        rep = verify_adjoint_commutators(build_f_table(n_dim))
         assert rep.exhaustive
         worst_exhaustive = max(worst_exhaustive, rep.max_deviation)
-    sampled = verify_adjoint_commutators(
-        build_f_table(12), sample=200, seed=SEED, tol=1e-12
-    )
+    sampled = verify_adjoint_commutators(build_f_table(12), sample=200, seed=SEED)
     report(
         4,
         worst_exhaustive <= 1e-12 and sampled.max_deviation <= 1e-12,

@@ -99,5 +99,20 @@ def test_adjoint_rejects_d_table():
 
 def test_adjoint_index_range():
     table = build_f_table(3)
-    with pytest.raises(ValueError, match="outside"):
-        adjoint_matrix(table, 9)
+    # Indices are integers in 1..8: no floats, even whole ones, and no bools.
+    for bad in (9, 0, 1.5, np.float64(2.0), True):
+        with pytest.raises(ValueError, match="outside"):
+            adjoint_matrix(table, bad)
+    for i in range(1, 9):
+        np.testing.assert_array_equal(adjoint_matrix(table, np.int64(i)), adjoint_matrix(table, i))
+
+
+@pytest.mark.parametrize("sample", [0, -1, 1.5, True])
+def test_sample_below_one_rejected(sample):
+    with pytest.raises(ValueError, match="sample"):
+        verify_adjoint_commutators(build_f_table(3), sample=sample)
+
+
+def test_single_sampled_pair():
+    report = verify_adjoint_commutators(build_f_table(3), sample=np.int64(1))
+    assert (report.pairs_checked, report.exhaustive, report.passed) == (1, False, True)

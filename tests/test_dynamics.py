@@ -346,6 +346,11 @@ class TestIntegration:
         traj = integrate_bloch(table, coeffs, s0, spec)
         np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0, 1.05], atol=1e-12)
         assert traj.states.shape == (6, 3)
+        numpy_spec = IntegrationSpec(t_final=1.05, dt=0.1, output_stride=np.int64(3))
+        assert repr(numpy_spec) == repr(spec)
+        again = integrate_bloch(table, coeffs, s0, numpy_spec)
+        np.testing.assert_array_equal(again.times, traj.times)
+        np.testing.assert_array_equal(again.states, traj.states)
 
     @pytest.mark.parametrize("method", ["rk4", "exact"])
     def test_grid_ends_at_t_final(self, method):
@@ -376,6 +381,10 @@ class TestIntegration:
             {"t_final": 1e300, "dt": 1e-10},
             {"t_final": 1e10, "dt": 1e-300},
             {"t_final": 1.0, "dt": 1e-3, "output_stride": 10**30},
+            # The stride is an integer: no floats, even whole ones, and no bools.
+            {"t_final": 1.0, "dt": 0.1, "output_stride": 2.5},
+            {"t_final": 1.0, "dt": 0.1, "output_stride": 2.0},
+            {"t_final": 1.0, "dt": 0.1, "output_stride": True},
         ],
     )
     def test_bad_spec_rejected(self, kwargs):

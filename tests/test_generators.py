@@ -95,6 +95,13 @@ def test_bad_config_rejected(n_dim, hbar):
         AlgebraConfig(n_dim, hbar)
 
 
+def test_config_takes_numpy_integers():
+    cfg = AlgebraConfig(np.int64(3))
+    assert repr(cfg) == repr(AlgebraConfig(3))
+    for got, expected in zip(all_generators(cfg), all_generators(AlgebraConfig(3))):
+        np.testing.assert_array_equal(got, expected)
+
+
 class TestDecomposeDiagonal:
     def test_zero_matrix(self):
         cfg = AlgebraConfig(4)

@@ -99,6 +99,13 @@ def test_round_trip_for_arbitrary_labels(n, m, kind):
         ("A", 2, 0),   # m < 1
         ("D", 1, 0),   # diagonal below 2
         ("X", 3, 1),   # unknown kind
+        # Coordinates are integers: no floats, even whole ones, and no bools.
+        ("S", 2.5, 1),
+        ("S", 3, 1.5),
+        ("A", 3.0, 1),
+        ("A", 2, True),
+        ("D", 2.0, 0),
+        ("D", 3, False),
     ],
 )
 def test_invalid_labels_rejected(kind, n, m):
@@ -111,10 +118,21 @@ def test_label_beyond_ambient_dimension_rejected():
         label_to_index(symmetric(4, 1), 3)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 9, 100])
+@pytest.mark.parametrize("bad", [0, -1, 9, 100, np.int64(9), 1.5, 3.0, True, "3"])
 def test_out_of_range_index_rejected(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside"):
         index_to_label(bad, 3)
+
+
+@pytest.mark.parametrize("as_int", [np.int64, np.int32, np.uint8])
+def test_numpy_integers_act_as_ints(as_int):
+    for i in range(1, 9):
+        label = index_to_label(as_int(i), as_int(3))
+        assert repr(label) == repr(index_to_label(i, 3))
+        assert label_to_index(label, as_int(3)) == i
+    assert repr(GeneratorLabel("A", as_int(3), as_int(2))) == repr(antisymmetric(3, 2))
+    assert repr(diagonal(as_int(3))) == repr(diagonal(3))
+    assert list(all_labels(as_int(3))) == list(all_labels(3))
 
 
 def test_dimension_below_two_rejected():

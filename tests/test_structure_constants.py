@@ -118,11 +118,24 @@ class TestLookup:
     def test_absent_triple_is_zero(self):
         assert build_d_table(3).lookup(1, 2, 3) == 0.0
 
-    @pytest.mark.parametrize("triple", [(0, 1, 2), (1, 2, 9), (-1, 1, 2)])
+    @pytest.mark.parametrize(
+        "triple",
+        [(0, 1, 2), (1, 2, 9), (-1, 1, 2),
+         # Indices are integers: no floats, even whole ones, and no bools.
+         (1.5, 2, 3), (1, 2, np.float64(3.0)), (True, 2, 3), (1, 2, np.True_)],
+    )
     def test_out_of_range_rejected(self, triple):
         table = build_f_table(3)
         with pytest.raises(ValueError, match="outside"):
             table.lookup(*triple)
+
+    @pytest.mark.parametrize("build", [build_f_table, build_d_table])
+    def test_numpy_integers_act_as_ints(self, build):
+        table, reference = build(np.int64(3)), build(3)
+        assert type(table.n_dim) is int
+        assert table.stats() == reference.stats()
+        for triple in itertools.product(range(1, 9), repeat=3):
+            assert table.lookup(*map(np.int64, triple)) == reference.lookup(*triple)
 
 
 @given(st.integers(min_value=2, max_value=7), st.data())

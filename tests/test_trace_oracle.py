@@ -102,10 +102,6 @@ class TestCeiling:
         monkeypatch.setenv(CEILING_ENV, "4")
         assert len(full_oracle_table(AlgebraConfig(4), "f")) == 29
 
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(CEILING_ENV, "2")
-        assert len(full_oracle_table(AlgebraConfig(3), "f", ceiling=3)) == 9
-
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv(CEILING_ENV, "many")
         with pytest.raises(ValueError, match=CEILING_ENV):
