@@ -128,43 +128,48 @@ def _report_stream(output: str | None) -> IO[str]:
     return sys.stderr if output is None or output == "-" else sys.stdout
 
 
-def _write_tables_json(
-    fh: IO[str], n_dim: int, tables: Sequence[ConstantTable], stats: Sequence[tuple[int, str]]
-) -> None:
-    """What json.dump(..., indent=2) and a newline write for {"n", "tables": [{"kind", "count",
-    "checksum", "triples": [{"kind", "i", "j", "k", "value"}]}]}, streamed by _row_chunks."""
-    fh.write(f'{{\n  "n": {n_dim},\n  "tables": [')
-    for t, (table, (count, checksum)) in enumerate(zip(tables, stats)):
-        fh.write(f'{"," * (t > 0)}\n    {{\n      "kind": "{table.kind}",\n'
-                 f'      "count": {count},\n      "checksum": "{checksum}",\n      "triples": [')
-        # Each object opens with the comma that parts it from the one before; the first drops it.
-        layout = (f',\n        {{\n          "kind": "{table.kind}",\n          "i": ',
-                  ',\n          "j": ', ',\n          "k": ', ',\n          "value": ',
-                  "\n        }")
-        start = 1
-        for piece in table._row_chunks(layout):
-            fh.write(piece[start:].decode())
-            start = 0
-        fh.write("\n      ]\n    }" if count else "]\n    }")
-    fh.write("\n  ]\n}\n")
+def _table_output(path: str | None) -> ContextManager[IO[bytes]]:
+    """Where `constants` writes its table bytes: the file, or the byte layer of stdout."""
+    if path is None or path == "-":
+        if not hasattr(sys.stdout, "buffer"):  # an io.StringIO standing in for stdout
+            raise ValueError("stdout takes no bytes here; write the tables with --output PATH")
+        sys.stdout.flush()  # text already written to stdout goes first
+        return nullcontext(sys.stdout.buffer)
+    return open(path, "wb")
 
 
-def _write_rows(fh: IO[str], table: ConstantTable) -> Iterator[bytes]:
+def _write_table_json(fh: IO[bytes], table: ConstantTable, count: int, checksum: str) -> None:
+    """One object of the "tables" list that json.dump(..., indent=2) writes for {"n", "tables":
+    [{"kind", "count", "checksum", "triples": [{"kind", "i", "j", "k", "value"}]}]}, streamed
+    by _row_chunks; the caller writes what opens and closes the list and parts its objects."""
+    fh.write(f'\n    {{\n      "kind": "{table.kind}",\n      "count": {count},\n'
+             f'      "checksum": "{checksum}",\n      "triples": ['.encode())
+    # Each object opens with the comma that parts it from the one before; the first drops it.
+    layout = (f',\n        {{\n          "kind": "{table.kind}",\n          "i": ',
+              ',\n          "j": ', ',\n          "k": ', ',\n          "value": ',
+              "\n        }")
+    start = 1
+    for piece in table._row_chunks(layout):
+        fh.write(memoryview(piece)[start:])
+        start = 0
+    fh.write(b"\n      ]\n    }" if count else b"]\n    }")
+
+
+def _write_rows(fh: IO[bytes], table: ConstantTable) -> Iterator[bytes]:
     """The pieces of ``table``'s rows, each written to ``fh`` with its kind prefix as it passes."""
-    prefix = f"{table.kind},"
+    prefix = f"{table.kind},".encode()
     for piece in table._row_chunks():  # never empty: a piece holds at least one line
-        text = piece.decode()
-        fh.write(prefix + text.replace("\n", "\n" + prefix, text.count("\n") - 1))
+        fh.write(prefix)
+        fh.write(piece.replace(b"\n", b"\n" + prefix, piece.count(b"\n") - 1))
         yield piece
 
 
-def _build_tables(n_dim: int, kind: str) -> list[ConstantTable]:
-    tables = []
+def _tables(n_dim: int, kind: str) -> Iterator[ConstantTable]:
+    """The tables that ``kind`` names, f first; d is built when the caller asks for it."""
     if kind in (F_KIND, "both"):
-        tables.append(build_f_table(n_dim))
+        yield build_f_table(n_dim)
     if kind in (D_KIND, "both"):
-        tables.append(build_d_table(n_dim))
-    return tables
+        yield build_d_table(n_dim)
 
 
 def _cmd_generators(args: argparse.Namespace) -> int:
@@ -182,18 +187,26 @@ def _cmd_generators(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    tables = _build_tables(args.n, args.kind)
-    with _open_output(args.output) as fh:
-        if args.format == "csv":
-            # Each table is formatted once, a piece at a time; its stats hash the pieces it writes.
-            fh.write("kind,i,j,k,value\n")
-            stats = [(len(table), _checksum(table, _write_rows(fh, table))) for table in tables]
-        else:
-            stats = [table.stats() for table in tables]
-            _write_tables_json(fh, args.n, tables, stats)
-    for table, (count, checksum) in zip(tables, stats):
-        print(f"kind={table.kind} n={table.n_dim} count={count} checksum={checksum}",
-              file=_report_stream(args.output))
+    # One table at a time: each is built, formatted once a piece at a time,
+    # hashed and written, and released before the next is built.  Only its
+    # stats line outlives it.
+    json_format = args.format == "json"
+    stats = []
+    with _table_output(args.output) as fh:
+        fh.write(f'{{\n  "n": {args.n},\n  "tables": ['.encode() if json_format
+                 else b"kind,i,j,k,value\n")
+        for table in _tables(args.n, args.kind):
+            if json_format:  # a JSON header needs the stats before the triples
+                count, checksum = table.stats()
+                fh.write(b"," * bool(stats))
+                _write_table_json(fh, table, count, checksum)
+            else:  # the CSV stats hash the pieces as they are written
+                count, checksum = len(table), _checksum(table, _write_rows(fh, table))
+            stats.append(f"kind={table.kind} n={table.n_dim} count={count} checksum={checksum}")
+            del table  # the next table is built only once this one is gone
+        if json_format:
+            fh.write(b"\n  ]\n}\n")
+    print("\n".join(stats), file=_report_stream(args.output))
     return 0
 
 
@@ -235,7 +248,7 @@ def _permutation_spot_check(tables: Sequence[ConstantTable], seed: int, draws: i
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = AlgebraConfig(args.n, args.hbar)
-    tables = _build_tables(args.n, args.kind)
+    tables = list(_tables(args.n, args.kind))
     status = 0
     for closed in tables:
         oracle = full_oracle_table(cfg, closed.kind)
@@ -298,7 +311,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     best = float("inf")
     for _ in range(args.repeats):
         start = time.perf_counter()
-        f_table, d_table = _build_tables(args.n, "both")
+        f_table, d_table = _tables(args.n, "both")
         best = min(best, time.perf_counter() - start)
     print(f"closed-form n={args.n}: f={len(f_table)} d={len(d_table)} triples in {best:.6f} s")
 

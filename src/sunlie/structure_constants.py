@@ -49,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -62,7 +63,8 @@ D_KIND = "d"
 MAX_MAGNITUDE = math.sqrt(2.0)
 
 # Sorting packs a key (i, j, k) into one int64 as (i N**2 + j) N**2 + k, which
-# holds while N**6 <= 2**63; an f table at this N has ~2.5e9 entries.
+# holds while N**6 <= 2**63; an f table at this N has ~2.5e9 entries.  Its
+# largest index, N**2 - 1 = 2,096,703, fits the tables' int32 keys.
 MAX_TABLE_N = 1448
 
 # Table text is formatted in pieces of whole lines of at most this many bytes,
@@ -95,8 +97,18 @@ class ConstantTable:
     __slots__ = ("n_dim", "kind", "_index", "_values", "_mapping")
 
     def __init__(self, n_dim: int, kind: str, entries: dict[tuple[int, int, int], float]):
-        keys = np.array(list(zip(*entries)), dtype=np.int64).reshape(3, len(entries))
+        # numpy would truncate 1.5 and True to 1 without a word, so every type
+        # among the indices must be an integer one; bool is not.
+        if not all(map(_is_integer_type, set(map(type, chain.from_iterable(entries))))):
+            key = next(key for key in entries if not all(map(_is_integer_type, map(type, key))))
+            raise ValueError(f"triple {key} = {entries[key]!r} has an index that is not an integer")
         values = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
+        try:
+            keys = np.array(list(zip(*entries)), dtype=np.int64).reshape(3, len(entries))
+        except OverflowError:  # beyond int64: out of range whatever N is
+            key = next(key for key in entries if not all(-2**63 <= x < 2**63 for x in key))
+            raise ValueError(f"triple {key} = {entries[key]!r} has an index outside "
+                             f"1..{_check_table_dimension(n_dim) ** 2 - 1}") from None
         self._set_arrays(n_dim, kind, keys, values)
 
     @classmethod
@@ -109,35 +121,42 @@ class ConstantTable:
         return table
 
     def _set_arrays(self, n_dim: int, kind: str, keys: np.ndarray, values: np.ndarray) -> None:
-        """Sort 1-based (3, count) keys and their values into key order in place,
-        check them and keep them 0-based and read-only.  Out-of-range keys may
-        pack out of order, but they are rejected before the order matters.
+        """Sort 1-based (3, count) integer keys and their values into key order
+        in place, check them and keep them 0-based, int32 and read-only.  The
+        range is checked on the keys as given, before they are narrowed.
         """
         n_dim = _check_table_dimension(n_dim)
         if kind not in (F_KIND, D_KIND):
             raise ValueError(f"kind must be '{F_KIND}' or '{D_KIND}', got {kind!r}")
         top = n_dim * n_dim - 1
-        keys, values = np.asarray(keys, dtype=np.int64), np.asarray(values, dtype=np.float64)
-        packed = (keys[0] * (top + 1) + keys[1]) * (top + 1) + keys[2]
+        keys, values = np.asarray(keys), np.asarray(values, dtype=np.float64)
+        _refuse(((keys < 1) | (keys > top)).any(axis=0), keys, values, ValueError,
+                f"has an index outside 1..{top}")
+        keys = np.asarray(keys, dtype=np.int32)  # N**2 - 1 < 2**31 up to MAX_TABLE_N
+        packed = _packed(keys, top)
         order = np.argsort(packed, kind="stable")
-        for row in (*keys, values, packed):  # one row at a time: no second copy of the keys
+        del packed  # rebuilt from the sorted keys: one int64 row fewer while they move
+        for row in (*keys, values):  # one row at a time: no second copy of the keys
             row[...] = np.take(row, order)
         del order
         i, j, k = keys
-        ordered = (i < j) & (j < k) if kind == F_KIND else (i <= j) & (j <= k)
-        # NaN fails every comparison, so the band also rejects non-finite values.
-        in_band = (values != 0.0) & (np.abs(values) <= MAX_MAGNITUDE + 1e-9)
+        # Sorted neighbours compare, and the band is two signed comparisons:
+        # no temporary as wide as the keys.  NaN fails every comparison, so
+        # the band also rejects non-finite values.
+        packed = _packed(keys, top)
+        repeated = np.zeros(values.size, dtype=bool)  # the second of two equal keys
+        np.equal(packed[1:], packed[:-1], out=repeated[1:])
+        del packed
         for bad, error, problem in (
-            (((keys < 1) | (keys > top)).any(axis=0), ValueError, f"has an index outside 1..{top}"),
-            (~ordered, ValueError, f"is not canonical for kind {kind}"),
+            (~((i < j) & (j < k) if kind == F_KIND else (i <= j) & (j <= k)), ValueError,
+             f"is not canonical for kind {kind}"),
             # Duplicate canonical keys can only come from a family-range bug; fail hard.
-            (np.diff(packed, prepend=-1) == 0, RuntimeError, "is a duplicate: enumeration bug"),
-            (~in_band, ValueError, "is outside the band (0, sqrt(2)]"),
+            (repeated, RuntimeError, "is a duplicate: enumeration bug"),
+            (~((values != 0.0) & (values <= MAX_MAGNITUDE + 1e-9)
+               & (values >= -MAX_MAGNITUDE - 1e-9)), ValueError,
+             "is outside the band (0, sqrt(2)]"),
         ):
-            rows = np.flatnonzero(bad)
-            if rows.size:
-                i, j, k = keys[:, rows[0]].tolist()
-                raise error(f"triple {(i, j, k)} = {float(values[rows[0]])!r} {problem}")
+            _refuse(bad, keys, values, error, problem)
         keys -= 1
         keys.flags.writeable = False
         values.flags.writeable = False
@@ -229,6 +248,9 @@ class ConstantTable:
 
         These are read-only views of the table itself, shared by every
         caller; they back the vectorized contractions in the dynamics layer.
+        The indices are stored as int32, which holds N**2 - 1 up to
+        MAX_TABLE_N but not a product of two of them: widen before
+        multiplying (`_signed_permutations` does).
         """
         a, b, c = self._index
         return a, b, c, self._values
@@ -240,6 +262,30 @@ def _checksum(table: ConstantTable, pieces: Iterable[bytes]) -> str:
     for piece in pieces:
         digest.update(piece)
     return digest.hexdigest()[:16]
+
+
+def _is_integer_type(kind: type) -> bool:
+    """Whether values of type ``kind`` are indices by the rule of `indexing._integer`."""
+    return hasattr(kind, "__index__") and not issubclass(kind, (bool, np.bool_))
+
+
+def _packed(keys: np.ndarray, top: int) -> np.ndarray:
+    """The int64 sort key (i (top+1) + j) (top+1) + k of each key column, built in one array."""
+    packed = keys[0].astype(np.int64)
+    for row in keys[1:]:
+        packed *= top + 1
+        packed += row
+    return packed
+
+
+def _refuse(
+    bad: np.ndarray, keys: np.ndarray, values: np.ndarray, error: type, problem: str
+) -> None:
+    """Raise ``error`` naming the first key column where ``bad`` holds, if any."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        i, j, k = keys[:, rows[0]].tolist()
+        raise error(f"triple {(i, j, k)} = {float(values[rows[0]])!r} {problem}")
 
 
 def _check_table_dimension(n_dim: int) -> int:
@@ -261,7 +307,9 @@ def _signed_permutations(
     """Every ordered index triple of an f table: parallel arrays (i, j, k, f_ijk), 0-based.
 
     Each canonical (a, b, c, v) appears in its six orders, odd orders with -v,
-    which is the whole of f by total anti-symmetry.  The arrays hold one
+    which is the whole of f by total anti-symmetry.  The indices are widened
+    from the table's int32 to intp here, once, so that products of them such
+    as i * dim + k cannot overflow.  The arrays hold one
     block per order, each block in canonical-triple order; accumulations
     over them sum in that fixed order, so their results are reproducible to
     the bit.  Every f contraction starts here, so this is where a d table
@@ -270,25 +318,29 @@ def _signed_permutations(
     _check_f_table(table)
     a, b, c, v = table.contraction_arrays()
     return (
-        np.concatenate((a, a, b, b, c, c)),
-        np.concatenate((b, c, c, a, a, b)),
-        np.concatenate((c, b, a, c, b, a)),
+        np.concatenate((a, a, b, b, c, c), dtype=np.intp),
+        np.concatenate((b, c, c, a, a, b), dtype=np.intp),
+        np.concatenate((c, b, a, c, b, a), dtype=np.intp),
         np.concatenate((v, -v, v, -v, v, -v)),
     )
 
 
 def _coordinates(n_dim: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """1-based coordinate arrays of every pair m < n and every triple m < p < q."""
+    """1-based int32 coordinate arrays of every pair m < n and every triple m < p < q.
+
+    int32 holds every index the families make of them, N**2 - 1 at most.
+    """
     below = np.less.outer(np.arange(n_dim), np.arange(n_dim))
-    pairs = [axis + 1 for axis in np.nonzero(below)]
-    triples = [axis + 1 for axis in np.nonzero(below[:, :, None] & below[None, :, :])]
+    pairs = [np.add(axis, 1, dtype=np.int32) for axis in np.nonzero(below)]
+    triples = [np.add(axis, 1, dtype=np.int32)
+               for axis in np.nonzero(below[:, :, None] & below[None, :, :])]
     return pairs, triples
 
 
 def _gather(*families: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """1-based (3, count) keys and values of (i, j, k, value) families, gathered in order."""
+    """1-based int32 (3, count) keys and values of (i, j, k, value) families, gathered in order."""
     i, j, k, values = zip(*families)
-    keys = np.empty((3, sum(map(len, values))), dtype=np.int64)
+    keys = np.empty((3, sum(map(len, values))), dtype=np.int32)
     for row, parts in zip(keys, (i, j, k)):
         np.concatenate(parts, out=row)
     return keys, np.concatenate(values)
@@ -305,8 +357,12 @@ def build_f_table(n_dim: int) -> ConstantTable:
     keys, values = _f_families(n_dim)
     i, j, k = keys
     np.negative(values, out=values, where=(i > j) ^ (i > k) ^ (j > k))
+    spare = np.empty_like(i)  # the one temporary row of the compare-exchanges
     for a, b in ((0, 1), (1, 2), (0, 1)):
-        keys[a], keys[b] = np.minimum(keys[a], keys[b]), np.maximum(keys[a], keys[b])
+        np.minimum(keys[a], keys[b], out=spare)
+        np.maximum(keys[a], keys[b], out=keys[b])
+        keys[a] = spare
+    del spare
     return ConstantTable._from_arrays(n_dim, F_KIND, keys, values)
 
 
@@ -318,7 +374,7 @@ def _f_families(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
     s_qm, a_qm = symmetric_index(q, m3), antisymmetric_index(q, m3)
     s_qp, a_qp = symmetric_index(q, p), antisymmetric_index(q, p)
     low = m >= 2  # the D_m family is zero at m = 1, omitted
-    half = np.full(m3.size, 0.5)
+    half = np.broadcast_to(0.5, m3.shape)  # a view: no array per triple
     return _gather(
         (s_nm, a_nm, diagonal_index(n), np.sqrt(n / (2.0 * (n - 1)))),
         (s_nm[low], a_nm[low], diagonal_index(m[low]), -np.sqrt((m[low] - 1) / (2.0 * m[low]))),
@@ -356,7 +412,7 @@ def _d_families(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
     d_m = diagonal_index(m[low])
     cartan = np.arange(3, n_dim + 1)
     d_cartan = diagonal_index(cartan)
-    half = np.full(m3.size, 0.5)
+    half = np.broadcast_to(0.5, m3.shape)  # a view: no array per triple
     v_mid = np.sqrt(1.0 / (2.0 * p * (p - 1)))
     v_above = np.sqrt(2.0 / (q * (q - 1)))
     return _gather(
@@ -369,7 +425,7 @@ def _d_families(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
         (s_pm, s_qm, s_qp, half),
         (s_pm, a_qm, a_qp, half),
         (a_pm, a_qm, s_qp, half),
-        (a_pm, s_qm, a_qp, -half),
+        (a_pm, s_qm, a_qp, np.broadcast_to(-0.5, m3.shape)),
         (d_p, s_qm, s_qm, v_mid),
         (d_p, a_qm, a_qm, v_mid),
         (s_pm, s_pm, d_q, v_above),

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,13 @@ class TestConstants:
             f"kind={t.kind} n=2 count={len(t)} checksum={t.stats()[1]}"
             for t in (build_f_table(2), build_d_table(2))]
 
+    def test_stdout_without_a_byte_layer_exits_two(self, capsys, monkeypatch):
+        # The tables are written as bytes; an io.StringIO has no byte layer.
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert cli.main(["constants", "--n", "2"]) == 2
+        assert sys.stdout.getvalue() == ""
+        assert "--output" in capsys.readouterr().err
+
     @pytest.mark.parametrize("to_file", [True, False])
     @pytest.mark.parametrize("kind", ["f", "d", "both"])
     @pytest.mark.parametrize("n_dim", range(2, 8))
@@ -191,8 +199,35 @@ class TestConstants:
             "--output", str(out_path),
         )
         assert status == 0
-        assert calls == ["f", "d", "f", "d"]
+        assert calls == ["f", "f", "d", "d"]  # one table at a time
         assert len(out.splitlines()) == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_f_table_is_released_before_d_is_built(self, capsys, tmp_path, monkeypatch, fmt):
+        # With --kind both one table is held at a time.  A table's memory is
+        # its two arrays: both must be freed by the time d is built.
+        refs, alive = [], []
+
+        def build_f(n_dim):
+            table = build_f_table(n_dim)
+            refs.extend(weakref.ref(array) for array in (table._index, table._values))
+            return table
+
+        def build_d(n_dim):
+            alive.append([ref() is not None for ref in refs])
+            return build_d_table(n_dim)
+
+        out_path = tmp_path / f"table.{fmt}"
+        argv = ["constants", "--n", "5", "--kind", "both", "--format", fmt, "--output"]
+        status, _, _ = run(capsys, *argv, str(out_path))
+        assert status == 0
+        expected = out_path.read_bytes()
+        monkeypatch.setattr(cli, "build_f_table", build_f)
+        monkeypatch.setattr(cli, "build_d_table", build_d)
+        status, _, _ = run(capsys, *argv, str(out_path))
+        assert status == 0
+        assert alive == [[False, False]]
+        assert out_path.read_bytes() == expected
 
     @pytest.mark.parametrize("build, kind", [(build_f_table, "f"), (build_d_table, "d")])
     def test_pieces_of_any_size_give_the_same_bytes(
@@ -242,10 +277,10 @@ class TestConstants:
         # The tables are built before the traced call, so the peak is the
         # writer's alone.  One table is formatted at a time: beside what its
         # stats() holds (9 bytes per triple for its sorted values, and six
-        # arrays of a piece), each piece is decoded, prefixed and encoded by
-        # the text file: four more of at most 1.2 budgets, as a 2-byte prefix
-        # adds at most a fifth to a line of at least 10 bytes.  2**18 covers
-        # the N**2 labels and their strings, and 2**18 the argument parser.
+        # arrays of a piece), the writer holds the piece's bytes with the
+        # prefix put in: at most 1.2 budgets more, as a 2-byte prefix adds at
+        # most a fifth to a line of at least 10 bytes.  2**18 covers the N**2
+        # labels and their strings, and 2**18 the argument parser.
         budget = 2**14
         monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", budget)
         tables = [build_f_table(48), build_d_table(48)]
@@ -255,7 +290,7 @@ class TestConstants:
         status, peak = traced_peak(
             cli.main, ["constants", "--n", "48", "--output", str(out_path)])
         assert status == 0
-        bound = 9 * max(len(t) for t in tables) + 11 * budget + 2 * 2**18
+        bound = 9 * max(len(t) for t in tables) + 36 * budget // 5 + 2 * 2**18
         assert bound < len(tables[1].rows())  # the d table's text would not fit whole
         assert peak <= bound
 
@@ -263,11 +298,10 @@ class TestConstants:
         # As for the CSV, the peak is the writer's alone.  stats() comes first
         # and holds what the stats() test bounds; the JSON pass then holds the
         # same 9 bytes per triple and at most five arrays of a piece, plus the
-        # value picks (8 bytes a line of over 100).  The writer copies the
-        # first piece without its comma, decodes each piece and the text file
-        # encodes it: three more budgets, nine in all.  The labels carry their
-        # JSON keys: 71 + 21 + 25 bytes for i, j and k.  2**18 covers the
-        # argument parser.
+        # value picks (8 bytes a line of over 100).  The writer hands each
+        # piece to the file as it is, the first through a view that skips its
+        # comma: six budgets in all.  The labels carry their JSON keys:
+        # 71 + 21 + 25 bytes for i, j and k.  2**18 covers the argument parser.
         budget = 2**14
         monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", budget)
         tables = [build_f_table(48), build_d_table(48)]
@@ -277,7 +311,7 @@ class TestConstants:
         status, peak = traced_peak(
             cli.main, ["constants", "--n", "48", "--format", "json", "--output", str(out_path)])
         assert status == 0
-        bound = 9 * max(len(t) for t in tables) + 9 * budget + (48 * 48 - 1) * 117 + 2**18
+        bound = 9 * max(len(t) for t in tables) + 6 * budget + (48 * 48 - 1) * 117 + 2**18
         assert bound < out_path.stat().st_size // 2  # a table's text would not fit whole
         assert peak <= bound
 

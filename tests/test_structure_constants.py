@@ -212,11 +212,61 @@ def test_duplicate_insertion_is_hard_error():
         ("d", {(1, 1, 8): 0.5, (3, 4, 4): math.nan}, r"\(3, 4, 4\) = nan is outside the band"),
         ("f", {(1, 2, 3): -math.inf}, r"= -inf is outside the band"),
         ("d", {(1, 1, 8): 1.5}, r"\(1, 1, 8\) = 1.5 is outside the band"),
+        # Indices are integers: numpy would truncate these to (1, 2, 3) and (1, 4, 7).
+        ("f", {(1.5, 2, 3): 1.0, (True, 4, 7): 0.5},
+         r"\(1.5, 2, 3\) = 1.0 has an index that is not an integer"),
+        ("f", {(1, 2, 3): 1.0, (True, 4, 7): 0.5},
+         r"\(True, 4, 7\) = 0.5 has an index that is not an integer"),
+        ("f", {(1, 2, np.float64(3.0)): 1.0}, "has an index that is not an integer"),
+        ("f", {(np.True_, 2, 3): 1.0}, "has an index that is not an integer"),
+        # The range is checked before the keys are narrowed to int32, where
+        # 2**40 would wrap to 0 and 2**32 + 3 to a valid 3.
+        ("f", {(1, 2, 2**40): 0.5}, r"\(1, 2, 1099511627776\) = 0.5 has an index outside 1..8"),
+        ("f", {(1, 2, 2**32 + 3): 1.0}, r"= 1.0 has an index outside 1..8"),
+        ("f", {(1, 2, np.int64(2**32 + 3)): 1.0}, r"= 1.0 has an index outside 1..8"),
+        ("f", {(1, 2, 3): 1.0, (1, 4, 2**70): 0.5}, r"= 0.5 has an index outside 1..8"),
     ],
 )
 def test_invalid_entries_rejected(kind, entries, message):
     with pytest.raises(ValueError, match=message):
         ConstantTable(3, kind, entries)
+
+
+def test_numpy_integer_keys_act_as_ints():
+    entries = {(np.int64(1), np.int32(2), np.uint8(3)): 1.0, (1, np.intp(4), 7): 0.5}
+    table = ConstantTable(3, "f", entries)
+    assert table.as_dict() == {(1, 2, 3): 1.0, (1, 4, 7): 0.5}
+    assert all(type(x) is int for key in table.as_dict() for x in key)
+
+
+def test_keys_at_the_largest_dimension():
+    # Indices near N**2 - 1 = 2,096,703 at MAX_TABLE_N, stored as int32: they
+    # sort, validate and look up exactly, and the contractions widen them
+    # before any product of two.  Three triples: nothing here grows with N.
+    top = MAX_TABLE_N**2 - 1
+    assert top == 2_096_703
+    keys = np.array([[top - 3, 1, top - 2], [top - 1, 2, top - 1], [top, top, top]],
+                    dtype=np.int32)
+    table = ConstantTable._from_arrays(MAX_TABLE_N, "f", keys, np.array([0.5, -1.0, 0.25]))
+    a, b, c, values = table.contraction_arrays()
+    assert a.dtype == np.int32
+    assert (a + 1).tolist() == [1, top - 3, top - 2]
+    assert (c + 1).tolist() == [top, top, top]
+    assert values.tolist() == [-1.0, 0.5, 0.25]
+    assert table.lookup(top, top - 1, top - 3) == -0.5
+    assert table.lookup(top - 1, top, top - 2) == 0.25
+    assert table.lookup(top, 2, 1) == 1.0
+    assert table.lookup(top - 3, top - 2, top) == 0.0
+    i, j, k, f = structure_constants._signed_permutations(table)
+    assert i.dtype == j.dtype == k.dtype == np.intp
+    flat = i * top + k  # the flat position precession_matrix forms
+    assert flat.tolist() == [x * top + z for x, z in zip(i.tolist(), k.tolist())]
+    assert flat.max() > 2**31
+    with pytest.raises(RuntimeError, match="is a duplicate"):
+        ConstantTable._from_arrays(MAX_TABLE_N, "f", np.array([[top - 2] * 2, [top - 1] * 2,
+                                                               [top] * 2]), np.ones(2))
+    with pytest.raises(ValueError, match=f"outside 1..{top}"):
+        ConstantTable(MAX_TABLE_N, "d", {(top - 1, top, top + 1): 0.5})
 
 
 def test_dimension_beyond_packed_keys_rejected():
@@ -346,7 +396,7 @@ def test_rows_prefix_and_the_empty_table():
 @pytest.mark.parametrize("build", [build_f_table, build_d_table])
 def test_stats_hold_one_piece_of_text_beside_the_table(build, monkeypatch):
     # What grows with the count is the sorted copy of the values and its
-    # neighbour mask, 9 bytes per triple against the table's own 32.  Each
+    # neighbour mask, 9 bytes per triple against the table's own 20.  Each
     # piece holds at most six arrays of at most one budget: the record
     # buffer, one gathered field, the value picks (8 bytes a line of at least
     # 10), the NUL mask, the joined copy and its bytes.  2**18 covers the
@@ -362,13 +412,14 @@ def test_stats_hold_one_piece_of_text_beside_the_table(build, monkeypatch):
 
 
 def check_build_memory(build, count):
-    # The families are gathered into the result's own arrays (1x), which are
-    # then sorted a row at a time.  Beside them live at most 32 more bytes
-    # per triple (1x): while gathering, the families' index and value pieces;
-    # while sorting, the packed key, the sort order, the row being permuted
-    # and the sort's merge buffer, or later the packed key, np.diff's two
-    # temporaries and the check masks.  The coordinate arrays over m < p < q
-    # are gone by then: they die with the function that lists the families.
+    # The families are gathered into the result's own arrays (1x: int32 keys
+    # and float64 values, 20 bytes per triple), which are then sorted a row
+    # at a time.  Beside them live at most 20 more bytes per triple (1x):
+    # while gathering, the families' int32 index and float64 value pieces;
+    # while sorting, the int64 packed key and the sort order, then the order
+    # and the row being permuted; later the packed key and one-byte check
+    # masks.  The coordinate arrays over m < p < q are gone by then: they die
+    # with the function that lists the families.  Both builds measure 1.80x.
     table, peak = traced_peak(build, 48)
     assert len(table) == count
     assert peak <= 2.0 * sum(a.nbytes for a in table.contraction_arrays())
