@@ -57,13 +57,17 @@ each below 2**16 multiply-adds, where OpenBLAS 0.3.31 wakes a second thread
 Either way a sample costs O(N**3) whatever the step count, and neither
 method builds the f table or the d x d matrix Omega of `precession_matrix`
 (d = N**2 - 1), which stays as the f-driven reference.  The eigenvectors
-come from an SVD, not eigh (see `_eigensystem`).
+come from an SVD, not eigh (see `_eigensystem`).  Samples come a block at a
+time in grid order: the integrators write the blocks into one (T, dim)
+array, while `simulate` writes each and compares it with the amplitude flow
+on the same rows before the next is sampled, so its memory does not grow
+with the sample count.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,19 +248,17 @@ def precession_matrix(table: ConstantTable, coeffs: HamiltonianCoefficients) -> 
     return omega.reshape(dim, dim) / coeffs.hbar
 
 
-def _sample_grid(
-    spec: IntegrationSpec, radius: float, first: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """The RK4 stability guard, then the sample grid and its sample array.
+def _sample_grid(spec: IntegrationSpec, radius: float, first: np.ndarray) -> tuple:
+    """The RK4 stability guard, then the size of the sample grid.
 
     ``radius`` is the spectral radius of the flow.  Both flows have purely
     imaginary spectra, and RK4 is stable on the imaginary axis up to
     |z| = 2 sqrt(2), so RK4 is refused when dt * radius exceeds that, even
-    for a zero duration.  Returns (times, record, remainder, states):
-    ``record`` holds the full-step count at each full-step sample,
-    ``remainder`` the tail step short of t_final (0.0 if there is none), and
-    ``states`` is allocated before any stepping, with ``first`` as its row 0,
-    so that a grid too large for memory is refused up front.
+    for a zero duration.  Returns (count, n_steps, n_full, remainder): of the
+    ``count`` samples, ``n_steps`` are at every output_stride-th full step
+    and the last, n_full, and one more is at t_final if ``remainder``, the
+    tail step short of it, is not 0.0.  A grid whose (count, first.size)
+    array numpy could not address is refused without allocating anything.
     """
     z = spec.dt * radius
     if spec.method == RK4 and z > _RK4_STABILITY_LIMIT:
@@ -268,23 +270,14 @@ def _sample_grid(
     remainder = spec.t_final - n_full * spec.dt
     if not remainder > 1e-12 * max(spec.t_final, spec.dt):
         remainder = 0.0
-    # Samples: every output_stride-th step, the last full step and the tail end.
     n_steps = -(-n_full // spec.output_stride) + 1
     count = n_steps + bool(remainder)
-    try:
-        states = np.empty((count, first.size), dtype=first.dtype)
-    except (ValueError, MemoryError):
+    if count * first.nbytes > np.iinfo(np.intp).max:
         raise ValueError(
-            f"{count} samples of {first.size} values ({count * first.size * first.itemsize} "
-            "bytes) do not fit in memory; raise dt or output_stride"
-        ) from None
-    states[0] = first
-    record = np.minimum(np.arange(n_steps) * spec.output_stride, n_full)
-    # n_full * dt may round past t_final (3 * 0.1 > 0.3); the grid stops at t_final.
-    times = np.minimum(record * spec.dt, spec.t_final)
-    if remainder:
-        times = np.append(times, spec.t_final)
-    return times, record, remainder, states
+            f"{count} samples of {first.size} values ({count * first.nbytes} bytes) do not fit "
+            "in memory; raise dt or output_stride"
+        )
+    return count, n_steps, n_full, remainder
 
 
 def _eigensystem(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,32 +322,53 @@ def _evolve_modes(
     first: np.ndarray,
     read: Callable[[np.ndarray], np.ndarray],
     block: int,
-) -> Trajectory:
+) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """Sample a linear flow whose modes y' = -i w y have the ``frequencies`` w.
 
-    ``radius`` is the spectral radius for the RK4 guard of `_sample_grid` and
-    ``first`` the state at t = 0.  Row j is ``first + read(F - 1)``, log F =
-    steps[j] * log_step, plus log_tail on the last row (RK4's tail step, or 0).
+    ``radius`` is the spectral radius for the RK4 guard of `_sample_grid`, run
+    at the call, and ``first`` the state at t = 0.  Returns the sample count
+    and the grid's blocks in order as (times, rows): row 0 alone, then
+    ``block`` rows each.  Row j is ``first + read(F - 1)``, log F = steps[j] *
+    log_step, plus log_tail on the tail sample (RK4's tail step, or 0).
     ``read`` takes ``block`` samples in groups of flat products below 2**16
     multiply-adds (`_block_samples`).  Precession passes only the modes above
     the diagonal and mirrors F, not the increment: V^dagger rho V is
     Hermitian only to rounding.
     """
-    times, record, remainder, states = _sample_grid(spec, radius, first)
+    count, n_steps, n_full, remainder = _sample_grid(spec, radius, first)
     if spec.method == EXACT:
-        steps, log_step, log_tail = times, -1j * frequencies, 0.0
+        log_step, log_tail = -1j * frequencies, 0.0
     else:
-        steps = np.append(record, record[-1]) if remainder else record
         log_step, log_tail = _rk4_log(spec.dt * frequencies), _rk4_log(remainder * frequencies)
-    for start in range(1, len(times), block):
-        stop = min(start + block, len(times))
-        exponent = np.multiply.outer(steps[start:stop], log_step)
-        if stop == len(times):
-            exponent[-1] += log_tail
-        factor = np.exp(exponent, out=exponent)
-        factor -= 1.0
-        states[start:stop] = first + read(factor)
-    return Trajectory(times=times, states=states)
+
+    def blocks():
+        yield np.zeros(1), first[np.newaxis]
+        for start in range(1, count, block):
+            stop = min(start + block, count)
+            # The tail sample, index n_steps, takes n_full steps as the one before it.
+            index = np.minimum(np.arange(start, stop), n_steps - 1)
+            steps = np.minimum(index * spec.output_stride, n_full)
+            # n_full * dt may round past t_final (3 * 0.1 > 0.3); the grid stops at t_final.
+            times = np.minimum(steps * spec.dt, spec.t_final)
+            times[n_steps - start:] = spec.t_final  # the tail sample, if in this block
+            exponent = np.multiply.outer(times if spec.method == EXACT else steps, log_step)
+            exponent[n_steps - start:] += log_tail
+            factor = np.exp(exponent, out=exponent)
+            factor -= 1.0
+            yield times, first + read(factor)
+
+    return count, blocks()
+
+
+def _collect(count: int, blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> Trajectory:
+    """The blocks of `_evolve_modes` written into one preallocated trajectory."""
+    _, first = next(blocks)
+    traj = Trajectory(np.zeros(count), np.empty((count, first.shape[1]), first.dtype))
+    traj.states[0], start = first[0], 1
+    for times, rows in blocks:
+        traj.times[start:start + len(rows)], traj.states[start:start + len(rows)] = times, rows
+        start += len(rows)
+    return traj
 
 
 def integrate_bloch(
@@ -369,13 +383,13 @@ def integrate_bloch(
     module docstring); the f table is validated but not contracted.
     """
     _check_f_table(table)
-    return _integrate_precession(table.n_dim, coeffs, s0, spec)
+    return _collect(*_integrate_precession(table.n_dim, coeffs, s0, spec))
 
 
 def _integrate_precession(
     n_dim: int, coeffs: HamiltonianCoefficients, s0: np.ndarray, spec: IntegrationSpec
-) -> Trajectory:
-    """`integrate_bloch` at dimension N; `simulate` calls it without an f table."""
+) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """`integrate_bloch` at dimension N in blocks; `simulate` streams them without an f table."""
     s0 = _check_vector(s0, n_dim * n_dim - 1, "coherence vector")
     # The trace of H does not enter the flow; leaving it out keeps the
     # eigenvalue differences free of its cancellation error.
@@ -410,13 +424,20 @@ def integrate_tdse(
     spec: IntegrationSpec,
 ) -> Trajectory:
     """Integrate the amplitude equation dc/dt = (-i/hbar) H c."""
+    return _collect(*_amplitudes(cfg, hamiltonian, psi0, spec, _block_samples(cfg.n_dim, 1)[0]))
+
+
+def _amplitudes(
+    cfg: AlgebraConfig, hamiltonian: np.ndarray, psi0: np.ndarray, spec: IntegrationSpec, block: int
+) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """`integrate_tdse` in blocks of ``block`` rows (one product's worth for it)."""
     hamiltonian = _check_hermitian(hamiltonian, cfg.n_dim)
     psi0 = _check_normalized(psi0, cfg.n_dim)
     energies, vectors = _eigensystem(hamiltonian)
     # The amplitude flow's own radius is max |lambda| / hbar; the spread is
     # checked as well, so that a step the precession flow refuses is refused here.
     radius = max(energies[-1] - energies[0], np.abs(energies).max()) / cfg.hbar
-    c0, block = vectors.conj().T @ psi0, _block_samples(cfg.n_dim, 1)[0]  # one product per block
+    c0 = vectors.conj().T @ psi0
     return _evolve_modes(spec, energies / cfg.hbar, radius, psi0,
                          lambda factor: np.multiply(factor, c0, out=factor) @ vectors.T, block)
 
@@ -431,36 +452,39 @@ def bloch_tdse_deviation(
     """Max componentwise gap between the precession trajectory and the mapped
     amplitude trajectory, both started from the same pure state.
 
-    Decomposes H, integrates the precession equation and hands the result to
-    `_tdse_deviation`, which `simulate --compare-tdse` calls directly with the
-    trajectory it has already written.
+    Decomposes H and folds the gap over both flows with `_tdse_gaps`, as
+    `simulate --compare-tdse` does while it writes the trajectory.
     """
     coeffs = decompose_hamiltonian(cfg, hamiltonian)
-    bloch = integrate_bloch(table, coeffs, state_to_bloch(cfg, psi0), spec)
-    return _tdse_deviation(cfg, hamiltonian, psi0, spec, bloch)
+    _check_f_table(table)
+    _, blocks = _integrate_precession(cfg.n_dim, coeffs, state_to_bloch(cfg, psi0), spec)
+    for *_, gap in _tdse_gaps(cfg, hamiltonian, psi0, spec, blocks):
+        pass
+    return gap
 
 
-def _tdse_deviation(
-    cfg: AlgebraConfig,
-    hamiltonian: np.ndarray,
-    psi0: np.ndarray,
-    spec: IntegrationSpec,
-    bloch: Trajectory,
-) -> float:
-    """Max componentwise gap between ``bloch``, the precession trajectory from
-    psi0, and the amplitude trajectory from psi0 mapped to coherence vectors.
-
-    Refuses the comparison when the amplitude norm drifts by more than
-    _NORM_DRIFT_TOL, because the mapping is then meaningless.
+def _tdse_gaps(
+    cfg: AlgebraConfig, hamiltonian: np.ndarray, psi0: np.ndarray, spec: IntegrationSpec,
+    blocks: Iterator[tuple[np.ndarray, np.ndarray]],
+) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """The precession ``blocks`` from psi0 as (times, rows, gap), gap being the
+    max componentwise gap so far to the amplitude flow from psi0 on the same
+    rows, mapped to coherence vectors.  The amplitude flow's checks and RK4
+    guard run at the call; after the last block, a norm drift beyond
+    _NORM_DRIFT_TOL is refused, because the mapping is then meaningless.
     """
-    amp = integrate_tdse(cfg, hamiltonian, psi0, spec)
-    if not np.array_equal(bloch.times, amp.times):
-        raise RuntimeError("integrators produced different sample grids")
-    norms = np.sum(np.abs(amp.states) ** 2, axis=1)
-    drift = float(np.abs(norms - 1.0).max())
-    if drift > _NORM_DRIFT_TOL:
-        raise ValueError(
-            f"amplitude norm drifted by {drift:.3e} (> {_NORM_DRIFT_TOL:.1e}); dt is too coarse"
-        )
-    mapped = bloch_from_states(cfg, amp.states)
-    return float(np.abs(bloch.states - mapped).max())
+    block = _block_samples(cfg.n_dim, cfg.n_dim)[1]  # the rows of a precession block
+    _, amplitudes = _amplitudes(cfg, hamiltonian, psi0, spec, block)
+
+    def fold():
+        gap = drift = 0.0
+        for (times, rows), (_, amps) in zip(blocks, amplitudes, strict=True):
+            drift = max(drift, float(np.abs(np.sum(np.abs(amps) ** 2, axis=1) - 1.0).max()))
+            gap = max(gap, float(np.abs(rows - bloch_from_states(cfg, amps)).max()))
+            yield times, rows, gap
+        if drift > _NORM_DRIFT_TOL:
+            raise ValueError(
+                f"amplitude norm drifted by {drift:.3e} (> {_NORM_DRIFT_TOL:.1e}); dt is too coarse"
+            )
+
+    return fold()

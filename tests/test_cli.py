@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 import sunlie.cli as cli
 import sunlie.dynamics as dynamics
 import sunlie.structure_constants as structure_constants
-from conftest import traced_peak
+from conftest import random_hermitian, random_state, traced_peak
 from sunlie.adjoint import adjoint_matrix
 from sunlie.generators import AlgebraConfig, make_generator
 from sunlie.indexing import index_to_label
@@ -52,6 +53,32 @@ def run(capsys, *argv):
     status = cli.main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def reference_simulate(cfg, hamiltonian, psi0, spec):
+    """The trajectory CSV and the max gap of `simulate --compare-tdse` from whole
+    trajectories: the precession states collected and turned into floats by one
+    tolist, and the gap taken over the whole mapped amplitude trajectory."""
+    coeffs = dynamics.decompose_hamiltonian(cfg, hamiltonian)
+    traj = dynamics.integrate_bloch(build_f_table(cfg.n_dim), coeffs,
+                                    dynamics.state_to_bloch(cfg, psi0), spec)
+    lines = [",".join(["t"] + [f"s_{k}" for k in range(1, cfg.dim + 1)])]
+    for t, row in zip(traj.times.tolist(), traj.states.tolist()):
+        lines.append(",".join([repr(t)] + [repr(x) for x in row]))
+    amp = dynamics.integrate_tdse(cfg, hamiltonian, psi0, spec)
+    np.testing.assert_array_equal(amp.times, traj.times)
+    assert np.abs(np.sum(np.abs(amp.states) ** 2, axis=1) - 1.0).max() <= 1e-6
+    gap = float(np.abs(traj.states - dynamics.bloch_from_states(cfg, amp.states)).max())
+    return "\n".join(lines) + "\n", gap
+
+
+def write_problem(tmp_path, mat, psi):
+    """H and psi0 as the JSON files `simulate` reads."""
+    h_path, psi_path = tmp_path / "h.json", tmp_path / "psi.json"
+    h_path.write_text(json.dumps({"n": len(mat), "re": mat.real.tolist(),
+                                  "im": mat.imag.tolist()}))
+    psi_path.write_text(json.dumps({"re": psi.real.tolist(), "im": psi.imag.tolist()}))
+    return h_path, psi_path
 
 
 class TestGenerators:
@@ -748,6 +775,81 @@ class TestSimulate:
         assert status == 2
         assert err.startswith("error:") and "norm drifted" in err
         assert out == ""
+
+
+class TestStreamedSimulate:
+    """`simulate` writes and compares its trajectory a block at a time."""
+
+    # Full steps of dt = 0.01 per N: more samples than one precession block
+    # holds (8191 at N = 2, 2427, 1023, 524, 303, 191, 37 at N = 12, 30 and 16).
+    STEPS = {2: 9000, 3: 3000, 4: 1500, 5: 1500, 6: 1500, 7: 1500, 12: 1050, 16: 113, 32: 100}
+
+    @pytest.mark.parametrize("method", ["rk4", "exact"])
+    @pytest.mark.parametrize("n_dim", sorted(STEPS))
+    def test_matches_whole_trajectory_writer(self, capsys, tmp_path, n_dim, method):
+        rng = np.random.default_rng(2000 + n_dim)
+        cfg = AlgebraConfig(n_dim)
+        h_path, psi_path = write_problem(tmp_path, random_hermitian(rng, n_dim),
+                                         random_state(rng, n_dim))
+        hamiltonian = cli._complex_from_json(str(h_path), matrix=True)
+        psi0 = cli._complex_from_json(str(psi_path), matrix=False)
+        out_path = tmp_path / "traj.csv"
+        steps = self.STEPS[n_dim]
+        # Every step, then every 7th with the last full step and a half-step tail.
+        for t_final, stride in ((steps * 0.01, 1), ((steps + 0.5) * 0.01, 7)):
+            spec = dynamics.IntegrationSpec(t_final, 0.01, method=method, output_stride=stride)
+            text, gap = reference_simulate(cfg, hamiltonian, psi0, spec)
+            argv = ["simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+                    "--method", method, "--t-final", repr(t_final), "--dt", "0.01",
+                    "--stride", str(stride), "--compare-tdse"]
+            status, out, err = run(capsys, *argv, "--output", str(out_path))
+            assert (status, err) == (0, "")
+            assert out_path.read_bytes() == text.encode()
+            (line,) = out.splitlines()
+            assert abs(float(line.removeprefix("max_tdse_deviation=")) - gap) <= 1e-15
+            status, out, err = run(capsys, *argv)
+            assert status == 0 and out == text
+            (line,) = err.splitlines()
+            assert abs(float(line.removeprefix("max_tdse_deviation=")) - gap) <= 1e-15
+            deviation = dynamics.bloch_tdse_deviation(cfg, build_f_table(n_dim), hamiltonian,
+                                                      psi0, spec)
+            assert abs(deviation - gap) <= 1e-15
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_amplitude_guard_refuses_before_writing(self, capsys, tmp_path, to_file):
+        # Eigenvalues 9.95 and 10.25: dt * spread = 0.15 is stable for the
+        # precession flow, dt * max |lambda| = 5.1 is not for the amplitudes.
+        mat = np.array([[10.0, 0.1 - 0.05j], [0.1 + 0.05j, 10.2]])
+        h_path, psi_path = write_problem(tmp_path, mat, np.array([1.0 + 0j, 0.0]))
+        out_path = tmp_path / "traj.csv"
+        extra = ["--output", str(out_path)] if to_file else []
+        status, out, err = run(
+            capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+            "--t-final", "2", "--dt", "0.5", "--compare-tdse", *extra,
+        )
+        assert status == 2
+        assert err.startswith("error: dt=0.5 is unstable")
+        assert out == "" and not out_path.exists()
+
+    def test_memory_does_not_grow_with_the_samples(self, tmp_path):
+        # 20,001 samples at N = 16.  The largest work arrays of a precession
+        # block hold N x N complex entries per sample: 30 samples (the block
+        # of `_block_samples`) x 256 x 16 bytes = 123 KB.  A block holds a few
+        # of them beside its (30, 255) rows, the comparison's amplitude rows
+        # and the text of one row; allow 16.  Holding the trajectory would add
+        # 41 MB of states, and three times that again for their tolist floats.
+        n_dim = 16
+        rng = np.random.default_rng(n_dim)
+        h_path, psi_path = write_problem(tmp_path, random_hermitian(rng, n_dim),
+                                         random_state(rng, n_dim))
+        block = dynamics._block_samples(n_dim, n_dim)[1]
+        argv = ["simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+                "--t-final", "20", "--dt", "1e-3", "--output", str(tmp_path / "traj.csv"),
+                "--compare-tdse"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            status, peak = traced_peak(cli.main, argv)
+        assert status == 0
+        assert peak <= 16 * block * n_dim * n_dim * 16
 
 
 class TestColdImports:

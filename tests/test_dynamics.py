@@ -570,7 +570,14 @@ def full_mode_precession(coeffs, s0, spec, n_dim, chunk=256):
     modes = vectors.conj().T @ reconstruct_density(cfg, s0) @ vectors
     frequencies = np.subtract.outer(energies, energies) / cfg.hbar
     radius = (energies[-1] - energies[0]) / cfg.hbar
-    times, record, remainder, states = dynamics._sample_grid(spec, radius, s0)
+    # The grid as one array, every output_stride-th full step, the last, and the tail.
+    count, n_steps, n_full, remainder = dynamics._sample_grid(spec, radius, s0)
+    record = np.minimum(np.arange(n_steps) * spec.output_stride, n_full)
+    times = np.minimum(record * spec.dt, spec.t_final)
+    if remainder:
+        times = np.append(times, spec.t_final)
+    states = np.empty((count, s0.size))
+    states[0] = s0
     if spec.method == "exact":
         steps, log_step, log_tail = times, -1j * frequencies, 0.0
     else:
@@ -610,7 +617,7 @@ class TestHalfModeRead:
         # Every step, then every 7th with the last full step and a half-step tail.
         for t_final, stride in ((steps * 0.01, 1), ((steps + 0.5) * 0.01, 7)):
             spec = IntegrationSpec(t_final, 0.01, method=method, output_stride=stride)
-            traj = dynamics._integrate_precession(n_dim, coeffs, s0, spec)
+            traj = dynamics._collect(*dynamics._integrate_precession(n_dim, coeffs, s0, spec))
             times, states = full_mode_precession(coeffs, s0, spec, n_dim)
             np.testing.assert_array_equal(traj.times, times)
             assert np.abs(traj.states - states).max() <= 2e-15
