@@ -62,12 +62,14 @@ def verify_adjoint_commutators(
 
     With ``sample=None`` all pairs are checked for N <= 6 and 200 seeded
     random pairs beyond that; pass an explicit count >= 1 to override.
+    ``seed``, an integer >= 0, seeds the sampled pairs.
     Returns a report rather than raising: max deviation is a result, not an
     error, and the check passes within TOLERANCE.
 
     Checks the real form [F_i, F_j] = -sum_k f_ijk F_k, T_i = -i F_i, one
     pair at a time from d x d matrices: O(d**2) memory, no (d, d, d) stack.
     """
+    seed = _integer(seed, "seed", 0)
     if sample is not None:
         sample = _integer(sample, "sample", 1)
     d = table.n_dim * table.n_dim - 1

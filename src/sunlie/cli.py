@@ -39,7 +39,7 @@ from .dynamics import (
     state_to_bloch,
 )
 from .generators import AlgebraConfig, make_generator
-from .indexing import GeneratorLabel, index_to_label
+from .indexing import GeneratorLabel, _integer, index_to_label
 from .structure_constants import (
     D_KIND,
     F_KIND,
@@ -248,6 +248,7 @@ def _permutation_spot_check(tables: Sequence[ConstantTable], seed: int, draws: i
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _integer(args.seed, "seed", 0)  # refused before a line is written
     cfg = AlgebraConfig(args.n, args.hbar)
     tables = list(_tables(args.n, args.kind))
     status = 0
@@ -311,10 +312,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     best = float("inf")
-    for _ in range(args.repeats):
+    for _ in range(_integer(args.repeats, "--repeats", 1)):
         start = time.perf_counter()
         f_table, d_table = _tables(args.n, "both")
         best = min(best, time.perf_counter() - start)

@@ -35,8 +35,10 @@ and for pairs m < n and Cartan coordinates k < n:
 Each instance above is stored once under its canonical key: indices sorted
 ascending, strictly for f (repeated indices vanish by anti-symmetry), weakly
 for d.  The stored f value belongs to the ascending order; `lookup` restores
-the sign for any other ordering.  Exactly-zero family instances (the m = 1
-and n = 2 cases flagged above) are omitted: the table stores non-zeros only.
+the sign for any other ordering.  Both builders write every family directly
+in that ascending order, f with the sign of that order, so no triple is
+re-sorted.  Exactly-zero family instances (the m = 1 and n = 2 cases flagged
+above) are omitted: the table stores non-zeros only.
 
 Enumerating the patterns costs O(N**3) against the O(N**9) of computing every
 generator trace, which is what makes the N = 64 table a subsecond object
@@ -89,12 +91,13 @@ class ConstantTable:
 
     Immutable once constructed.  The table is a read-only (3, count) array of
     0-based canonical index triples in lexicographic order and the matching
-    value array.  `lookup` resolves an arbitrary index order through the
-    permutation symmetry (sign-flipping for f, invariant for d) and returns
-    0.0 for any triple not stored.
+    value array; no other copy of the content is kept.  `lookup` resolves an
+    arbitrary index order through the permutation symmetry (sign-flipping
+    for f, invariant for d), binary-searches the packed sort key of the
+    canonical triple and returns 0.0 for any triple not stored.
     """
 
-    __slots__ = ("n_dim", "kind", "_index", "_values", "_mapping")
+    __slots__ = ("n_dim", "kind", "_index", "_values", "_packed_keys")
 
     def __init__(self, n_dim: int, kind: str, entries: dict[tuple[int, int, int], float]):
         # numpy would truncate 1.5 and True to 1 without a word, so every type
@@ -164,7 +167,7 @@ class ConstantTable:
         self.kind = kind
         self._index = keys
         self._values = values
-        self._mapping: dict[tuple[int, int, int], float] | None = None
+        self._packed_keys: np.ndarray | None = None  # built by the first lookup
 
     def __len__(self) -> int:
         return self._values.size
@@ -174,16 +177,10 @@ class ConstantTable:
         i, j, k = (self._index + 1).tolist()
         return [ConstantTriple(self.kind, *t) for t in zip(i, j, k, self._values.tolist())]
 
-    def _entries(self) -> dict[tuple[int, int, int], float]:
-        # Built on first use: only lookup and as_dict need a keyed mapping.
-        if self._mapping is None:
-            i, j, k = (self._index + 1).tolist()
-            self._mapping = dict(zip(zip(i, j, k), self._values.tolist()))
-        return self._mapping
-
     def as_dict(self) -> dict[tuple[int, int, int], float]:
         """Copy of the canonical key -> value mapping."""
-        return dict(self._entries())
+        i, j, k = (self._index + 1).tolist()
+        return dict(zip(zip(i, j, k), self._values.tolist()))
 
     def lookup(self, i: int, j: int, k: int) -> float:
         """Constant for an arbitrary index order; 0.0 if absent from the table."""
@@ -198,10 +195,17 @@ class ConstantTable:
         if i > j:
             i, j, sign = j, i, -sign
         if self.kind == D_KIND:
-            return self._entries().get((i, j, k), 0.0)
-        if i == j or j == k:
+            sign = 1.0
+        elif i == j or j == k:
             return 0.0
-        return sign * self._entries().get((i, j, k), 0.0)
+        # 8 bytes per triple, built on the first lookup: the builds never pay for it.
+        if self._packed_keys is None:
+            self._packed_keys = _packed(self._index, top)
+        key = ((i - 1) * (top + 1) + j - 1) * (top + 1) + k - 1
+        at = self._packed_keys.searchsorted(key)
+        if at == len(self) or self._packed_keys[at] != key:
+            return 0.0
+        return sign * self._values.item(at)
 
     def stats(self) -> tuple[int, str]:
         """Triple count and an order-independent content digest (16 hex chars)."""
@@ -349,21 +353,11 @@ def _gather(*families: tuple) -> tuple[np.ndarray, np.ndarray]:
 def build_f_table(n_dim: int) -> ConstantTable:
     """Enumerate every non-zero anti-symmetric constant f_ijk for su(n_dim).
 
-    Families are emitted in their docstring order, then each triple is sorted
-    in place by three compare-exchanges; the parity of that sort, the parity
-    of the triple's inversions, is the sign of its value.
+    Every family is written in canonical ascending order, with the sign of
+    that order, as `build_d_table` writes d.
     """
     n_dim = _check_table_dimension(n_dim)
-    keys, values = _f_families(n_dim)
-    i, j, k = keys
-    np.negative(values, out=values, where=(i > j) ^ (i > k) ^ (j > k))
-    spare = np.empty_like(i)  # the one temporary row of the compare-exchanges
-    for a, b in ((0, 1), (1, 2), (0, 1)):
-        np.minimum(keys[a], keys[b], out=spare)
-        np.maximum(keys[a], keys[b], out=keys[b])
-        keys[a] = spare
-    del spare
-    return ConstantTable._from_arrays(n_dim, F_KIND, keys, values)
+    return ConstantTable._from_arrays(n_dim, F_KIND, *_f_families(n_dim))
 
 
 def _f_families(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -377,12 +371,12 @@ def _f_families(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
     half = np.broadcast_to(0.5, m3.shape)  # a view: no array per triple
     return _gather(
         (s_nm, a_nm, diagonal_index(n), np.sqrt(n / (2.0 * (n - 1)))),
-        (s_nm[low], a_nm[low], diagonal_index(m[low]), -np.sqrt((m[low] - 1) / (2.0 * m[low]))),
-        (s_pm, s_qp, a_qm, half),
-        (s_qm, s_qp, a_pm, half),
+        (diagonal_index(m[low]), s_nm[low], a_nm[low], -np.sqrt((m[low] - 1) / (2.0 * m[low]))),
+        (s_pm, a_qm, s_qp, np.broadcast_to(-0.5, m3.shape)),
+        (a_pm, s_qm, s_qp, half),
         (s_pm, s_qm, a_qp, half),
         (a_pm, a_qm, a_qp, half),
-        (s_qm, a_qm, diagonal_index(p), np.sqrt(1.0 / (2.0 * p * (p - 1)))),
+        (diagonal_index(p), s_qm, a_qm, np.sqrt(1.0 / (2.0 * p * (p - 1)))),
     )
 
 

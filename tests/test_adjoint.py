@@ -113,6 +113,12 @@ def test_sample_below_one_rejected(sample):
         verify_adjoint_commutators(build_f_table(3), sample=sample)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "3", -1])
+def test_seed_not_a_non_negative_integer_rejected(seed):
+    with pytest.raises(ValueError, match="seed"):
+        verify_adjoint_commutators(build_f_table(3), seed=seed)
+
+
 def test_single_sampled_pair():
     report = verify_adjoint_commutators(build_f_table(3), sample=np.int64(1))
     assert (report.pairs_checked, report.exhaustive, report.passed) == (1, False, True)

@@ -426,6 +426,12 @@ class TestVerify:
         assert "missing (1, 2, 3)" in out
         assert "spurious (1, 2, 4)" in out
 
+    def test_negative_seed_refused_before_any_output(self, capsys):
+        status, out, err = run(capsys, "verify", "--n", "3", "--seed", "-1")
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error:") and "seed" in err
+
     def test_infinite_hbar_rejected(self, capsys):
         # Not a reported mismatch (exit 1) from an inf/NaN oracle.
         with pytest.raises(SystemExit) as excinfo:

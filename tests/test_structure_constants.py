@@ -137,6 +137,45 @@ class TestLookup:
         for triple in itertools.product(range(1, 9), repeat=3):
             assert table.lookup(*map(np.int64, triple)) == reference.lookup(*triple)
 
+    @pytest.mark.parametrize("build", [build_f_table, build_d_table])
+    def test_every_key_in_every_order_and_absent_triples(self, build):
+        table = build(12)
+        for (i, j, k), value in table.as_dict().items():
+            for order, parity in zip(permutations((i, j, k)), (1, -1, -1, 1, 1, -1)):
+                assert table.lookup(*order) == (parity * value if table.kind == "f" else value)
+        stored = set(table.as_dict())
+        rng = np.random.default_rng(12)
+        absent = [t for t in rng.integers(1, 144, size=(12_000, 3)).tolist()
+                  if tuple(sorted(t)) not in stored][:10_000]
+        assert len(absent) == 10_000
+        assert all(table.lookup(*t) == 0.0 for t in absent)
+
+    def test_empty_table(self):
+        table = build_d_table(2)
+        assert all(table.lookup(*t) == 0.0 for t in itertools.product((1, 2, 3), repeat=3))
+
+    @pytest.mark.parametrize("build", [build_f_table, build_d_table])
+    def test_first_lookup_holds_a_packed_key_per_triple(self, build):
+        # The lookup's index is one int64 sort key per stored triple, built by
+        # the first call: a keyed dict of Python tuples costs over 200 bytes each.
+        table = build(32)
+        *last, stored = (array[-1].item() for array in table.contraction_arrays())
+        i, j, k = (x + 1 for x in last)
+        value, peak = traced_peak(table.lookup, k, j, i)  # one transposition
+        assert value == (-stored if table.kind == "f" else stored)
+        assert peak <= 12 * len(table)
+
+
+def test_as_dict_is_an_independent_copy():
+    table = build_f_table(3)
+    entries, before = table.as_dict(), table.as_dict()
+    entries[(1, 2, 3)] = 0.25
+    entries[(1, 2, 4)] = 0.5
+    del entries[(4, 5, 8)]
+    assert table.as_dict() == before
+    assert (table.lookup(1, 2, 3), table.lookup(1, 2, 4)) == (1.0, 0.0)
+    assert table.lookup(4, 5, 8) == before[(4, 5, 8)]
+
 
 @given(st.integers(min_value=2, max_value=7), st.data())
 def test_permutation_parity_exact(n_dim, data):
