@@ -16,8 +16,8 @@ import numpy as np
 from .indexing import _integer
 from .structure_constants import ConstantTable, _signed_permutations
 
-# Exhaustive pair verification is the default up to this N; beyond it the
-# check samples pairs instead.
+# Pair verification is exhaustive up to this N and samples this many pairs
+# beyond it.
 EXHAUSTIVE_MAX_N = 6
 DEFAULT_SAMPLE_PAIRS = 200
 # A check passes when no entry of any pair's residual exceeds this.
@@ -55,14 +55,11 @@ def adjoint_matrix(table: ConstantTable, i: int) -> np.ndarray:
     return out
 
 
-def verify_adjoint_commutators(
-    table: ConstantTable, *, sample: int | None = None, seed: int = 42
-) -> AdjointReport:
+def verify_adjoint_commutators(table: ConstantTable, *, seed: int = 42) -> AdjointReport:
     """Check [T_i, T_j] = i sum_k f_ijk T_k over index pairs.
 
-    With ``sample=None`` all pairs are checked for N <= 6 and 200 seeded
-    random pairs beyond that; pass an explicit count >= 1 to override.
-    ``seed``, an integer >= 0, seeds the sampled pairs.
+    All pairs are checked for N <= EXHAUSTIVE_MAX_N, DEFAULT_SAMPLE_PAIRS
+    random pairs beyond that, drawn from ``seed``, an integer >= 0.
     Returns a report rather than raising: max deviation is a result, not an
     error, and the check passes within TOLERANCE.
 
@@ -70,8 +67,6 @@ def verify_adjoint_commutators(
     pair at a time from d x d matrices: O(d**2) memory, no (d, d, d) stack.
     """
     seed = _integer(seed, "seed", 0)
-    if sample is not None:
-        sample = _integer(sample, "sample", 1)
     d = table.n_dim * table.n_dim - 1
     i_all, j_all, k_all, f_all = _signed_permutations(table)
     order = np.argsort(i_all, kind="stable")
@@ -84,11 +79,10 @@ def verify_adjoint_commutators(
         return out
 
     firsts, seconds = np.triu_indices(d, 1)
-    exhaustive = sample is None and table.n_dim <= EXHAUSTIVE_MAX_N
-    if not exhaustive:
-        count = min(DEFAULT_SAMPLE_PAIRS if sample is None else sample, len(firsts))
+    exhaustive = table.n_dim <= EXHAUSTIVE_MAX_N
+    if not exhaustive:  # N >= 7: more than 1,000 pairs to draw from
         rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(firsts), size=count, replace=False)
+        chosen = rng.choice(len(firsts), size=DEFAULT_SAMPLE_PAIRS, replace=False)
         firsts, seconds = firsts[chosen], seconds[chosen]
 
     max_dev = 0.0

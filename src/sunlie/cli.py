@@ -50,6 +50,8 @@ from .structure_constants import (
 )
 from .trace_oracle import OracleCostError, estimate_cost, full_oracle_table
 
+SPOT_CHECK_DRAWS = 1000
+
 
 def _dimension(text: str) -> int:
     try:
@@ -112,7 +114,7 @@ def _complex_from_json(path: str, *, matrix: bool) -> np.ndarray:
         im = np.asarray(payload["im"], dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{path}: re and im must be arrays of numbers") from None
-    shape = (payload["n"],) * 2 if matrix else (re.size,)
+    shape = (_integer(payload["n"], f"{path}: n", 1),) * 2 if matrix else (re.size,)
     if re.shape != shape or im.shape != shape:
         raise ValueError(f"{path}: re and im must both have shape {shape}")
     return re + 1j * im
@@ -230,13 +232,14 @@ def _compare_tables(closed: ConstantTable, oracle: ConstantTable, tol: float) ->
     return problems
 
 
-def _permutation_spot_check(tables: Sequence[ConstantTable], seed: int, draws: int = 1000) -> int:
-    """Seeded random check that lookup respects permutation symmetry exactly."""
+def _permutation_spot_check(tables: Sequence[ConstantTable], seed: int) -> int:
+    """Seeded random check, SPOT_CHECK_DRAWS triples per table, that lookup
+    respects permutation symmetry exactly."""
     rng = np.random.default_rng(seed)
     failures = 0
     for table in tables:
         top = table.n_dim * table.n_dim - 1
-        idx = rng.integers(1, top + 1, size=(draws, 3))
+        idx = rng.integers(1, top + 1, size=(SPOT_CHECK_DRAWS, 3))
         for i, j, k in idx:
             base = table.lookup(int(i), int(j), int(k))
             for perm, sign in zip(permutations((int(i), int(j), int(k))),
@@ -265,7 +268,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if problems:
             status = 1
     failures = _permutation_spot_check(tables, args.seed)
-    print(f"permutation spot check: draws=1000 seed={args.seed} failures={failures}")
+    print(f"permutation spot check: draws={SPOT_CHECK_DRAWS} seed={args.seed} failures={failures}")
     if failures:
         status = 1
     return status

@@ -51,7 +51,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -99,43 +98,33 @@ class ConstantTable:
 
     __slots__ = ("n_dim", "kind", "_index", "_values", "_packed_keys")
 
-    def __init__(self, n_dim: int, kind: str, entries: dict[tuple[int, int, int], float]):
-        # numpy would truncate 1.5 and True to 1 without a word, so every type
-        # among the indices must be an integer one; bool is not.
-        if not all(map(_is_integer_type, set(map(type, chain.from_iterable(entries))))):
-            key = next(key for key in entries if not all(map(_is_integer_type, map(type, key))))
-            raise ValueError(f"triple {key} = {entries[key]!r} has an index that is not an integer")
-        values = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
-        try:
-            keys = np.array(list(zip(*entries)), dtype=np.int64).reshape(3, len(entries))
-        except OverflowError:  # beyond int64: out of range whatever N is
-            key = next(key for key in entries if not all(-2**63 <= x < 2**63 for x in key))
-            raise ValueError(f"triple {key} = {entries[key]!r} has an index outside "
-                             f"1..{_check_table_dimension(n_dim) ** 2 - 1}") from None
-        self._set_arrays(n_dim, kind, keys, values)
+    def __init__(self, n_dim: int, kind: str, keys: np.ndarray, values: np.ndarray):
+        """Table from 1-based (3, count) keys and their count values, in any column order.
 
-    @classmethod
-    def _from_arrays(
-        cls, n_dim: int, kind: str, keys: np.ndarray, values: np.ndarray
-    ) -> ConstantTable:
-        """Table from 1-based (3, count) keys and values in any column order, sorted in place."""
-        table = cls.__new__(cls)
-        table._set_arrays(n_dim, kind, keys, values)
-        return table
-
-    def _set_arrays(self, n_dim: int, kind: str, keys: np.ndarray, values: np.ndarray) -> None:
-        """Sort 1-based (3, count) integer keys and their values into key order
-        in place, check them and keep them 0-based, int32 and read-only.  The
-        range is checked on the keys as given, before they are narrowed.
+        The keys must be a numpy array of an integer dtype: a list could hide
+        a bool (``np.asarray([1, True])`` is int64), and bool, float and
+        object dtypes are refused.  The range is checked on the keys as given,
+        before they are narrowed to int32.  Writeable int32 keys and float64
+        values are taken over, not copied: sorted into key order in place,
+        the keys made 0-based, and both frozen.
         """
         n_dim = _check_table_dimension(n_dim)
         if kind not in (F_KIND, D_KIND):
             raise ValueError(f"kind must be '{F_KIND}' or '{D_KIND}', got {kind!r}")
+        if not isinstance(keys, np.ndarray):
+            raise ValueError(f"keys must be a numpy array, got {type(keys).__name__}")
+        values = np.require(values, np.float64, "W")  # a read-only array is copied
+        if keys.shape != (3, values.size) or values.ndim != 1:
+            raise ValueError(f"keys of shape {keys.shape} and values of shape {values.shape} "
+                             "are not (3, count) and (count,)")
+        if not np.issubdtype(keys.dtype, np.integer):  # bool, float (2.0 too), object (2**70)
+            _refuse(np.ones(values.size, dtype=bool), keys, values, ValueError,
+                    f"has an index that is not an integer: keys of dtype {keys.dtype}")
+            raise ValueError(f"keys of dtype {keys.dtype} are not integers")
         top = n_dim * n_dim - 1
-        keys, values = np.asarray(keys), np.asarray(values, dtype=np.float64)
         _refuse(((keys < 1) | (keys > top)).any(axis=0), keys, values, ValueError,
                 f"has an index outside 1..{top}")
-        keys = np.asarray(keys, dtype=np.int32)  # N**2 - 1 < 2**31 up to MAX_TABLE_N
+        keys = np.require(keys, np.int32, "W")  # N**2 - 1 < 2**31 up to MAX_TABLE_N
         packed = _packed(keys, top)
         order = np.argsort(packed, kind="stable")
         del packed  # rebuilt from the sorted keys: one int64 row fewer while they move
@@ -268,11 +257,6 @@ def _checksum(table: ConstantTable, pieces: Iterable[bytes]) -> str:
     return digest.hexdigest()[:16]
 
 
-def _is_integer_type(kind: type) -> bool:
-    """Whether values of type ``kind`` are indices by the rule of `indexing._integer`."""
-    return hasattr(kind, "__index__") and not issubclass(kind, (bool, np.bool_))
-
-
 def _packed(keys: np.ndarray, top: int) -> np.ndarray:
     """The int64 sort key (i (top+1) + j) (top+1) + k of each key column, built in one array."""
     packed = keys[0].astype(np.int64)
@@ -357,7 +341,7 @@ def build_f_table(n_dim: int) -> ConstantTable:
     that order, as `build_d_table` writes d.
     """
     n_dim = _check_table_dimension(n_dim)
-    return ConstantTable._from_arrays(n_dim, F_KIND, *_f_families(n_dim))
+    return ConstantTable(n_dim, F_KIND, *_f_families(n_dim))
 
 
 def _f_families(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +372,7 @@ def build_d_table(n_dim: int) -> ConstantTable:
     the pairs (s_qm < a_qm < s_qp < a_qp for m < p).
     """
     n_dim = _check_table_dimension(n_dim)
-    return ConstantTable._from_arrays(n_dim, D_KIND, *_d_families(n_dim))
+    return ConstantTable(n_dim, D_KIND, *_d_families(n_dim))
 
 
 def _d_families(n_dim: int) -> tuple[np.ndarray, np.ndarray]:

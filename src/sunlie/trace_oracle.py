@@ -126,18 +126,22 @@ def full_oracle_table(cfg: AlgebraConfig, kind: str) -> ConstantTable:
     value_of = _f_value if kind == F_KIND else _d_value
     enumerate_canonical = combinations if kind == F_KIND else combinations_with_replacement
 
-    entries: dict[tuple[int, int, int], float] = {}
+    keys: list[tuple[int, int, int]] = []  # canonical order is sorted order
+    values: list[float] = []
     for i, j, k in enumerate_canonical(range(1, cfg.dim + 1), 3):
         value = value_of(gens[i - 1], gens[j - 1], gens[k - 1], cfg.hbar)
         if abs(value) > ZERO_THRESHOLD:
-            entries[(i, j, k)] = value
+            keys.append((i, j, k))
+            values.append(value)
 
-    if entries:
+    if values:
         floor = 1.0 / math.sqrt(2.0 * cfg.n_dim * (cfg.n_dim - 1))
-        smallest = min(abs(v) for v in entries.values())
+        smallest = min(map(abs, values))
         if smallest < floor * (1.0 - 1e-9):
             raise OracleConsistencyError(
                 f"included value {smallest:.3e} is below the magnitude floor "
                 f"{floor:.3e}; threshold separation violated"
             )
-    return ConstantTable(cfg.n_dim, kind, entries)
+    return ConstantTable(
+        cfg.n_dim, kind, np.array(keys, dtype=np.int32).reshape(-1, 3).T, np.array(values)
+    )

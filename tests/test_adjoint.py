@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from sunlie.adjoint import adjoint_matrix, adjoint_stack, verify_adjoint_commutators
+from sunlie.adjoint import (
+    DEFAULT_SAMPLE_PAIRS,
+    adjoint_matrix,
+    adjoint_stack,
+    verify_adjoint_commutators,
+)
 from sunlie.structure_constants import build_d_table, build_f_table
 
 
@@ -68,9 +73,9 @@ def test_commutator_representation_exhaustive(n_dim):
 
 
 def test_commutator_representation_sampled():
-    report = verify_adjoint_commutators(build_f_table(8), sample=50, seed=3)
+    report = verify_adjoint_commutators(build_f_table(8), seed=3)
     assert not report.exhaustive
-    assert report.pairs_checked == 50
+    assert report.pairs_checked == DEFAULT_SAMPLE_PAIRS
     assert report.passed
 
 
@@ -86,8 +91,8 @@ def test_every_entry_matches_lookup(n_dim):
 def test_sampled_verification_memory_is_per_pair():
     # A dense (d, d, d) adjoint stack at N=16 (d=255) would take 265 MB.
     table = build_f_table(16)
-    report, peak = traced_peak(verify_adjoint_commutators, table, sample=20)
-    assert report.pairs_checked == 20
+    report, peak = traced_peak(verify_adjoint_commutators, table)
+    assert report.pairs_checked == DEFAULT_SAMPLE_PAIRS
     assert report.passed
     assert peak < 8e6
 
@@ -107,18 +112,7 @@ def test_adjoint_index_range():
         np.testing.assert_array_equal(adjoint_matrix(table, np.int64(i)), adjoint_matrix(table, i))
 
 
-@pytest.mark.parametrize("sample", [0, -1, 1.5, True])
-def test_sample_below_one_rejected(sample):
-    with pytest.raises(ValueError, match="sample"):
-        verify_adjoint_commutators(build_f_table(3), sample=sample)
-
-
 @pytest.mark.parametrize("seed", [1.5, True, "3", -1])
 def test_seed_not_a_non_negative_integer_rejected(seed):
     with pytest.raises(ValueError, match="seed"):
         verify_adjoint_commutators(build_f_table(3), seed=seed)
-
-
-def test_single_sampled_pair():
-    report = verify_adjoint_commutators(build_f_table(3), sample=np.int64(1))
-    assert (report.pairs_checked, report.exhaustive, report.passed) == (1, False, True)

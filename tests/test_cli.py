@@ -413,11 +413,11 @@ class TestVerify:
         real_build = sc.build_f_table
 
         def broken(n_dim):
-            table = real_build(n_dim)
-            entries = table.as_dict()
-            entries.pop((1, 2, 3))  # drop one triple
-            entries[(1, 2, 4)] = 0.25  # add a spurious one
-            return sc.ConstantTable(n_dim, sc.F_KIND, entries)
+            i, j, k, values = real_build(n_dim).contraction_arrays()
+            keys, values = np.stack((i, j, k)) + 1, values.copy()
+            assert keys[:, 0].tolist() == [1, 2, 3]
+            keys[:, 0], values[0] = (1, 2, 4), 0.25  # one triple dropped, a spurious one added
+            return sc.ConstantTable(n_dim, sc.F_KIND, keys, values)
 
         monkeypatch.setattr(cli, "build_f_table", broken)
         status, out, _ = run(capsys, "verify", "--n", "3", "--kind", "f")
@@ -639,6 +639,22 @@ class TestSimulate:
         )
         assert status == 2
         assert err.startswith("error:") and "non-finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("n", [2.0, True, "2", -2])
+    def test_non_integer_dimension_rejected(self, capsys, tmp_path, problem_files, n):
+        # 2.0 == 2 would match the 2 x 2 shape; True would match a 1 x 1 one.
+        _, psi_path = problem_files
+        h_path = tmp_path / "h_n.json"
+        size = 1 if n is True else 2
+        h_path.write_text(json.dumps({"n": n, "re": [[0.0] * size] * size,
+                                      "im": [[0.0] * size] * size}))
+        status, out, err = run(
+            capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+            "--t-final", "1.0", "--dt", "0.1",
+        )
+        assert status == 2
+        assert err.startswith("error:") and f"n {n!r} is outside the integers >= 1" in err
         assert out == ""
 
     def test_infinite_duration_rejected(self, capsys, problem_files):

@@ -231,51 +231,113 @@ def test_canonical_storage_invariants(build, strict, n_dim):
         assert abs(t.value) <= MAX_MAGNITUDE + 1e-12
 
 
+def columns(entries, dtype=np.int64):
+    """(3, count) keys of ``dtype`` and the values of a {triple: value} dict."""
+    return np.array(list(entries), dtype=dtype).reshape(-1, 3).T, list(entries.values())
+
+
 def test_duplicate_insertion_is_hard_error():
-    # Only the array path can repeat a key (a dict cannot); a builder whose
-    # family ranges overlap would.
+    # A builder whose family ranges overlap would repeat a key.
     keys = np.array([[1, 4, 1], [2, 5, 2], [3, 8, 3]])
     with pytest.raises(RuntimeError, match=r"\(1, 2, 3\) = 0.5 is a duplicate"):
-        ConstantTable._from_arrays(3, "f", keys, np.array([1.0, 0.5, 0.5]))
+        ConstantTable(3, "f", keys, np.array([1.0, 0.5, 0.5]))
 
 
 @pytest.mark.parametrize(
     "kind, entries, message",
     [
-        ("f", {(0, 1, 2): 0.5}, r"\(0, 1, 2\) = 0.5 has an index outside 1..8"),
-        ("f", {(1, 2, 3): 1.0, (6, 7, 9): 0.5}, r"\(6, 7, 9\) = 0.5 has an index outside 1..8"),
-        ("f", {(1, 2, 3): 1.0, (2, 1, 4): 0.5}, r"\(2, 1, 4\) = 0.5 is not canonical for kind f"),
-        ("f", {(1, 1, 8): 0.5}, "not canonical for kind f"),
-        ("d", {(1, 1, 8): 0.5, (3, 2, 4): 0.5}, r"\(3, 2, 4\) = 0.5 is not canonical for kind d"),
-        ("f", {(1, 2, 3): 0.0}, r"= 0.0 is outside the band"),
-        ("d", {(1, 1, 8): 0.5, (3, 4, 4): math.nan}, r"\(3, 4, 4\) = nan is outside the band"),
-        ("f", {(1, 2, 3): -math.inf}, r"= -inf is outside the band"),
-        ("d", {(1, 1, 8): 1.5}, r"\(1, 1, 8\) = 1.5 is outside the band"),
-        # Indices are integers: numpy would truncate these to (1, 2, 3) and (1, 4, 7).
-        ("f", {(1.5, 2, 3): 1.0, (True, 4, 7): 0.5},
+        ("f", columns({(0, 1, 2): 0.5}), r"\(0, 1, 2\) = 0.5 has an index outside 1..8"),
+        ("f", columns({(1, 2, 3): 1.0, (6, 7, 9): 0.5}),
+         r"\(6, 7, 9\) = 0.5 has an index outside 1..8"),
+        ("f", columns({(1, 2, 3): 1.0, (2, 1, 4): 0.5}),
+         r"\(2, 1, 4\) = 0.5 is not canonical for kind f"),
+        ("f", columns({(1, 1, 8): 0.5}), "not canonical for kind f"),
+        ("d", columns({(1, 1, 8): 0.5, (3, 2, 4): 0.5}),
+         r"\(3, 2, 4\) = 0.5 is not canonical for kind d"),
+        ("f", columns({(1, 2, 3): 0.0}), r"= 0.0 is outside the band"),
+        ("d", columns({(1, 1, 8): 0.5, (3, 4, 4): math.nan}),
+         r"\(3, 4, 4\) = nan is outside the band"),
+        ("f", columns({(1, 2, 3): -math.inf}), r"= -inf is outside the band"),
+        ("d", columns({(1, 1, 8): 1.5}), r"\(1, 1, 8\) = 1.5 is outside the band"),
+        # Keys of a dtype that is not an integer one, even holding whole
+        # numbers: numpy would truncate 1.5 and True to 1.  The first key is named.
+        ("f", columns({(1.5, 2, 3): 1.0, (True, 4, 7): 0.5}, object),
          r"\(1.5, 2, 3\) = 1.0 has an index that is not an integer"),
-        ("f", {(1, 2, 3): 1.0, (True, 4, 7): 0.5},
+        ("f", columns({(True, 4, 7): 0.5, (1, 2, 3): 1.0}, object),
          r"\(True, 4, 7\) = 0.5 has an index that is not an integer"),
-        ("f", {(1, 2, np.float64(3.0)): 1.0}, "has an index that is not an integer"),
-        ("f", {(np.True_, 2, 3): 1.0}, "has an index that is not an integer"),
+        ("f", columns({(1, 2, 3): 1.0}, np.float64), "has an index that is not an integer"),
+        ("f", columns({(True, True, True): 1.0}, bool), "has an index that is not an integer"),
         # The range is checked before the keys are narrowed to int32, where
         # 2**40 would wrap to 0 and 2**32 + 3 to a valid 3.
-        ("f", {(1, 2, 2**40): 0.5}, r"\(1, 2, 1099511627776\) = 0.5 has an index outside 1..8"),
-        ("f", {(1, 2, 2**32 + 3): 1.0}, r"= 1.0 has an index outside 1..8"),
-        ("f", {(1, 2, np.int64(2**32 + 3)): 1.0}, r"= 1.0 has an index outside 1..8"),
-        ("f", {(1, 2, 3): 1.0, (1, 4, 2**70): 0.5}, r"= 0.5 has an index outside 1..8"),
+        ("f", columns({(1, 2, 2**40): 0.5}),
+         r"\(1, 2, 1099511627776\) = 0.5 has an index outside 1..8"),
+        ("f", columns({(1, 2, 2**32 + 3): 1.0}), r"= 1.0 has an index outside 1..8"),
+        ("f", columns({(1, 2, 2**32 + 3): 1.0}, np.uint64), r"= 1.0 has an index outside 1..8"),
+        # Above 2**63: no int64 holds it.
+        ("f", columns({(1, 2, 3): 1.0, (1, 4, 2**63 + 5): 0.5}, np.uint64),
+         r"= 0.5 has an index outside 1..8"),
+        # Beyond uint64 numpy makes Python ints an object array.
+        ("f", columns({(1, 4, 2**70): 0.5}, object),
+         r"\(1, 4, 1180591620717411303424\) = 0.5 has an index that is not an integer: "
+         "keys of dtype object"),
+        ("f", columns({}, np.float64), "keys of dtype float64 are not integers"),
     ],
 )
 def test_invalid_entries_rejected(kind, entries, message):
     with pytest.raises(ValueError, match=message):
-        ConstantTable(3, kind, entries)
+        ConstantTable(3, kind, *entries)
+
+
+@pytest.mark.parametrize(
+    "keys, values, message",
+    [
+        # np.asarray would make this list int64, the bool a valid 1.
+        ([[1, True], [2, 4], [3, 7]], [1.0, 0.5], "keys must be a numpy array, got list"),
+        (np.array([[1, 2, 3], [1, 4, 7]]), [1.0, 0.5],
+         r"keys of shape \(2, 3\) and values of shape \(2,\) are not \(3, count\)"),
+        (np.array([[1], [2], [3]]), [1.0, 0.5], r"keys of shape \(3, 1\) and values of shape \(2,\)"),
+        (np.array([[1], [2], [3]]), [[1.0]], r"values of shape \(1, 1\)"),
+        (np.array([1, 2, 3]), [1.0], r"keys of shape \(3,\)"),
+    ],
+)
+def test_malformed_arrays_rejected(keys, values, message):
+    with pytest.raises(ValueError, match=message):
+        ConstantTable(3, "f", keys, values)
+
+
+def test_int32_keys_and_float64_values_are_sorted_in_place():
+    # The builders' arrays become the table: no copy of either.
+    keys = np.array([[4, 1], [5, 2], [8, 3]], dtype=np.int32)
+    values = np.array([SQRT3 / 2.0, 1.0])
+    table = ConstantTable(3, "f", keys, values)
+    a, _, _, v = table.contraction_arrays()
+    assert np.shares_memory(keys, a) and np.shares_memory(values, v)
+    assert keys.tolist() == [[0, 3], [1, 4], [2, 7]]
+    assert values.tolist() == [1.0, SQRT3 / 2.0]
+    assert not keys.flags.writeable and not values.flags.writeable
+    assert table.lookup(8, 5, 4) == -SQRT3 / 2.0
+
+
+def test_read_only_arrays_are_copied():
+    # Another table's arrays are frozen: a table rebuilt from them, in
+    # reverse order, sorts copies and leaves them as they were.
+    table = build_f_table(3)
+    before = table.as_dict()
+    i, j, k, values = table.contraction_arrays()
+    keys = np.stack((i, j, k)) + 1
+    keys.flags.writeable = False
+    rebuilt = ConstantTable(3, "f", keys[:, ::-1], values[::-1])
+    assert rebuilt.as_dict() == table.as_dict() == before
+    assert keys.tolist() == (np.stack((i, j, k)) + 1).tolist()
 
 
 def test_numpy_integer_keys_act_as_ints():
-    entries = {(np.int64(1), np.int32(2), np.uint8(3)): 1.0, (1, np.intp(4), 7): 0.5}
-    table = ConstantTable(3, "f", entries)
-    assert table.as_dict() == {(1, 2, 3): 1.0, (1, 4, 7): 0.5}
-    assert all(type(x) is int for key in table.as_dict() for x in key)
+    # Any integer dtype is narrowed to the int32 keys and read back as Python ints.
+    for dtype in (np.int8, np.uint8, np.int16, np.uint32, np.int64, np.uint64, np.intp):
+        table = ConstantTable(3, "f", *columns({(1, 4, 7): 0.5, (1, 2, 3): 1.0}, dtype))
+        assert table.contraction_arrays()[0].dtype == np.int32
+        assert table.as_dict() == {(1, 2, 3): 1.0, (1, 4, 7): 0.5}
+        assert all(type(x) is int for key in table.as_dict() for x in key)
 
 
 def test_keys_at_the_largest_dimension():
@@ -286,7 +348,7 @@ def test_keys_at_the_largest_dimension():
     assert top == 2_096_703
     keys = np.array([[top - 3, 1, top - 2], [top - 1, 2, top - 1], [top, top, top]],
                     dtype=np.int32)
-    table = ConstantTable._from_arrays(MAX_TABLE_N, "f", keys, np.array([0.5, -1.0, 0.25]))
+    table = ConstantTable(MAX_TABLE_N, "f", keys, np.array([0.5, -1.0, 0.25]))
     a, b, c, values = table.contraction_arrays()
     assert a.dtype == np.int32
     assert (a + 1).tolist() == [1, top - 3, top - 2]
@@ -302,17 +364,17 @@ def test_keys_at_the_largest_dimension():
     assert flat.tolist() == [x * top + z for x, z in zip(i.tolist(), k.tolist())]
     assert flat.max() > 2**31
     with pytest.raises(RuntimeError, match="is a duplicate"):
-        ConstantTable._from_arrays(MAX_TABLE_N, "f", np.array([[top - 2] * 2, [top - 1] * 2,
-                                                               [top] * 2]), np.ones(2))
+        ConstantTable(MAX_TABLE_N, "f", np.array([[top - 2] * 2, [top - 1] * 2, [top] * 2]),
+                      np.ones(2))
     with pytest.raises(ValueError, match=f"outside 1..{top}"):
-        ConstantTable(MAX_TABLE_N, "d", {(top - 1, top, top + 1): 0.5})
+        ConstantTable(MAX_TABLE_N, "d", np.array([[top - 1], [top], [top + 1]]), [0.5])
 
 
 def test_dimension_beyond_packed_keys_rejected():
     with pytest.raises(ValueError, match="largest table dimension"):
         build_f_table(MAX_TABLE_N + 1)
     with pytest.raises(ValueError, match="largest table dimension"):
-        ConstantTable(MAX_TABLE_N + 1, "d", {})
+        ConstantTable(MAX_TABLE_N + 1, "d", np.empty((3, 0), dtype=np.int32), [])
 
 
 def reference_table(n_dim, kind):
@@ -384,9 +446,9 @@ def test_builders_match_per_instance_reference(build, kind, n_dim):
 
 @pytest.mark.parametrize("build", [build_f_table, build_d_table])
 def test_dict_and_array_paths_give_the_same_table(build):
+    # Rebuilt from its as_dict copy, in reverse order as int64 keys: the same table.
     table = build(5)
-    reversed_entries = dict(reversed(table.as_dict().items()))
-    rebuilt = ConstantTable(5, table.kind, reversed_entries)
+    rebuilt = ConstantTable(5, table.kind, *columns(dict(reversed(table.as_dict().items()))))
     assert rebuilt.stats() == table.stats()
     for a, b in zip(rebuilt.contraction_arrays(), table.contraction_arrays()):
         np.testing.assert_array_equal(a, b)
