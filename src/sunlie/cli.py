@@ -24,7 +24,7 @@ import sys
 import time
 from contextlib import nullcontext
 from itertools import permutations
-from typing import IO, ContextManager, Iterator, Sequence
+from typing import IO, ContextManager, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,11 +44,13 @@ from .structure_constants import (
     D_KIND,
     F_KIND,
     ConstantTable,
-    _checksum,
+    _blocks,
+    _row_chunks,
+    _stats,
     build_d_table,
     build_f_table,
 )
-from .trace_oracle import OracleCostError, estimate_cost, full_oracle_table
+from .trace_oracle import OracleCostError, check_ceiling, estimate_cost, full_oracle_table
 
 SPOT_CHECK_DRAWS = 1000
 
@@ -141,38 +143,43 @@ def _table_output(path: str | None) -> ContextManager[IO[bytes]]:
     return open(path, "wb")
 
 
-def _write_table_json(fh: IO[bytes], table: ConstantTable, count: int, checksum: str) -> None:
+def _write_table_json(fh: IO[bytes], n_dim: int, kind: str, count: int, checksum: str) -> None:
     """One object of the "tables" list that json.dump(..., indent=2) writes for {"n", "tables":
     [{"kind", "count", "checksum", "triples": [{"kind", "i", "j", "k", "value"}]}]}, streamed
     by _row_chunks; the caller writes what opens and closes the list and parts its objects."""
-    fh.write(f'\n    {{\n      "kind": "{table.kind}",\n      "count": {count},\n'
+    fh.write(f'\n    {{\n      "kind": "{kind}",\n      "count": {count},\n'
              f'      "checksum": "{checksum}",\n      "triples": ['.encode())
     # Each object opens with the comma that parts it from the one before; the first drops it.
-    layout = (f',\n        {{\n          "kind": "{table.kind}",\n          "i": ',
+    layout = (f',\n        {{\n          "kind": "{kind}",\n          "i": ',
               ',\n          "j": ', ',\n          "k": ', ',\n          "value": ',
               "\n        }")
     start = 1
-    for piece in table._row_chunks(layout):
+    for piece in _row_chunks(n_dim, _blocks(n_dim, kind), layout):
         fh.write(memoryview(piece)[start:])
         start = 0
     fh.write(b"\n      ]\n    }" if count else b"]\n    }")
 
 
-def _write_rows(fh: IO[bytes], table: ConstantTable) -> Iterator[bytes]:
-    """The pieces of ``table``'s rows, each written to ``fh`` with its kind prefix as it passes."""
-    prefix = f"{table.kind},".encode()
-    for piece in table._row_chunks():  # never empty: a piece holds at least one line
+def _write_rows(fh: IO[bytes], kind: str, pieces: Iterable[bytes]) -> Iterator[bytes]:
+    """The CSV ``pieces`` of a ``kind`` table, each written to ``fh`` with its kind prefix
+    as it passes."""
+    prefix = f"{kind},".encode()
+    for piece in pieces:  # never empty: a piece holds at least one line
         fh.write(prefix)
-        fh.write(piece.replace(b"\n", b"\n" + prefix, piece.count(b"\n") - 1))
+        # The piece ends with a newline: the prefix put after it is cut off.
+        fh.write(memoryview(piece.replace(b"\n", b"\n" + prefix))[: -len(prefix)])
         yield piece
 
 
-def _tables(n_dim: int, kind: str) -> Iterator[ConstantTable]:
-    """The tables that ``kind`` names, f first; d is built when the caller asks for it."""
-    if kind in (F_KIND, "both"):
-        yield build_f_table(n_dim)
-    if kind in (D_KIND, "both"):
-        yield build_d_table(n_dim)
+def _kinds(kind: str) -> tuple[str, ...]:
+    """The table kinds that ``kind`` names, f first."""
+    return (F_KIND, D_KIND) if kind == "both" else (kind,)
+
+
+def _tables(n_dim: int, kind: str) -> list[ConstantTable]:
+    """The whole tables that ``kind`` names, f first."""
+    build = {F_KIND: build_f_table, D_KIND: build_d_table}
+    return [build[name](n_dim) for name in _kinds(kind)]
 
 
 def _cmd_generators(args: argparse.Namespace) -> int:
@@ -190,23 +197,23 @@ def _cmd_generators(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    # One table at a time: each is built, formatted once a piece at a time,
-    # hashed and written, and released before the next is built.  Only its
+    # No table is held whole: each is listed a block of leading coordinates
+    # at a time, formatted a piece at a time, hashed and written.  Only its
     # stats line outlives it.
     json_format = args.format == "json"
     stats = []
     with _table_output(args.output) as fh:
         fh.write(f'{{\n  "n": {args.n},\n  "tables": ['.encode() if json_format
                  else b"kind,i,j,k,value\n")
-        for table in _tables(args.n, args.kind):
-            if json_format:  # a JSON header needs the stats before the triples
-                count, checksum = table.stats()
+        for kind in _kinds(args.kind):
+            pieces = _row_chunks(args.n, _blocks(args.n, kind))
+            if json_format:  # a JSON header needs the stats: the blocks are listed twice
+                count, checksum = _stats(args.n, kind, pieces)
                 fh.write(b"," * bool(stats))
-                _write_table_json(fh, table, count, checksum)
+                _write_table_json(fh, args.n, kind, count, checksum)
             else:  # the CSV stats hash the pieces as they are written
-                count, checksum = len(table), _checksum(table, _write_rows(fh, table))
-            stats.append(f"kind={table.kind} n={table.n_dim} count={count} checksum={checksum}")
-            del table  # the next table is built only once this one is gone
+                count, checksum = _stats(args.n, kind, _write_rows(fh, kind, pieces))
+            stats.append(f"kind={kind} n={args.n} count={count} checksum={checksum}")
         if json_format:
             fh.write(b"\n  ]\n}\n")
     print("\n".join(stats), file=_report_stream(args.output))
@@ -253,7 +260,9 @@ def _permutation_spot_check(tables: Sequence[ConstantTable], seed: int) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     _integer(args.seed, "seed", 0)  # refused before a line is written
     cfg = AlgebraConfig(args.n, args.hbar)
-    tables = list(_tables(args.n, args.kind))
+    for kind in _kinds(args.kind):
+        check_ceiling(args.n, kind)  # refused before a table is built
+    tables = _tables(args.n, args.kind)
     status = 0
     for closed in tables:
         oracle = full_oracle_table(cfg, closed.kind)

@@ -40,6 +40,19 @@ in that ascending order, f with the sign of that order, so no triple is
 re-sorted.  Exactly-zero family instances (the m = 1 and n = 2 cases flagged
 above) are omitted: the table stores non-zeros only.
 
+The generators of top coordinate c (S_cm and A_cm for m < c, then D_c) hold
+the indices (c-1)**2 .. c**2 - 1, and each family's canonical first index is
+a generator of one coordinate of the family, its leading coordinate:
+
+    n   for the pairs with D_n: f(S_nm, A_nm, D_n), d(X_nm, X_nm, D_n), and d(D_n, D_n, D_n)
+    m   for the pairs with D_m: f(S_nm, A_nm, D_m), d(X_nm, X_nm, D_m), d(D_n, D_m, D_m)
+    p   for every family of coordinates m < p < q
+
+So the triples led by the coordinates lo .. hi-1 are exactly those whose
+first index lies in (lo-1)**2 .. (hi-1)**2 - 1, and the builders list the
+families of any such range; blocks of consecutive ranges, each sorted, join
+into the sorted table.
+
 Enumerating the patterns costs O(N**3) against the O(N**9) of computing every
 generator trace, which is what makes the N = 64 table a subsecond object
 instead of an overnight batch job.  Each family is a closed form in its
@@ -69,7 +82,8 @@ MAX_MAGNITUDE = math.sqrt(2.0)
 MAX_TABLE_N = 1448
 
 # Table text is formatted in pieces of whole lines of at most this many bytes,
-# by default in the layout of a CSV line (see ConstantTable._row_chunks).
+# by default in the layout of a CSV line (see _row_chunks), and a streamed
+# table is listed in blocks of at most _CHUNK_BYTES // 8 triples (see _blocks).
 _CHUNK_BYTES = 2**19
 _CSV_LAYOUT = ("", ",", ",", ",", "\n")
 
@@ -111,51 +125,9 @@ class ConstantTable:
         n_dim = _check_table_dimension(n_dim)
         if kind not in (F_KIND, D_KIND):
             raise ValueError(f"kind must be '{F_KIND}' or '{D_KIND}', got {kind!r}")
-        if not isinstance(keys, np.ndarray):
-            raise ValueError(f"keys must be a numpy array, got {type(keys).__name__}")
-        values = np.require(values, np.float64, "W")  # a read-only array is copied
-        if keys.shape != (3, values.size) or values.ndim != 1:
-            raise ValueError(f"keys of shape {keys.shape} and values of shape {values.shape} "
-                             "are not (3, count) and (count,)")
-        if not np.issubdtype(keys.dtype, np.integer):  # bool, float (2.0 too), object (2**70)
-            _refuse(np.ones(values.size, dtype=bool), keys, values, ValueError,
-                    f"has an index that is not an integer: keys of dtype {keys.dtype}")
-            raise ValueError(f"keys of dtype {keys.dtype} are not integers")
-        top = n_dim * n_dim - 1
-        _refuse(((keys < 1) | (keys > top)).any(axis=0), keys, values, ValueError,
-                f"has an index outside 1..{top}")
-        keys = np.require(keys, np.int32, "W")  # N**2 - 1 < 2**31 up to MAX_TABLE_N
-        packed = _packed(keys, top)
-        order = np.argsort(packed, kind="stable")
-        del packed  # rebuilt from the sorted keys: one int64 row fewer while they move
-        for row in (*keys, values):  # one row at a time: no second copy of the keys
-            row[...] = np.take(row, order)
-        del order
-        i, j, k = keys
-        # Sorted neighbours compare, and the band is two signed comparisons:
-        # no temporary as wide as the keys.  NaN fails every comparison, so
-        # the band also rejects non-finite values.
-        packed = _packed(keys, top)
-        repeated = np.zeros(values.size, dtype=bool)  # the second of two equal keys
-        np.equal(packed[1:], packed[:-1], out=repeated[1:])
-        del packed
-        for bad, error, problem in (
-            (~((i < j) & (j < k) if kind == F_KIND else (i <= j) & (j <= k)), ValueError,
-             f"is not canonical for kind {kind}"),
-            # Duplicate canonical keys can only come from a family-range bug; fail hard.
-            (repeated, RuntimeError, "is a duplicate: enumeration bug"),
-            (~((values != 0.0) & (values <= MAX_MAGNITUDE + 1e-9)
-               & (values >= -MAX_MAGNITUDE - 1e-9)), ValueError,
-             "is outside the band (0, sqrt(2)]"),
-        ):
-            _refuse(bad, keys, values, error, problem)
-        keys -= 1
-        keys.flags.writeable = False
-        values.flags.writeable = False
         self.n_dim = n_dim
         self.kind = kind
-        self._index = keys
-        self._values = values
+        self._index, self._values = _canonical(n_dim, kind, keys, values, (1, n_dim + 1))
         self._packed_keys: np.ndarray | None = None  # built by the first lookup
 
     def __len__(self) -> int:
@@ -198,43 +170,13 @@ class ConstantTable:
 
     def stats(self) -> tuple[int, str]:
         """Triple count and an order-independent content digest (16 hex chars)."""
-        return len(self), _checksum(self, self._row_chunks())
+        pieces = _row_chunks(self.n_dim, [(self._index, self._values)])
+        return _stats(self.n_dim, self.kind, pieces)
 
     def rows(self, prefix: str = "") -> str:
         """One line ``prefix`` + 'i,j,k,repr(value)' per canonical triple, in order."""
-        return b"".join(self._row_chunks((prefix, *_CSV_LAYOUT[1:]))).decode()
-
-    def _row_chunks(self, layout: tuple[str, str, str, str, str] = _CSV_LAYOUT) -> Iterator[bytes]:
-        """The triples as UTF-8 bytes in pieces of whole lines, each line
-        ``head i sep j sep k sep value tail`` for the five strings of ``layout``.
-
-        Only O(N) values are distinct, so each is formatted once.  The fields
-        of a piece's lines, separators included, are gathered from arrays of
-        NUL-padded byte strings into one record buffer of at most _CHUNK_BYTES
-        (or one line); dropping the NULs joins them.
-        """
-        head, i_sep, j_sep, k_sep, tail = layout
-        numbers = range(1, self.n_dim * self.n_dim)
-        around = ((head, i_sep), ("", j_sep), ("", k_sep))
-        labels = {(before, after): np.array([f"{before}{x}{after}".encode() for x in numbers],
-                                            dtype=bytes)
-                  for before, after in set(around)}  # one array serves CSV's three equal fields
-        fields = [labels[pair] for pair in around]
-        # np.unique would import numpy.ma on first use.  The constructor keeps
-        # every value finite and non-zero, so != between sorted neighbours
-        # finds each distinct one exactly.
-        distinct = np.sort(self._values)
-        distinct = np.concatenate((distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]]))
-        fields.append(np.array([f"{v!r}{tail}".encode() for v in distinct.tolist()], dtype=bytes))
-        line = np.dtype([("", field.dtype) for field in fields])
-        buffer = np.empty(max(1, _CHUNK_BYTES // line.itemsize), dtype=line)
-        for start in range(0, len(self), buffer.size):
-            lines, stop = buffer[: len(self) - start], start + buffer.size
-            picks = *self._index[:, start:stop], np.searchsorted(distinct, self._values[start:stop])
-            for name, field, pick in zip(line.names, fields, picks):
-                lines[name] = field[pick]
-            raw = lines.view(np.uint8)
-            yield raw[raw != 0].tobytes()
+        layout = (prefix, *_CSV_LAYOUT[1:])
+        return b"".join(_row_chunks(self.n_dim, [(self._index, self._values)], layout)).decode()
 
     def contraction_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Canonical triples as parallel arrays (a, b, c, value), 0-based.
@@ -249,12 +191,66 @@ class ConstantTable:
         return a, b, c, self._values
 
 
-def _checksum(table: ConstantTable, pieces: Iterable[bytes]) -> str:
-    """16 hex chars of sha256("{kind},{n}\n" + text), fed the ``pieces`` that join to ``text``."""
-    digest = hashlib.sha256(f"{table.kind},{table.n_dim}\n".encode())
+def _row_chunks(
+    n_dim: int,
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+    layout: tuple[str, str, str, str, str] = _CSV_LAYOUT,
+) -> Iterator[bytes]:
+    """The triples of ``blocks``, (0-based keys, values) pairs in table order, as
+    UTF-8 bytes in pieces of whole lines, each line ``head i sep j sep k sep
+    value tail`` for the five strings of ``layout``.
+
+    The labels are formatted once, and each distinct value once, by the first
+    block that holds it: only O(N) values are distinct.  The fields of a
+    piece's lines, separators included, are gathered from arrays of
+    NUL-padded byte strings into one buffer of at most _CHUNK_BYTES (or one
+    line), viewed as the line record of the block at hand; dropping the NULs
+    joins them.  A block of no triples yields no piece.
+    """
+    head, i_sep, j_sep, k_sep, tail = layout
+    numbers = range(1, n_dim * n_dim)
+    around = ((head, i_sep), ("", j_sep), ("", k_sep))
+    labels = {(before, after): np.array([f"{before}{x}{after}".encode() for x in numbers],
+                                        dtype=bytes)
+              for before, after in set(around)}  # one array serves CSV's three equal fields
+    fields = [labels[pair] for pair in around]
+    texts: dict[float, bytes] = {}  # the text of every value seen so far
+    distinct = np.empty(0)  # their values, sorted, and the texts in that order
+    fields.append(np.empty(0, dtype=bytes))
+    memory = np.empty(_CHUNK_BYTES, dtype=np.uint8)
+    for keys, values in blocks:
+        # np.unique would import numpy.ma on first use.  The constructor keeps
+        # every value finite and non-zero, so != between sorted neighbours
+        # finds each distinct one exactly.
+        seen = np.sort(values)
+        seen = seen[:1].tolist() + seen[1:][seen[1:] != seen[:-1]].tolist()
+        new = [v for v in seen if v not in texts]
+        if new:
+            texts.update((v, f"{v!r}{tail}".encode()) for v in new)
+            distinct = np.array(sorted(texts))
+            fields[3] = np.array([texts[v] for v in distinct.tolist()], dtype=bytes)
+        line = np.dtype([("", field.dtype) for field in fields])
+        if memory.size < line.itemsize:
+            memory = np.empty(line.itemsize, dtype=np.uint8)
+        buffer = memory[: memory.size - memory.size % line.itemsize].view(line)
+        for start in range(0, values.size, buffer.size):
+            lines, stop = buffer[: values.size - start], start + buffer.size
+            picks = *keys[:, start:stop], np.searchsorted(distinct, values[start:stop])
+            for name, field, pick in zip(line.names, fields, picks):
+                lines[name] = field[pick]
+            raw = lines.view(np.uint8)
+            yield raw[raw != 0].tobytes()
+
+
+def _stats(n_dim: int, kind: str, pieces: Iterable[bytes]) -> tuple[int, str]:
+    """Line count and 16 hex chars of sha256("{kind},{n}\n" + text), fed the CSV
+    ``pieces`` that join to ``text``."""
+    digest = hashlib.sha256(f"{kind},{n_dim}\n".encode())
+    count = 0
     for piece in pieces:
         digest.update(piece)
-    return digest.hexdigest()[:16]
+        count += piece.count(b"\n")
+    return count, digest.hexdigest()[:16]
 
 
 def _packed(keys: np.ndarray, top: int) -> np.ndarray:
@@ -274,6 +270,64 @@ def _refuse(
     if rows.size:
         i, j, k = keys[:, rows[0]].tolist()
         raise error(f"triple {(i, j, k)} = {float(values[rows[0]])!r} {problem}")
+
+
+def _canonical(
+    n_dim: int, kind: str, keys: np.ndarray, values: np.ndarray, lead: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A table's or a block's 0-based keys and values: checked, sorted and frozen.
+
+    Every first index must be a generator of the top coordinates ``lead`` =
+    (lo, hi), the 1-based indices (lo-1)**2 .. (hi-1)**2 - 1: then blocks of
+    consecutive ranges join into a sorted table without duplicates.  A whole
+    table passes (1, n_dim + 1), which takes every index.
+    """
+    if not isinstance(keys, np.ndarray):
+        raise ValueError(f"keys must be a numpy array, got {type(keys).__name__}")
+    values = np.require(values, np.float64, "W")  # a read-only array is copied
+    if keys.shape != (3, values.size) or values.ndim != 1:
+        raise ValueError(f"keys of shape {keys.shape} and values of shape {values.shape} "
+                         "are not (3, count) and (count,)")
+    if not np.issubdtype(keys.dtype, np.integer):  # bool, float (2.0 too), object (2**70)
+        _refuse(np.ones(values.size, dtype=bool), keys, values, ValueError,
+                f"has an index that is not an integer: keys of dtype {keys.dtype}")
+        raise ValueError(f"keys of dtype {keys.dtype} are not integers")
+    top = n_dim * n_dim - 1
+    _refuse(((keys < 1) | (keys > top)).any(axis=0), keys, values, ValueError,
+            f"has an index outside 1..{top}")
+    keys = np.require(keys, np.int32, "W")  # N**2 - 1 < 2**31 up to MAX_TABLE_N
+    packed = _packed(keys, top)
+    order = np.argsort(packed, kind="stable")
+    del packed  # rebuilt from the sorted keys: one int64 row fewer while they move
+    for row in (*keys, values):  # one row at a time: no second copy of the keys
+        row[...] = np.take(row, order)
+    del order
+    i, j, k = keys
+    # Sorted neighbours compare, and the band is two signed comparisons:
+    # no temporary as wide as the keys.  NaN fails every comparison, so
+    # the band also rejects non-finite values.
+    packed = _packed(keys, top)
+    repeated = np.zeros(values.size, dtype=bool)  # the second of two equal keys
+    np.equal(packed[1:], packed[:-1], out=repeated[1:])
+    del packed
+    first, last = (lead[0] - 1) ** 2, (lead[1] - 1) ** 2 - 1
+    for bad, error, problem in (
+        (~((i < j) & (j < k) if kind == F_KIND else (i <= j) & (j <= k)), ValueError,
+         f"is not canonical for kind {kind}"),
+        # Duplicate canonical keys, and a first index outside the block, can
+        # only come from a family-range bug; fail hard.
+        (repeated, RuntimeError, "is a duplicate: enumeration bug"),
+        ((i < first) | (i > last), RuntimeError,
+         f"has a first index outside its block's {first}..{last}: enumeration bug"),
+        (~((values != 0.0) & (values <= MAX_MAGNITUDE + 1e-9)
+           & (values >= -MAX_MAGNITUDE - 1e-9)), ValueError,
+         "is outside the band (0, sqrt(2)]"),
+    ):
+        _refuse(bad, keys, values, error, problem)
+    keys -= 1
+    keys.flags.writeable = False
+    values.flags.writeable = False
+    return keys, values
 
 
 def _check_table_dimension(n_dim: int) -> int:
@@ -313,16 +367,24 @@ def _signed_permutations(
     )
 
 
-def _coordinates(n_dim: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """1-based int32 coordinate arrays of every pair m < n and every triple m < p < q.
+def _coordinates(
+    n_dim: int, lo: int, hi: int
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """1-based int32 coordinates of the families led by the coordinates lo..hi-1.
 
+    They are the pairs m < n led by n, the pairs m < n led by m (from
+    m = 2: D_m leads them) and the triples m < p < q led by p.  The masks are
+    sized to the w = hi - lo leading coordinates: N x w, w x N and N x w x N.
     int32 holds every index the families make of them, N**2 - 1 at most.
     """
-    below = np.less.outer(np.arange(n_dim), np.arange(n_dim))
-    pairs = [np.add(axis, 1, dtype=np.int32) for axis in np.nonzero(below)]
-    triples = [np.add(axis, 1, dtype=np.int32)
-               for axis in np.nonzero(below[:, :, None] & below[None, :, :])]
-    return pairs, triples
+    every = np.arange(1, n_dim + 1, dtype=np.int32)
+    lead = every[lo - 1 : hi - 1]
+    below, above = every[:, None] < lead, lead[:, None] < every  # [m, n] for m < n
+    low = lead[lead >= 2]  # D_m exists from m = 2
+    m, n = np.nonzero(below)
+    m2, n2 = np.nonzero(low[:, None] < every)
+    m3, p, q = np.nonzero(below[:, :, None] & above)
+    return [every[m], lead[n]], [low[m2], every[n2]], [every[m3], lead[p], every[q]]
 
 
 def _gather(*families: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -341,21 +403,22 @@ def build_f_table(n_dim: int) -> ConstantTable:
     that order, as `build_d_table` writes d.
     """
     n_dim = _check_table_dimension(n_dim)
-    return ConstantTable(n_dim, F_KIND, *_f_families(n_dim))
+    return ConstantTable(n_dim, F_KIND, *_f_families(n_dim, 1, n_dim + 1))
 
 
-def _f_families(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The f families gathered, unsorted; their coordinate arrays die on return."""
-    (m, n), (m3, p, q) = _coordinates(n_dim)
-    s_nm, a_nm = symmetric_index(n, m), antisymmetric_index(n, m)
+def _f_families(n_dim: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The f families led by the coordinates lo..hi-1, gathered unsorted; their
+    coordinate arrays die on return."""
+    (m, n), (m2, n2), (m3, p, q) = _coordinates(n_dim, lo, hi)
     s_pm, a_pm = symmetric_index(p, m3), antisymmetric_index(p, m3)
     s_qm, a_qm = symmetric_index(q, m3), antisymmetric_index(q, m3)
     s_qp, a_qp = symmetric_index(q, p), antisymmetric_index(q, p)
-    low = m >= 2  # the D_m family is zero at m = 1, omitted
     half = np.broadcast_to(0.5, m3.shape)  # a view: no array per triple
     return _gather(
-        (s_nm, a_nm, diagonal_index(n), np.sqrt(n / (2.0 * (n - 1)))),
-        (diagonal_index(m[low]), s_nm[low], a_nm[low], -np.sqrt((m[low] - 1) / (2.0 * m[low]))),
+        (symmetric_index(n, m), antisymmetric_index(n, m), diagonal_index(n),
+         np.sqrt(n / (2.0 * (n - 1)))),
+        (diagonal_index(m2), symmetric_index(n2, m2), antisymmetric_index(n2, m2),
+         -np.sqrt((m2 - 1) / (2.0 * m2))),
         (s_pm, a_qm, s_qp, np.broadcast_to(-0.5, m3.shape)),
         (a_pm, s_qm, s_qp, half),
         (s_pm, s_qm, a_qp, half),
@@ -372,33 +435,35 @@ def build_d_table(n_dim: int) -> ConstantTable:
     the pairs (s_qm < a_qm < s_qp < a_qp for m < p).
     """
     n_dim = _check_table_dimension(n_dim)
-    return ConstantTable(n_dim, D_KIND, *_d_families(n_dim))
+    return ConstantTable(n_dim, D_KIND, *_d_families(n_dim, 1, n_dim + 1))
 
 
-def _d_families(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The d families gathered, unsorted; their coordinate arrays die on return."""
-    (m, n), (m3, p, q) = _coordinates(n_dim)
+def _d_families(n_dim: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d families led by the coordinates lo..hi-1, gathered unsorted; their
+    coordinate arrays die on return."""
+    (m, n), (m2, n2), (m3, p, q) = _coordinates(n_dim, lo, hi)
+    top = n >= 3  # the D_n families are zero at n = 2, omitted
+    m, n = m[top], n[top]
     s_nm, a_nm, d_n = symmetric_index(n, m), antisymmetric_index(n, m), diagonal_index(n)
+    v_top = (2 - n) / np.sqrt(2.0 * n * (n - 1))
+    d_m = diagonal_index(m2)
+    v_low = -np.sqrt((m2 - 1) / (2.0 * m2))
+    s_low, a_low = symmetric_index(n2, m2), antisymmetric_index(n2, m2)
+    cartan = np.arange(max(lo, 3), hi)
+    d_cartan = diagonal_index(cartan)
     s_pm, a_pm = symmetric_index(p, m3), antisymmetric_index(p, m3)
     s_qm, a_qm = symmetric_index(q, m3), antisymmetric_index(q, m3)
     s_qp, a_qp = symmetric_index(q, p), antisymmetric_index(q, p)
     d_p, d_q = diagonal_index(p), diagonal_index(q)
-    top = n >= 3  # the D_n families are zero at n = 2, omitted
-    low = m >= 2  # the D_m families are zero at m = 1, omitted
-    v_top = (2 - n[top]) / np.sqrt(2.0 * n[top] * (n[top] - 1))
-    v_low = -np.sqrt((m[low] - 1) / (2.0 * m[low]))
-    d_m = diagonal_index(m[low])
-    cartan = np.arange(3, n_dim + 1)
-    d_cartan = diagonal_index(cartan)
     half = np.broadcast_to(0.5, m3.shape)  # a view: no array per triple
     v_mid = np.sqrt(1.0 / (2.0 * p * (p - 1)))
     v_above = np.sqrt(2.0 / (q * (q - 1)))
     return _gather(
-        (s_nm[top], s_nm[top], d_n[top], v_top),
-        (a_nm[top], a_nm[top], d_n[top], v_top),
-        (d_m, s_nm[low], s_nm[low], v_low),
-        (d_m, a_nm[low], a_nm[low], v_low),
-        (d_m, d_m, d_n[low], np.sqrt(2.0 / (n[low] * (n[low] - 1)))),
+        (s_nm, s_nm, d_n, v_top),
+        (a_nm, a_nm, d_n, v_top),
+        (d_m, s_low, s_low, v_low),
+        (d_m, a_low, a_low, v_low),
+        (d_m, d_m, diagonal_index(n2), np.sqrt(2.0 / (n2 * (n2 - 1)))),
         (d_cartan, d_cartan, d_cartan, (2 - cartan) * np.sqrt(2.0 / (cartan * (cartan - 1)))),
         (s_pm, s_qm, s_qp, half),
         (s_pm, a_qm, a_qp, half),
@@ -409,3 +474,21 @@ def _d_families(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
         (s_pm, s_pm, d_q, v_above),
         (a_pm, a_pm, d_q, v_above),
     )
+
+
+def _blocks(n_dim: int, kind: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The table of ``kind`` for su(n_dim) as sorted (0-based keys, values) blocks that join
+    into it, one at a time: the table is never held whole.
+
+    A block holds the families led by a range of coordinates, consecutive
+    ranges of one width, checked and sorted by the constructor's code.  At
+    most 2 N**2 triples share a leading coordinate (2 (N-1)**2 + 3 N - 2 for
+    d), so a block holds at most _CHUNK_BYTES // 8 triples, or one
+    coordinate's.
+    """
+    n_dim = _check_table_dimension(n_dim)
+    families = _f_families if kind == F_KIND else _d_families
+    width = max(1, _CHUNK_BYTES // 8 // (2 * n_dim * n_dim))
+    for lo in range(1, n_dim + 1, width):
+        hi = min(lo + width, n_dim + 1)
+        yield _canonical(n_dim, kind, *families(n_dim, lo, hi), (lo, hi))

@@ -102,6 +102,18 @@ def estimate_cost(n_dim: int, kind: str) -> tuple[int, float]:
     return n_triples, seconds
 
 
+def check_ceiling(n_dim: int, kind: str) -> None:
+    """Raise OracleCostError, with the cost estimate for ``kind``, if N is above the ceiling."""
+    limit = resolve_ceiling()
+    if n_dim > limit:
+        n_triples, seconds = estimate_cost(n_dim, kind)
+        raise OracleCostError(
+            f"refusing brute-force run at N={n_dim} (ceiling {limit}): "
+            f"{n_triples:.3g} trace evaluations, roughly {seconds:.3g} s "
+            f"single-threaded; raise {CEILING_ENV} to override"
+        )
+
+
 def full_oracle_table(cfg: AlgebraConfig, kind: str) -> ConstantTable:
     """Every canonical triple with |value| above ZERO_THRESHOLD, by brute force.
 
@@ -113,15 +125,7 @@ def full_oracle_table(cfg: AlgebraConfig, kind: str) -> ConstantTable:
     """
     if kind not in (F_KIND, D_KIND):
         raise ValueError(f"kind must be '{F_KIND}' or '{D_KIND}', got {kind!r}")
-    limit = resolve_ceiling()
-    if cfg.n_dim > limit:
-        n_triples, seconds = estimate_cost(cfg.n_dim, kind)
-        raise OracleCostError(
-            f"refusing brute-force run at N={cfg.n_dim} (ceiling {limit}): "
-            f"{n_triples:.3g} trace evaluations, roughly {seconds:.3g} s "
-            f"single-threaded; raise {CEILING_ENV} to override"
-        )
-
+    check_ceiling(cfg.n_dim, kind)
     gens = all_generators(cfg)
     value_of = _f_value if kind == F_KIND else _d_value
     enumerate_canonical = combinations if kind == F_KIND else combinations_with_replacement

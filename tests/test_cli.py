@@ -20,6 +20,7 @@ from sunlie.adjoint import adjoint_matrix
 from sunlie.generators import AlgebraConfig, make_generator
 from sunlie.indexing import index_to_label
 from sunlie.structure_constants import ConstantTable, build_d_table, build_f_table
+from sunlie.trace_oracle import OracleCostError, full_oracle_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -138,6 +139,17 @@ class TestGenerators:
         assert captured.out == "" and "positive finite number" in captured.err
 
 
+def refuse_tables(monkeypatch):
+    """Make every way to build a whole table raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("constants builds no whole table")
+
+    for module in (cli, structure_constants):
+        monkeypatch.setattr(module, "build_f_table", refuse)
+        monkeypatch.setattr(module, "build_d_table", refuse)
+    monkeypatch.setattr(ConstantTable, "__init__", refuse)
+
+
 class TestConstants:
     @pytest.mark.parametrize("n_dim", [2, 3, 4])
     def test_csv_matches_golden_bytes(self, capsys, tmp_path, n_dim):
@@ -193,67 +205,70 @@ class TestConstants:
             assert csv_text == "kind,i,j,k,value\n"  # the d table of su(2) is empty
 
     def test_csv_formats_each_table_once(self, capsys, tmp_path, monkeypatch):
-        # JSON formats each table twice: once for stats(), which its header
-        # needs first, and once in its own layout.  No path reads the arrays.
-        calls = []
-        row_chunks, stats = ConstantTable._row_chunks, ConstantTable.stats
+        # No whole table is built: each is listed as a block stream and
+        # formatted by one _row_chunks call, which formats its labels once.
+        # JSON lists and formats each table twice: once for its stats, which
+        # its header needs first, and once in its own layout.
+        calls, streams = [], []
+        blocks, row_chunks = cli._blocks, cli._row_chunks
 
-        def counted(self, *layout):
-            calls.append(self.kind)
-            return row_chunks(self, *layout)
+        def listed(n_dim, kind):
+            streams.append(kind)
+            return blocks(n_dim, kind)
 
-        def refuse(self):
-            raise AssertionError("the CSV path formats no table a second time for stats()")
+        def counted(*args):
+            calls.append(len(streams))
+            return row_chunks(*args)
 
-        def refuse_arrays(self):
-            raise AssertionError("table text comes from _row_chunks alone")
-
-        monkeypatch.setattr(ConstantTable, "_row_chunks", counted)
-        monkeypatch.setattr(ConstantTable, "stats", refuse)
-        monkeypatch.setattr(ConstantTable, "contraction_arrays", refuse_arrays)
+        refuse_tables(monkeypatch)
+        monkeypatch.setattr(cli, "_blocks", listed)
+        monkeypatch.setattr(cli, "_row_chunks", counted)
         out_path = tmp_path / "table.csv"
         status, out, _ = run(
             capsys, "constants", "--n", "5", "--kind", "both", "--format", "csv",
             "--output", str(out_path),
         )
         assert status == 0
-        assert calls == ["f", "d"]
+        assert (streams, calls) == (["f", "d"], [1, 2])
         assert len(out.splitlines()) == 2
+        streams.clear()
         calls.clear()
-        monkeypatch.setattr(ConstantTable, "stats", stats)
         status, out, _ = run(
             capsys, "constants", "--n", "5", "--kind", "both", "--format", "json",
             "--output", str(out_path),
         )
         assert status == 0
-        assert calls == ["f", "f", "d", "d"]  # one table at a time
+        assert (streams, calls) == (["f", "f", "d", "d"], [1, 2, 3, 4])  # one table at a time
         assert len(out.splitlines()) == 2
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_f_table_is_released_before_d_is_built(self, capsys, tmp_path, monkeypatch, fmt):
-        # With --kind both one table is held at a time.  A table's memory is
-        # its two arrays: both must be freed by the time d is built.
+        # Stronger than one table at a time: no table is ever built, and a
+        # stream holds at most two blocks, the one being formatted and the one
+        # being listed.  So when a stream lists its first block every block
+        # listed before is gone, f's before d's first, and when it lists any
+        # other, every block but the one before.
         refs, alive = [], []
+        canonical = structure_constants._canonical
 
-        def build_f(n_dim):
-            table = build_f_table(n_dim)
-            refs.extend(weakref.ref(array) for array in (table._index, table._values))
-            return table
-
-        def build_d(n_dim):
-            alive.append([ref() is not None for ref in refs])
-            return build_d_table(n_dim)
+        def tracked(n_dim, kind, keys, values, lead):
+            alive.append([ref() is not None for ref in (refs if lead[0] == 1 else refs[:-2])])
+            keys, values = canonical(n_dim, kind, keys, values, lead)
+            refs.extend(weakref.ref(array) for array in (keys, values))
+            return keys, values
 
         out_path = tmp_path / f"table.{fmt}"
-        argv = ["constants", "--n", "5", "--kind", "both", "--format", fmt, "--output"]
+        argv = ["constants", "--n", "6", "--kind", "both", "--format", fmt, "--output"]
         status, _, _ = run(capsys, *argv, str(out_path))
         assert status == 0
         expected = out_path.read_bytes()
-        monkeypatch.setattr(cli, "build_f_table", build_f)
-        monkeypatch.setattr(cli, "build_d_table", build_d)
+        refuse_tables(monkeypatch)
+        monkeypatch.setattr(structure_constants, "_canonical", tracked)
+        monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", 64)  # one coordinate a block
         status, _, _ = run(capsys, *argv, str(out_path))
         assert status == 0
-        assert alive == [[False, False]]
+        assert len(alive) == 2 * 6 * (1 + (fmt == "json"))
+        assert not any(map(any, alive))
         assert out_path.read_bytes() == expected
 
     @pytest.mark.parametrize("build, kind", [(build_f_table, "f"), (build_d_table, "d")])
@@ -278,13 +293,13 @@ class TestConstants:
 
         # The layouts that the CLI passes: the CSV default and the JSON object.
         layouts = []
-        row_chunks = ConstantTable._row_chunks
+        row_chunks = cli._row_chunks
         with monkeypatch.context() as patch:
-            patch.setattr(ConstantTable, "_row_chunks",
-                          lambda self, *layout: layouts.append(layout) or row_chunks(self, *layout))
+            patch.setattr(cli, "_row_chunks", lambda n_dim, blocks, *layout:
+                          layouts.append(layout) or row_chunks(n_dim, blocks, *layout))
             expected = outputs()
         assert expected[5:] == ("", "", (0, hashlib.sha256(b"d,2\n").hexdigest()[:16]))
-        (json_layout,) = layouts[2]  # after the CSV pass and the JSON run's stats()
+        (json_layout,) = layouts[2]  # after the CSV pass and the JSON run's stats pass
         assert json_layout[0].startswith(",\n        {")
         values = table.contraction_arrays()[3].tolist()
         count = len(table)
@@ -296,50 +311,33 @@ class TestConstants:
             for lines in (1, 3, count - 1, count, count + 1):
                 monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", lines * width)
                 whole, rest = divmod(count, lines)
-                assert [piece.count(tail.encode()) for piece in table._row_chunks(layout)] == (
+                # The table as its one block; the CLI's streams also cut a piece at each block.
+                *index, value = table.contraction_arrays()
+                pieces = structure_constants._row_chunks(5, [(np.stack(index), value)], layout)
+                assert [piece.count(tail.encode()) for piece in pieces] == (
                     [lines] * whole + [rest] * (rest > 0))
                 assert outputs() == expected
 
-    def test_csv_holds_one_piece_of_text_beside_the_tables(self, capsys, tmp_path, monkeypatch):
-        # The tables are built before the traced call, so the peak is the
-        # writer's alone.  One table is formatted at a time: beside what its
-        # stats() holds (9 bytes per triple for its sorted values, and six
-        # arrays of a piece), the writer holds the piece's bytes with the
-        # prefix put in: at most 1.2 budgets more, as a 2-byte prefix adds at
-        # most a fifth to a line of at least 10 bytes.  2**18 covers the N**2
-        # labels and their strings, and 2**18 the argument parser.
-        budget = 2**14
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_holds_a_block_and_a_piece(self, capsys, tmp_path, monkeypatch, fmt):
+        # The whole command, listing included.  Under this budget a block is
+        # the triples of one leading coordinate, at most 2 N**2.  Listing one
+        # holds at most 64 bytes per triple (the families' parts, then the
+        # block's int32 keys and float64 values beside the sort's int64 key
+        # and order), and the block before it, 20 more, is still held by the
+        # formatter: 96 in all.  The formatter and the writer hold at most
+        # eight budgets of text (six for a piece, as the stats() test counts,
+        # plus the CSV writer's copy with its prefixes).  The labels take at
+        # most 117 bytes per index, as JSON's carry their keys, and 2 * 2**18
+        # covers their strings and the argument parser.
+        budget, n_dim = 2**14, 48
         monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", budget)
-        tables = [build_f_table(48), build_d_table(48)]
-        monkeypatch.setattr(cli, "build_f_table", lambda n_dim: tables[0])
-        monkeypatch.setattr(cli, "build_d_table", lambda n_dim: tables[1])
-        out_path = tmp_path / "table.csv"
-        status, peak = traced_peak(
-            cli.main, ["constants", "--n", "48", "--output", str(out_path)])
+        out_path = tmp_path / f"table.{fmt}"
+        status, peak = traced_peak(cli.main, ["constants", "--n", str(n_dim), "--format", fmt,
+                                              "--output", str(out_path)])
         assert status == 0
-        bound = 9 * max(len(t) for t in tables) + 36 * budget // 5 + 2 * 2**18
-        assert bound < len(tables[1].rows())  # the d table's text would not fit whole
-        assert peak <= bound
-
-    def test_json_holds_one_piece_of_text_beside_the_tables(self, capsys, tmp_path, monkeypatch):
-        # As for the CSV, the peak is the writer's alone.  stats() comes first
-        # and holds what the stats() test bounds; the JSON pass then holds the
-        # same 9 bytes per triple and at most five arrays of a piece, plus the
-        # value picks (8 bytes a line of over 100).  The writer hands each
-        # piece to the file as it is, the first through a view that skips its
-        # comma: six budgets in all.  The labels carry their JSON keys:
-        # 71 + 21 + 25 bytes for i, j and k.  2**18 covers the argument parser.
-        budget = 2**14
-        monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", budget)
-        tables = [build_f_table(48), build_d_table(48)]
-        monkeypatch.setattr(cli, "build_f_table", lambda n_dim: tables[0])
-        monkeypatch.setattr(cli, "build_d_table", lambda n_dim: tables[1])
-        out_path = tmp_path / "table.json"
-        status, peak = traced_peak(
-            cli.main, ["constants", "--n", "48", "--format", "json", "--output", str(out_path)])
-        assert status == 0
-        bound = 9 * max(len(t) for t in tables) + 6 * budget + (48 * 48 - 1) * 117 + 2**18
-        assert bound < out_path.stat().st_size // 2  # a table's text would not fit whole
+        bound = 96 * 2 * n_dim**2 + 8 * budget + (n_dim**2 - 1) * 117 + 2 * 2**18
+        assert bound < sum(a.nbytes for a in build_d_table(n_dim).contraction_arrays())
         assert peak <= bound
 
     @pytest.mark.parametrize("to_file", [True, False])
@@ -425,6 +423,18 @@ class TestVerify:
         assert "FAIL" in out
         assert "missing (1, 2, 3)" in out
         assert "spurious (1, 2, 4)" in out
+
+    @pytest.mark.parametrize("kind", ["f", "d", "both"])
+    def test_refused_above_the_ceiling_before_any_table(self, capsys, monkeypatch, kind):
+        # The oracle's ceiling is checked before a closed-form table is built,
+        # with the refusal the oracle gives: for both kinds, f's estimate.
+        refuse_tables(monkeypatch)
+        with pytest.raises(OracleCostError) as refusal:
+            full_oracle_table(AlgebraConfig(9), "d" if kind == "d" else "f")
+        status, out, err = run(capsys, "verify", "--n", "9", "--kind", kind)
+        assert status == 2
+        assert out == ""
+        assert err == f"error: {refusal.value}\n"
 
     def test_negative_seed_refused_before_any_output(self, capsys):
         status, out, err = run(capsys, "verify", "--n", "3", "--seed", "-1")

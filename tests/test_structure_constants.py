@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 from itertools import permutations
 
 import numpy as np
@@ -532,3 +533,99 @@ def test_build_d_working_memory_is_bounded():
 
 def test_build_f_working_memory_is_bounded():
     check_build_memory(build_f_table, f_count(48))
+
+
+FAMILIES = {"f": structure_constants._f_families, "d": structure_constants._d_families}
+BUILDERS = {"f": build_f_table, "d": build_d_table}
+
+
+def joined(blocks):
+    """The (0-based keys, values) blocks of a stream, concatenated."""
+    keys, values = zip(*blocks)
+    return np.concatenate(keys, axis=1), np.concatenate(values)
+
+
+def assert_same_table(blocks, table):
+    keys, values = joined(blocks)
+    np.testing.assert_array_equal(keys, table.contraction_arrays()[0:3])
+    # Bit for bit: the value bits compare as integers.
+    expected = table.contraction_arrays()[3]
+    np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
+
+
+def coordinate_counts(table):
+    """How many triples each top coordinate leads: 1-based index x belongs to c = isqrt(x) + 1."""
+    first = table.contraction_arrays()[0] + 1
+    return np.bincount([math.isqrt(x) + 1 for x in first.tolist()], minlength=table.n_dim + 1)
+
+
+@pytest.mark.parametrize("kind", ["f", "d"])
+@pytest.mark.parametrize("n_dim", [*range(2, 13), 33, 64])
+def test_block_stream_joins_into_the_table(kind, n_dim, monkeypatch):
+    table = BUILDERS[kind](n_dim)
+    # At most 2 N**2 triples share a leading coordinate, which sizes the blocks.
+    assert coordinate_counts(table).max() <= 2 * n_dim * n_dim
+    blocks = list(structure_constants._blocks(n_dim, kind))
+    assert max(values.size for _, values in blocks) <= structure_constants._CHUNK_BYTES // 8
+    assert_same_table(blocks, table)
+    for keys, values in blocks:
+        assert keys.dtype == np.int32 and values.dtype == np.float64
+        assert not keys.flags.writeable and not values.flags.writeable
+    # One coordinate a block: budget below the triples of one coordinate.
+    monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", 8)
+    blocks = list(structure_constants._blocks(n_dim, kind))
+    assert len(blocks) == n_dim
+    assert [values.size for _, values in blocks] == coordinate_counts(table)[1:].tolist()
+    assert_same_table(blocks, table)
+
+
+def compositions(n_dim):
+    """Every split of the coordinates 1..n_dim into consecutive ranges, as (lo, hi) pairs."""
+    for cuts in itertools.product((False, True), repeat=n_dim - 1):
+        bounds = [1] + [c for c, cut in zip(range(2, n_dim + 1), cuts) if cut] + [n_dim + 1]
+        yield list(zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("kind", ["f", "d"])
+@pytest.mark.parametrize("n_dim", range(2, 9))
+def test_every_split_into_coordinate_ranges_gives_the_table(kind, n_dim):
+    # Blocks of every width, down to one coordinate: the families of each
+    # range, sorted and checked, join into the table.
+    table = BUILDERS[kind](n_dim)
+    for split in compositions(n_dim):
+        blocks = [structure_constants._canonical(
+            n_dim, kind, *FAMILIES[kind](n_dim, lo, hi), (lo, hi)) for lo, hi in split]
+        assert_same_table(blocks, table)
+
+
+def test_empty_d_stream_of_su2():
+    blocks = list(structure_constants._blocks(2, "d"))
+    assert sum(values.size for _, values in blocks) == 0
+    assert list(structure_constants._row_chunks(2, blocks)) == []
+
+
+@pytest.mark.parametrize("kind", ["f", "d"])
+def test_a_triple_in_the_wrong_block_is_refused(kind, monkeypatch):
+    # The last triple led by coordinate 3 is listed with coordinate 2's
+    # block instead.  Each block alone is sorted and free of duplicates, and
+    # the joined stream holds every triple once, but out of order: the
+    # block's first-index check must refuse it, naming it.
+    n_dim, families = 4, FAMILIES[kind]
+    keys, values = families(n_dim, 3, 4)
+    moved = np.lexsort(keys[::-1])[-1]
+    stays = np.arange(values.size) != moved
+    triple = tuple(keys[:, moved].tolist())
+
+    def misplaced(n, lo, hi):
+        if (lo, hi) == (2, 3):
+            two_keys, two_values = families(n, lo, hi)
+            return np.hstack((two_keys, keys[:, [moved]])), np.append(two_values, values[moved])
+        if (lo, hi) == (3, 4):
+            return np.ascontiguousarray(keys[:, stays]), values[stays]
+        return families(n, lo, hi)
+
+    monkeypatch.setattr(structure_constants, f"_{kind}_families", misplaced)
+    monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", 8)  # one coordinate a block
+    message = rf"triple {re.escape(str(triple))} = .* has a first index outside its block"
+    with pytest.raises(RuntimeError, match=message):
+        list(structure_constants._blocks(n_dim, kind))
