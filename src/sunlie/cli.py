@@ -29,15 +29,7 @@ from typing import IO, ContextManager, Iterable, Iterator, Sequence
 import numpy as np
 
 from .adjoint import adjoint_matrix
-from .dynamics import (
-    EXACT,
-    RK4,
-    IntegrationSpec,
-    _integrate_precession,
-    _tdse_gaps,
-    decompose_hamiltonian,
-    state_to_bloch,
-)
+from .dynamics import EXACT, RK4, IntegrationSpec, precession_blocks
 from .generators import AlgebraConfig, make_generator
 from .indexing import GeneratorLabel, _integer, index_to_label
 from .structure_constants import (
@@ -45,6 +37,7 @@ from .structure_constants import (
     F_KIND,
     ConstantTable,
     _blocks,
+    _check_table_dimension,
     _row_chunks,
     _stats,
     build_d_table,
@@ -200,6 +193,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     # No table is held whole: each is listed a block of leading coordinates
     # at a time, formatted a piece at a time, hashed and written.  Only its
     # stats line outlives it.
+    _check_table_dimension(args.n)  # refused before the output is opened
     json_format = args.format == "json"
     stats = []
     with _table_output(args.output) as fh:
@@ -284,7 +278,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_adjoint(args: argparse.Namespace) -> int:
-    table = build_f_table(args.n)
+    n_dim = _check_table_dimension(args.n)
+    _integer(args.index, "index", 1, n_dim * n_dim - 1)  # refused before the table is built
+    table = build_f_table(n_dim)
     mat = adjoint_matrix(table, args.index)
     with _open_output(args.output) as fh:
         _write_matrix_json(fh, mat, args.n, index=args.index, dim=mat.shape[0])
@@ -294,32 +290,24 @@ def _cmd_adjoint(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     hamiltonian = _complex_from_json(args.hamiltonian, matrix=True)
     psi0 = _complex_from_json(args.initial, matrix=False)
-    n_dim = hamiltonian.shape[0]
-    if psi0.shape != (n_dim,):
-        raise ValueError(
-            f"initial state has length {psi0.shape[0]}, Hamiltonian is {n_dim} x {n_dim}"
-        )
-    cfg = AlgebraConfig(n_dim, args.hbar)
+    cfg = AlgebraConfig(hamiltonian.shape[0], args.hbar)
     spec = IntegrationSpec(
         t_final=args.t_final,
         dt=args.dt,
         method=args.method,
         output_stride=args.stride,
     )
-    coeffs = decompose_hamiltonian(cfg, hamiltonian)
     # A block at a time.  Every refusal but the amplitude norm drift, which
     # only the last block settles, comes before the output is opened.
-    _, blocks = _integrate_precession(n_dim, coeffs, state_to_bloch(cfg, psi0), spec)
-    if args.compare_tdse:
-        blocks = _tdse_gaps(cfg, hamiltonian, psi0, spec, blocks)
+    blocks = precession_blocks(cfg, hamiltonian, psi0, spec, args.compare_tdse)
     with _open_output(args.output) as fh:
         header = ",".join(["t"] + [f"s_{k}" for k in range(1, cfg.dim + 1)])
         fh.write(header + "\n")
-        for times, rows, *gap in blocks:
+        for times, rows, gap in blocks:
             fh.writelines(",".join(map(repr, [t] + row.tolist())) + "\n"
                           for t, row in zip(times.tolist(), rows))
     if args.compare_tdse:
-        print(f"max_tdse_deviation={gap[0]!r}", file=_report_stream(args.output))
+        print(f"max_tdse_deviation={gap!r}", file=_report_stream(args.output))
     return 0
 
 
@@ -331,7 +319,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         best = min(best, time.perf_counter() - start)
     print(f"closed-form n={args.n}: f={len(f_table)} d={len(d_table)} triples in {best:.6f} s")
 
-    cfg = AlgebraConfig(args.n, args.hbar)
+    cfg = AlgebraConfig(args.n)
     try:
         start = time.perf_counter()
         for kind in (F_KIND, D_KIND):
@@ -400,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time closed-form generation vs the oracle")
     p.add_argument("--n", type=_dimension, required=True)
-    p.add_argument("--hbar", type=_positive_float, default=1.0)
     p.add_argument("--repeats", type=int, default=3, help="closed-form timing repeats")
     p.set_defaults(func=_cmd_bench)
 

@@ -59,9 +59,11 @@ method builds the f table or the d x d matrix Omega of `precession_matrix`
 (d = N**2 - 1), which stays as the f-driven reference.  The eigenvectors
 come from an SVD, not eigh (see `_eigensystem`).  Samples come a block at a
 time in grid order: the integrators write the blocks into one (T, dim)
-array, while `simulate` writes each and compares it with the amplitude flow
-on the same rows before the next is sampled, so its memory does not grow
-with the sample count.
+array.  `precession_blocks`, the one stream that `simulate` and
+`bloch_tdse_deviation` share, starts from H and a pure state, yields each
+block and, with the comparison, folds its gap to the amplitude flow on the
+same rows before the next is sampled, so its memory does not grow with the
+sample count.
 """
 
 from __future__ import annotations
@@ -389,7 +391,7 @@ def integrate_bloch(
 def _integrate_precession(
     n_dim: int, coeffs: HamiltonianCoefficients, s0: np.ndarray, spec: IntegrationSpec
 ) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """`integrate_bloch` at dimension N in blocks; `simulate` streams them without an f table."""
+    """`integrate_bloch` at dimension N in blocks, without an f table."""
     s0 = _check_vector(s0, n_dim * n_dim - 1, "coherence vector")
     # The trace of H does not enter the flow; leaving it out keeps the
     # eigenvalue differences free of its cancellation error.
@@ -452,27 +454,35 @@ def bloch_tdse_deviation(
     """Max componentwise gap between the precession trajectory and the mapped
     amplitude trajectory, both started from the same pure state.
 
-    Decomposes H and folds the gap over both flows with `_tdse_gaps`, as
-    `simulate --compare-tdse` does while it writes the trajectory.
+    The last gap of `precession_blocks` with the comparison, the stream that
+    `simulate --compare-tdse` writes.
     """
-    coeffs = decompose_hamiltonian(cfg, hamiltonian)
     _check_f_table(table)
-    _, blocks = _integrate_precession(cfg.n_dim, coeffs, state_to_bloch(cfg, psi0), spec)
-    for *_, gap in _tdse_gaps(cfg, hamiltonian, psi0, spec, blocks):
+    if table.n_dim != cfg.n_dim:
+        raise ValueError(f"an N={table.n_dim} table does not fit N={cfg.n_dim}")
+    for *_, gap in precession_blocks(cfg, hamiltonian, psi0, spec, True):
         pass
     return gap
 
 
-def _tdse_gaps(
+def precession_blocks(
     cfg: AlgebraConfig, hamiltonian: np.ndarray, psi0: np.ndarray, spec: IntegrationSpec,
-    blocks: Iterator[tuple[np.ndarray, np.ndarray]],
-) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
-    """The precession ``blocks`` from psi0 as (times, rows, gap), gap being the
-    max componentwise gap so far to the amplitude flow from psi0 on the same
-    rows, mapped to coherence vectors.  The amplitude flow's checks and RK4
-    guard run at the call; after the last block, a norm drift beyond
-    _NORM_DRIFT_TOL is refused, because the mapping is then meaningless.
+    compare_tdse: bool,
+) -> Iterator[tuple[np.ndarray, np.ndarray, float | None]]:
+    """The precession trajectory from pure state psi0 under H, a block at a time.
+
+    Decomposes H, maps psi0 to its coherence vector and yields the grid's
+    blocks in order as (times, rows, gap), with the rows `integrate_bloch`
+    gives for them.  With ``compare_tdse``, gap is the max componentwise gap
+    so far to the amplitude flow from psi0 on the same rows, mapped to
+    coherence vectors; without, it is None.  Every check, and the RK4 guard
+    of each flow, runs at the call; after the last block, an amplitude norm
+    drift beyond _NORM_DRIFT_TOL is refused, as the mapping is then meaningless.
     """
+    coeffs = decompose_hamiltonian(cfg, hamiltonian)
+    _, blocks = _integrate_precession(cfg.n_dim, coeffs, state_to_bloch(cfg, psi0), spec)
+    if not compare_tdse:
+        return ((times, rows, None) for times, rows in blocks)
     block = _block_samples(cfg.n_dim, cfg.n_dim)[1]  # the rows of a precession block
     _, amplitudes = _amplitudes(cfg, hamiltonian, psi0, spec, block)
 

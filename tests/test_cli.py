@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -391,6 +392,18 @@ class TestConstants:
             assert [table["count"] for table in tables] == [
                 len(table["triples"]) for table in tables]
 
+    @pytest.mark.parametrize("to_file", [True, False])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dimension_beyond_tables_refused_before_any_output(self, capsys, tmp_path, fmt,
+                                                               to_file):
+        path = tmp_path / "big.out"
+        extra = ["--output", str(path)] if to_file else []
+        status, out, err = run(capsys, "constants", "--n", str(structure_constants.MAX_TABLE_N + 1),
+                               "--format", fmt, *extra)
+        assert status == 2
+        assert err.startswith("error: N=1449 is beyond the largest table dimension 1448")
+        assert out == "" and not path.exists()
+
     def test_dimension_below_two_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["constants", "--n", "1"])
@@ -474,6 +487,20 @@ class TestAdjoint:
         assert status == 2
         assert "outside" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "100", "--index", "0"], "index 0 is outside the integers 1..9999"),
+        (["--n", "1449", "--index", "1"], "N=1449 is beyond the largest table dimension"),
+        (["--n", "1449", "--index", "0"], "N=1449 is beyond the largest table dimension"),
+    ])
+    def test_refused_before_the_table_is_built(self, capsys, monkeypatch, argv, message):
+        def refuse(*args):
+            raise AssertionError("the f table is built after the arguments are checked")
+
+        monkeypatch.setattr(cli, "build_f_table", refuse)
+        status, out, err = run(capsys, "adjoint", *argv)
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
 
 class TestSimulate:
     @pytest.fixture
@@ -538,7 +565,6 @@ class TestSimulate:
         def refuse(*args):
             raise AssertionError("simulate builds no f table and no Omega")
 
-        count(cli, "decompose_hamiltonian")
         count(dynamics, "decompose_hamiltonian")
         count(dynamics, "_eigensystem")
         monkeypatch.setattr(cli, "build_f_table", refuse)
@@ -944,6 +970,13 @@ class TestBench:
         f_count, d_count = len(build_f_table(4)), len(build_d_table(4))
         assert f"closed-form n=4: f={f_count} d={d_count} triples" in out
 
+    def test_hbar_is_not_an_option(self, capsys):
+        # No closed-form or oracle timing depends on hbar.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["bench", "--n", "3", "--hbar", "2"])
+        assert excinfo.value.code == 2
+        assert "--hbar" in capsys.readouterr().err
+
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_repeats_below_one_rejected(self, capsys, repeats):
         status, out, err = run(capsys, "bench", "--n", "3", "--repeats", repeats)
@@ -956,6 +989,17 @@ class TestBench:
         assert status == 0
         assert "refused" in out
         assert "trace evaluations" in out
+
+
+def test_cli_imports_no_private_dynamics_name():
+    # The CLI reaches the dynamics through its public names only.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.level, node.module) in ((1, "dynamics"), (0, "sunlie.dynamics"))
+             for alias in node.names]
+    assert "precession_blocks" in names
+    assert [name for name in names if name.startswith("_")] == []
 
 
 def test_no_arguments_exits_two(capsys):

@@ -14,6 +14,7 @@ from sunlie.dynamics import (
     hamiltonian_from_coefficients,
     integrate_bloch,
     integrate_tdse,
+    precession_blocks,
     precession_matrix,
     precession_rhs,
     reconstruct_density,
@@ -823,6 +824,70 @@ class TestStabilityGuard:
             integrate_tdse(cfg, mat, np.array([1.0, 0.0]), spec)
 
 
+class TestPrecessionBlocks:
+    """The one stream from H and a pure state that `simulate` and
+    `bloch_tdse_deviation` share."""
+
+    @pytest.fixture
+    def problem(self):
+        rng = np.random.default_rng(3)
+        return AlgebraConfig(3), random_hermitian(rng, 3), random_state(rng, 3)
+
+    @pytest.mark.parametrize("compare", [False, True])
+    @pytest.mark.parametrize("change, match", [
+        ({"hamiltonian": np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])},
+         "not Hermitian"),
+        ({"hamiltonian": np.eye(2)}, "shape"),
+        ({"psi0": np.array([1.0, 1.0, 0.0])}, "norm"),
+        ({"psi0": np.array([1.0, 0.0])}, "expected a length-3 state vector, got shape \\(2,\\)"),
+        ({"spec": IntegrationSpec(t_final=20.0, dt=5.0)}, "unstable"),
+        ({"spec": IntegrationSpec(t_final=0.0, dt=5.0)}, "unstable"),
+        ({"spec": IntegrationSpec(t_final=1e9, dt=1e-9)}, "do not fit in memory"),
+        ({"spec": IntegrationSpec(t_final=1e9, dt=1e-9, method="exact")}, "do not fit in memory"),
+    ])
+    def test_refused_at_the_call(self, problem, compare, change, match):
+        # Each refusal comes from the call itself: no block is asked for.
+        cfg, mat, psi0 = problem
+        args = {"hamiltonian": mat, "psi0": psi0, "spec": IntegrationSpec(1.0, 0.01), **change}
+        with pytest.raises(ValueError, match=match):
+            precession_blocks(cfg, args["hamiltonian"], args["psi0"], args["spec"], compare)
+
+    def test_unstable_amplitude_step_refused_at_the_call(self):
+        # A trace shift leaves the precession flow stable at dt = 0.1 but not
+        # the amplitudes: only the comparison refuses it.
+        cfg, mat, psi0 = AlgebraConfig(2), np.diag([100.0, 101.0]), np.array([1.0 + 0j, 0.0])
+        spec = IntegrationSpec(t_final=1.0, dt=0.1)
+        precession_blocks(cfg, mat, psi0, spec, False)
+        with pytest.raises(ValueError, match="unstable"):
+            precession_blocks(cfg, mat, psi0, spec, True)
+
+    @pytest.mark.parametrize("method", ["rk4", "exact"])
+    @pytest.mark.parametrize("n_dim", sorted(TestHalfModeRead.STEPS))
+    def test_rows_are_integrate_bloch_rows(self, n_dim, method):
+        rng = np.random.default_rng(2400 + n_dim)
+        cfg = AlgebraConfig(n_dim, hbar=1.5)
+        mat, psi0 = random_hermitian(rng, n_dim), random_state(rng, n_dim)
+        table = build_f_table(n_dim)
+        steps = TestHalfModeRead.STEPS[n_dim]
+        # Every step, then every 7th with the last full step and a half-step tail.
+        for t_final, stride in ((steps * 0.01, 1), ((steps + 0.5) * 0.01, 7)):
+            spec = IntegrationSpec(t_final, 0.01, method=method, output_stride=stride)
+            traj = integrate_bloch(table, decompose_hamiltonian(cfg, mat),
+                                   state_to_bloch(cfg, psi0), spec)
+            plain = list(precession_blocks(cfg, mat, psi0, spec, False))
+            assert len(plain) > 2 or stride > 1  # row 0, then more than one block
+            assert {gap for *_, gap in plain} == {None}
+            np.testing.assert_array_equal(np.concatenate([t for t, *_ in plain]), traj.times)
+            np.testing.assert_array_equal(np.concatenate([r for _, r, _ in plain]), traj.states)
+            compared = list(precession_blocks(cfg, mat, psi0, spec, True))
+            for (times, rows, _), (t, r, _) in zip(plain, compared, strict=True):
+                np.testing.assert_array_equal(t, times)
+                np.testing.assert_array_equal(r, rows)
+            gaps = [gap for *_, gap in compared]
+            assert gaps == sorted(gaps)
+            assert gaps[-1] == bloch_tdse_deviation(cfg, table, mat, psi0, spec)
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("n_dim", [2, 3, 4])
     def test_precession_tracks_amplitudes(self, n_dim):
@@ -883,6 +948,13 @@ class TestEquivalence:
         psi0 = random_state(rng, n_dim)
         spec = IntegrationSpec(t_final=10.0, dt=0.01, output_stride=7, method="exact")
         assert bloch_tdse_deviation(cfg, build_f_table(n_dim), mat, psi0, spec) <= 1e-12
+
+    def test_table_of_another_dimension_rejected(self):
+        rng = np.random.default_rng(3)
+        cfg, mat, psi0 = AlgebraConfig(3), random_hermitian(rng, 3), random_state(rng, 3)
+        spec = IntegrationSpec(t_final=1.0, dt=0.01)
+        with pytest.raises(ValueError, match="an N=5 table does not fit N=3"):
+            bloch_tdse_deviation(cfg, build_f_table(5), mat, psi0, spec)
 
     @pytest.mark.parametrize("n_dim", [3, 11])
     def test_rk4_converges_at_fourth_order(self, n_dim):
