@@ -24,7 +24,7 @@ import sys
 import time
 from contextlib import nullcontext
 from itertools import permutations
-from typing import IO, ContextManager, Iterable, Iterator, Sequence
+from typing import IO, ContextManager, Sequence
 
 import numpy as np
 
@@ -36,12 +36,10 @@ from .structure_constants import (
     D_KIND,
     F_KIND,
     ConstantTable,
-    _blocks,
     _check_table_dimension,
-    _row_chunks,
-    _stats,
     build_d_table,
     build_f_table,
+    write_tables,
 )
 from .trace_oracle import OracleCostError, check_ceiling, estimate_cost, full_oracle_table
 
@@ -98,7 +96,10 @@ def _complex_from_json(path: str, *, matrix: bool) -> np.ndarray:
     """re + 1j im from a JSON object: {n, re, im} for an n x n matrix, {re, im} for a vector."""
     keys = ("n", "re", "im") if matrix else ("re", "im")
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object with keys {', '.join(keys)}")
     for key in keys:
@@ -109,6 +110,8 @@ def _complex_from_json(path: str, *, matrix: bool) -> np.ndarray:
         im = np.asarray(payload["im"], dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{path}: re and im must be arrays of numbers") from None
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # JSON's Infinity and NaN
+        raise ValueError(f"{path}: re and im have non-finite entries")
     shape = (_integer(payload["n"], f"{path}: n", 1),) * 2 if matrix else (re.size,)
     if re.shape != shape or im.shape != shape:
         raise ValueError(f"{path}: re and im must both have shape {shape}")
@@ -134,34 +137,6 @@ def _table_output(path: str | None) -> ContextManager[IO[bytes]]:
         sys.stdout.flush()  # text already written to stdout goes first
         return nullcontext(sys.stdout.buffer)
     return open(path, "wb")
-
-
-def _write_table_json(fh: IO[bytes], n_dim: int, kind: str, count: int, checksum: str) -> None:
-    """One object of the "tables" list that json.dump(..., indent=2) writes for {"n", "tables":
-    [{"kind", "count", "checksum", "triples": [{"kind", "i", "j", "k", "value"}]}]}, streamed
-    by _row_chunks; the caller writes what opens and closes the list and parts its objects."""
-    fh.write(f'\n    {{\n      "kind": "{kind}",\n      "count": {count},\n'
-             f'      "checksum": "{checksum}",\n      "triples": ['.encode())
-    # Each object opens with the comma that parts it from the one before; the first drops it.
-    layout = (f',\n        {{\n          "kind": "{kind}",\n          "i": ',
-              ',\n          "j": ', ',\n          "k": ', ',\n          "value": ',
-              "\n        }")
-    start = 1
-    for piece in _row_chunks(n_dim, _blocks(n_dim, kind), layout):
-        fh.write(memoryview(piece)[start:])
-        start = 0
-    fh.write(b"\n      ]\n    }" if count else b"]\n    }")
-
-
-def _write_rows(fh: IO[bytes], kind: str, pieces: Iterable[bytes]) -> Iterator[bytes]:
-    """The CSV ``pieces`` of a ``kind`` table, each written to ``fh`` with its kind prefix
-    as it passes."""
-    prefix = f"{kind},".encode()
-    for piece in pieces:  # never empty: a piece holds at least one line
-        fh.write(prefix)
-        # The piece ends with a newline: the prefix put after it is cut off.
-        fh.write(memoryview(piece.replace(b"\n", b"\n" + prefix))[: -len(prefix)])
-        yield piece
 
 
 def _kinds(kind: str) -> tuple[str, ...]:
@@ -190,27 +165,11 @@ def _cmd_generators(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    # No table is held whole: each is listed a block of leading coordinates
-    # at a time, formatted a piece at a time, hashed and written.  Only its
-    # stats line outlives it.
     _check_table_dimension(args.n)  # refused before the output is opened
-    json_format = args.format == "json"
-    stats = []
     with _table_output(args.output) as fh:
-        fh.write(f'{{\n  "n": {args.n},\n  "tables": ['.encode() if json_format
-                 else b"kind,i,j,k,value\n")
-        for kind in _kinds(args.kind):
-            pieces = _row_chunks(args.n, _blocks(args.n, kind))
-            if json_format:  # a JSON header needs the stats: the blocks are listed twice
-                count, checksum = _stats(args.n, kind, pieces)
-                fh.write(b"," * bool(stats))
-                _write_table_json(fh, args.n, kind, count, checksum)
-            else:  # the CSV stats hash the pieces as they are written
-                count, checksum = _stats(args.n, kind, _write_rows(fh, kind, pieces))
-            stats.append(f"kind={kind} n={args.n} count={count} checksum={checksum}")
-        if json_format:
-            fh.write(b"\n  ]\n}\n")
-    print("\n".join(stats), file=_report_stream(args.output))
+        stats = write_tables(fh, args.n, _kinds(args.kind), args.format == "json")
+    print("\n".join(f"kind={kind} n={args.n} count={count} checksum={checksum}"
+                    for kind, count, checksum in stats), file=_report_stream(args.output))
     return 0
 
 

@@ -187,7 +187,11 @@ def _check_normalized(amplitudes: np.ndarray, n_dim: int) -> np.ndarray:
         raise ValueError(f"expected a length-{n_dim} state vector, got shape {amplitudes.shape}")
     if not np.isfinite(amplitudes).all():
         raise ValueError("state vector has non-finite entries")
-    norm_sq = float(np.sum(np.abs(amplitudes) ** 2))
+    modulus = np.abs(amplitudes)  # refused above 2, where norm**2 > 4, before squares overflow
+    if modulus.max() > 2.0:
+        raise ValueError(f"state vector has an entry of modulus {modulus.max():.3g}, so its "
+                         "norm**2 is not 1")
+    norm_sq = float(np.sum(modulus**2))
     if abs(norm_sq - 1.0) > _NORM_TOL:
         raise ValueError(f"state vector norm**2 = {norm_sq} is not 1 within {_NORM_TOL}")
     return amplitudes
@@ -260,14 +264,17 @@ def _sample_grid(spec: IntegrationSpec, radius: float, first: np.ndarray) -> tup
     ``count`` samples, ``n_steps`` are at every output_stride-th full step
     and the last, n_full, and one more is at t_final if ``remainder``, the
     tail step short of it, is not 0.0.  A grid whose (count, first.size)
-    array numpy could not address is refused without allocating anything.
+    array numpy could not address is refused without allocating anything,
+    and so is a t_final whose largest phase t_final * radius is not a float.
     """
-    z = spec.dt * radius
+    z, phase = spec.dt * float(radius), spec.t_final * float(radius)  # inf, not a warning
     if spec.method == RK4 and z > _RK4_STABILITY_LIMIT:
         raise ValueError(
             f"dt={spec.dt!r} is unstable for RK4: dt * (spectral radius) = {z:.3g} > 2*sqrt(2); "
             f"use dt <= {_RK4_STABILITY_LIMIT / radius:.3g}"
         )
+    if math.isinf(phase):
+        raise ValueError(f"t_final * (spectral radius) = {phase} overflows; shorten t_final")
     n_full = int(math.floor(spec.t_final / spec.dt + 1e-9))
     remainder = spec.t_final - n_full * spec.dt
     if not remainder > 1e-12 * max(spec.t_final, spec.dt):

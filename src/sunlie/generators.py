@@ -36,6 +36,7 @@ entries independently, as the reference they are checked against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -134,19 +135,39 @@ def _expansion(cfg: AlgebraConfig, identity: float, coeffs: np.ndarray, scale: f
     return out
 
 
+# The hbar whose cube and reciprocal cube are normal floats (see _check_hbar).
+_HBAR_RANGE = (sys.float_info.min ** (1 / 3), sys.float_info.min ** (-1 / 3))
+# About 1.3e154: a matrix entry stays finite times N**2 and hbar or 1/hbar (< 3.6e102),
+# as decompositions, reconstructions and flow frequencies multiply it.
+_MAX_ENTRY = math.sqrt(sys.float_info.max)
+
+
 def _check_square(mat: np.ndarray, n_dim: int) -> tuple[np.ndarray, float]:
-    """Refuse anything but a finite N x N matrix; return it with its scale max(1, max |X_ij|)."""
+    """Refuse anything but a finite N x N matrix of entries of modulus at most _MAX_ENTRY;
+    return it with its scale max(1, max |X_ij|)."""
     mat = np.asarray(mat)
     if mat.shape != (n_dim, n_dim):
         raise ValueError(f"expected a {n_dim} x {n_dim} matrix, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise ValueError("matrix has non-finite entries")
-    return mat, max(1.0, float(np.abs(mat).max()))
+    scale = max(1.0, float(np.abs(mat).max()))  # a complex modulus beyond the floats is inf
+    if scale > _MAX_ENTRY:
+        raise ValueError(f"matrix has an entry of modulus {scale:.3g}, beyond {_MAX_ENTRY:.2g}")
+    return mat, scale
 
 
 def _check_hbar(hbar: float) -> None:
-    if not (hbar > 0 and math.isfinite(hbar)):
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    """Refuse an hbar whose cube or reciprocal cube is not a finite normal float.
+
+    The oracle divides by hbar**3.  With m = sys.float_info.min, the smallest
+    normal float, hbar**3 >= m needs hbar >= m**(1/3), about 2.8e-103, and
+    hbar**-3 >= m needs hbar <= m**(-1/3), about 3.6e102, below the 5.6e102 =
+    sys.float_info.max**(1/3) where the cube overflows.
+    """
+    low, high = _HBAR_RANGE
+    if not low <= hbar <= high:  # NaN fails both comparisons
+        raise ValueError(f"hbar must be positive and finite, in {low:.2g}..{high:.2g} where "
+                         f"its cube and reciprocal cube are normal floats, got {hbar}")
 
 
 def _check_vector(vec: np.ndarray, length: int, what: str) -> np.ndarray:

@@ -51,7 +51,8 @@ a generator of one coordinate of the family, its leading coordinate:
 So the triples led by the coordinates lo .. hi-1 are exactly those whose
 first index lies in (lo-1)**2 .. (hi-1)**2 - 1, and the builders list the
 families of any such range; blocks of consecutive ranges, each sorted, join
-into the sorted table.
+into the sorted table.  `write_tables`, the one writer of the table text and
+its checksum, streams such blocks as CSV or JSON.
 
 Enumerating the patterns costs O(N**3) against the O(N**9) of computing every
 generator trace, which is what makes the N = 64 table a subsecond object
@@ -64,7 +65,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -122,11 +123,8 @@ class ConstantTable:
         values are taken over, not copied: sorted into key order in place,
         the keys made 0-based, and both frozen.
         """
-        n_dim = _check_table_dimension(n_dim)
-        if kind not in (F_KIND, D_KIND):
-            raise ValueError(f"kind must be '{F_KIND}' or '{D_KIND}', got {kind!r}")
-        self.n_dim = n_dim
-        self.kind = kind
+        self.n_dim = n_dim = _check_table_dimension(n_dim)
+        self.kind = kind = _check_kind(kind)
         self._index, self._values = _canonical(n_dim, kind, keys, values, (1, n_dim + 1))
         self._packed_keys: np.ndarray | None = None  # built by the first lookup
 
@@ -170,13 +168,7 @@ class ConstantTable:
 
     def stats(self) -> tuple[int, str]:
         """Triple count and an order-independent content digest (16 hex chars)."""
-        pieces = _row_chunks(self.n_dim, [(self._index, self._values)])
-        return _stats(self.n_dim, self.kind, pieces)
-
-    def rows(self, prefix: str = "") -> str:
-        """One line ``prefix`` + 'i,j,k,repr(value)' per canonical triple, in order."""
-        layout = (prefix, *_CSV_LAYOUT[1:])
-        return b"".join(_row_chunks(self.n_dim, [(self._index, self._values)], layout)).decode()
+        return _stats(self.n_dim, self.kind, _row_chunks(self.n_dim, [(self._index, self._values)]))
 
     def contraction_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Canonical triples as parallel arrays (a, b, c, value), 0-based.
@@ -195,10 +187,10 @@ def _row_chunks(
     n_dim: int,
     blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     layout: tuple[str, str, str, str, str] = _CSV_LAYOUT,
-) -> Iterator[bytes]:
+) -> Iterator[tuple[bytes, int]]:
     """The triples of ``blocks``, (0-based keys, values) pairs in table order, as
-    UTF-8 bytes in pieces of whole lines, each line ``head i sep j sep k sep
-    value tail`` for the five strings of ``layout``.
+    UTF-8 bytes in pieces of whole lines, each with its line count, each line
+    ``head i sep j sep k sep value tail`` for the five strings of ``layout``.
 
     The labels are formatted once, and each distinct value once, by the first
     block that holds it: only O(N) values are distinct.  The fields of a
@@ -239,17 +231,25 @@ def _row_chunks(
             for name, field, pick in zip(line.names, fields, picks):
                 lines[name] = field[pick]
             raw = lines.view(np.uint8)
-            yield raw[raw != 0].tobytes()
+            yield raw[raw != 0].tobytes(), len(lines)
 
 
-def _stats(n_dim: int, kind: str, pieces: Iterable[bytes]) -> tuple[int, str]:
+def _stats(
+    n_dim: int, kind: str, pieces: Iterable[tuple[bytes, int]], fh: IO[bytes] | None = None
+) -> tuple[int, str]:
     """Line count and 16 hex chars of sha256("{kind},{n}\n" + text), fed the CSV
-    ``pieces`` that join to ``text``."""
+    ``pieces`` that join to ``text`` with their line counts; with ``fh``, each piece is
+    first written there with its kind prefix on every line."""
     digest = hashlib.sha256(f"{kind},{n_dim}\n".encode())
+    prefix = f"{kind},".encode()
     count = 0
-    for piece in pieces:
+    for piece, lines in pieces:  # never empty: a piece holds at least one line
+        if fh is not None:
+            fh.write(prefix)
+            # The piece ends with a newline: the prefix put after it is cut off.
+            fh.write(memoryview(piece.replace(b"\n", b"\n" + prefix))[: -len(prefix)])
         digest.update(piece)
-        count += piece.count(b"\n")
+        count += lines
     return count, digest.hexdigest()[:16]
 
 
@@ -335,6 +335,12 @@ def _check_table_dimension(n_dim: int) -> int:
     if n_dim > MAX_TABLE_N:
         raise ValueError(f"N={n_dim} is beyond the largest table dimension {MAX_TABLE_N}")
     return n_dim
+
+
+def _check_kind(kind: str) -> str:
+    if kind not in (F_KIND, D_KIND):
+        raise ValueError(f"kind must be '{F_KIND}' or '{D_KIND}', got {kind!r}")
+    return kind
 
 
 def _check_f_table(table: ConstantTable) -> None:
@@ -492,3 +498,43 @@ def _blocks(n_dim: int, kind: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     for lo in range(1, n_dim + 1, width):
         hi = min(lo + width, n_dim + 1)
         yield _canonical(n_dim, kind, *families(n_dim, lo, hi), (lo, hi))
+
+
+def write_tables(
+    fh: IO[bytes], n_dim: int, kinds: Sequence[str], json_format: bool
+) -> list[tuple[str, int, str]]:
+    """Write the tables of ``kinds`` for su(n_dim) to the byte stream ``fh`` and return
+    each one's (kind, count, checksum), as `ConstantTable.stats` gives them.
+
+    CSV is the header ``kind,i,j,k,value`` and a line ``kind,i,j,k,repr(value)`` per
+    triple; JSON is what json.dump(..., indent=2) writes for {"n", "tables": [{"kind",
+    "count", "checksum", "triples": [{"kind", "i", "j", "k", "value"}]}]}.  No table is
+    held whole: each is listed a block at a time, formatted a piece at a time, hashed and
+    written.  CSV hashes what it writes; JSON, whose header needs the stats, lists each
+    table twice.  N and the kinds are checked before the first byte.
+    """
+    n_dim = _check_table_dimension(n_dim)
+    for kind in kinds:
+        _check_kind(kind)
+    fh.write(f'{{\n  "n": {n_dim},\n  "tables": ['.encode() if json_format
+             else b"kind,i,j,k,value\n")
+    stats: list[tuple[str, int, str]] = []
+    for kind in kinds:
+        pieces = _row_chunks(n_dim, _blocks(n_dim, kind))
+        count, checksum = _stats(n_dim, kind, pieces, None if json_format else fh)
+        if json_format:
+            fh.write(f'{"," * bool(stats)}\n    {{\n      "kind": "{kind}",\n      "count": '
+                     f'{count},\n      "checksum": "{checksum}",\n      "triples": ['.encode())
+            layout = (f',\n        {{\n          "kind": "{kind}",\n          "i": ',
+                      ',\n          "j": ', ',\n          "k": ', ',\n          "value": ',
+                      "\n        }")
+            pieces = _row_chunks(n_dim, _blocks(n_dim, kind), layout)
+            # Each object opens with the comma parting it from the one before; the first drops it.
+            for at, (piece, _) in enumerate(pieces):
+                fh.write(memoryview(piece)[at == 0:])
+            fh.write(b"\n      ]\n    }" if count else b"]\n    }")
+        stats.append((kind, count, checksum))
+    if json_format:
+        fh.write(b"\n  ]\n}\n" if stats else b"]\n}\n")
+    return stats
+

@@ -25,7 +25,7 @@ import numpy as np
 
 from .generators import AlgebraConfig, all_generators, make_generator
 from .indexing import index_to_label
-from .structure_constants import D_KIND, F_KIND, ConstantTable
+from .structure_constants import F_KIND, ConstantTable, _check_kind
 
 DEFAULT_CEILING = 8
 CEILING_ENV = "SUNLIE_ORACLE_CEILING"
@@ -123,9 +123,7 @@ def full_oracle_table(cfg: AlgebraConfig, kind: str) -> ConstantTable:
     OracleConsistencyError if any included value dips below the theoretical
     magnitude floor (which would mean round-off is bleeding into signal).
     """
-    if kind not in (F_KIND, D_KIND):
-        raise ValueError(f"kind must be '{F_KIND}' or '{D_KIND}', got {kind!r}")
-    check_ceiling(cfg.n_dim, kind)
+    check_ceiling(cfg.n_dim, _check_kind(kind))
     gens = all_generators(cfg)
     value_of = _f_value if kind == F_KIND else _d_value
     enumerate_canonical = combinations if kind == F_KIND else combinations_with_replacement

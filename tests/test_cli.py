@@ -201,7 +201,9 @@ class TestConstants:
         assert report.splitlines() == [
             f"kind={t.kind} n={n_dim} count={count} checksum={checksum}"
             for t in tables for count, checksum in [t.stats()]]
-        assert csv_text == "kind,i,j,k,value\n" + "".join(t.rows(f"{t.kind},") for t in tables)
+        assert csv_text == "kind,i,j,k,value\n" + "".join(
+            f"{t.kind},{i},{j},{k},{v!r}\n" for t in tables
+            for (i, j, k), v in sorted(t.as_dict().items()))
         if n_dim == 2 and kind == "d":
             assert csv_text == "kind,i,j,k,value\n"  # the d table of su(2) is empty
 
@@ -211,7 +213,7 @@ class TestConstants:
         # JSON lists and formats each table twice: once for its stats, which
         # its header needs first, and once in its own layout.
         calls, streams = [], []
-        blocks, row_chunks = cli._blocks, cli._row_chunks
+        blocks, row_chunks = structure_constants._blocks, structure_constants._row_chunks
 
         def listed(n_dim, kind):
             streams.append(kind)
@@ -222,8 +224,8 @@ class TestConstants:
             return row_chunks(*args)
 
         refuse_tables(monkeypatch)
-        monkeypatch.setattr(cli, "_blocks", listed)
-        monkeypatch.setattr(cli, "_row_chunks", counted)
+        monkeypatch.setattr(structure_constants, "_blocks", listed)
+        monkeypatch.setattr(structure_constants, "_row_chunks", counted)
         out_path = tmp_path / "table.csv"
         status, out, _ = run(
             capsys, "constants", "--n", "5", "--kind", "both", "--format", "csv",
@@ -288,19 +290,19 @@ class TestConstants:
                                    "--format", fmt, "--output", str(out_path))
                 assert status == 0
                 written.append(out_path.read_bytes())
-            empty = build_d_table(2)
-            return (table.rows(), table.rows(f"{kind},"), table.stats(), *written,
-                    empty.rows(), empty.rows("d,"), empty.stats())
+            return (table.stats(), *written, build_d_table(2).stats())
 
-        # The layouts that the CLI passes: the CSV default and the JSON object.
+        # The layouts that stats() and the writer pass: the CSV default and the JSON object.
         layouts = []
-        row_chunks = cli._row_chunks
+        row_chunks = structure_constants._row_chunks
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_row_chunks", lambda n_dim, blocks, *layout:
+            patch.setattr(structure_constants, "_row_chunks", lambda n_dim, blocks, *layout:
                           layouts.append(layout) or row_chunks(n_dim, blocks, *layout))
             expected = outputs()
-        assert expected[5:] == ("", "", (0, hashlib.sha256(b"d,2\n").hexdigest()[:16]))
-        (json_layout,) = layouts[2]  # after the CSV pass and the JSON run's stats pass
+        assert expected[3] == (0, hashlib.sha256(b"d,2\n").hexdigest()[:16])
+        # The CSV run, the JSON run's stats pass and its own pass, then the two stats().
+        assert [bool(layout) for layout in layouts] == [False, False, True, False, False]
+        (json_layout,) = layouts[2]
         assert json_layout[0].startswith(",\n        {")
         values = table.contraction_arrays()[3].tolist()
         count = len(table)
@@ -315,8 +317,9 @@ class TestConstants:
                 # The table as its one block; the CLI's streams also cut a piece at each block.
                 *index, value = table.contraction_arrays()
                 pieces = structure_constants._row_chunks(5, [(np.stack(index), value)], layout)
-                assert [piece.count(tail.encode()) for piece in pieces] == (
-                    [lines] * whole + [rest] * (rest > 0))
+                # Each piece comes with its own line count.
+                assert [(piece.count(tail.encode()), size) for piece, size in pieces] == (
+                    [(lines, lines)] * whole + [(rest, rest)] * (rest > 0))
                 assert outputs() == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -462,6 +465,16 @@ class TestVerify:
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "positive finite number" in captured.err
+
+    @pytest.mark.parametrize("hbar", ["1e-120", "1e120"])
+    def test_hbar_with_a_cube_beyond_normal_floats_rejected(self, capsys, hbar):
+        # 1e-120 cubed is 0: every oracle trace was NaN and every closed-form
+        # triple reported spurious (exit 1).  1e120 cubed raised OverflowError.
+        status, out, err = run(capsys, "verify", "--n", "3", "--hbar", hbar)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: hbar must be positive and finite, in")
+        assert err.count("\n") == 1
 
 
 class TestAdjoint:
@@ -781,20 +794,61 @@ class TestSimulate:
             ("hamiltonian", {"n": 2, "re": {"a": 1}, "im": [[0.0, 0.0], [0.0, 0.0]]}),
             ("initial", 5),
             ("initial", {"re": {"a": 1}, "im": [0.0, 0.0]}),
+            # Not JSON, not UTF-8, and nested past the decoder's recursion limit.
+            ("hamiltonian", b"not json"),
+            ("initial", b"not json"),
+            ("hamiltonian", b"\xff\xfe"),
+            ("initial", b"[" * 100_000 + b"]" * 100_000),
+            # JSON's Infinity and NaN: 1j * inf is 0 * inf, a RuntimeWarning.
+            ("hamiltonian", b'{"n": 2, "re": [[0, 0], [0, 0]], "im": [[0, Infinity], [0, 0]]}'),
+            ("initial", b'{"re": [NaN, 0], "im": [0, 0]}'),
         ],
     )
     def test_malformed_json_rejected(self, capsys, tmp_path, problem_files, which, payload):
         h_path, psi_path = problem_files
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
+        bad.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
         paths = {"hamiltonian": h_path, "initial": psi_path, which: bad}
         status, out, err = run(
             capsys, "simulate", "--hamiltonian", str(paths["hamiltonian"]),
             "--initial", str(paths["initial"]), "--t-final", "1.0", "--dt", "0.1",
         )
         assert status == 2
-        assert err.startswith("error:") and "bad.json" in err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
         assert out == ""
+
+    @pytest.mark.parametrize("hbar", ["1e300", "1e-300"])
+    def test_hbar_with_a_cube_beyond_normal_floats_rejected(self, capsys, problem_files, hbar):
+        # 1e300 raised OverflowError, 1e-300 ZeroDivisionError in the density expansion.
+        h_path, psi_path = problem_files
+        status, out, err = run(
+            capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+            "--t-final", "1.0", "--dt", "0.1", "--hbar", hbar,
+        )
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: hbar must be positive and finite, in")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("which, payload, message", [
+        ("hamiltonian", {"n": 2, "re": [[1e308, 0.0], [0.0, -1e308]], "im": [[0.0, 0.0]] * 2},
+         "matrix has an entry of modulus 1e+308"),
+        ("initial", {"re": [1e200, 0.0], "im": [0.0, 0.0]},
+         "state vector has an entry of modulus 1e+200"),
+    ])
+    def test_huge_entries_rejected(self, capsys, tmp_path, problem_files, which, payload,
+                                   message):
+        # Refused before numpy overflows: a RuntimeWarning is an error under Tier-1.
+        h_path, psi_path = problem_files
+        paths = {"hamiltonian": h_path, "initial": psi_path, which: tmp_path / "big.json"}
+        paths[which].write_text(json.dumps(payload))
+        status, out, err = run(
+            capsys, "simulate", "--hamiltonian", str(paths["hamiltonian"]),
+            "--initial", str(paths["initial"]), "--t-final", "1.0", "--dt", "0.1",
+        )
+        assert status == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     @staticmethod
     def eight_level_files(tmp_path, energies):
@@ -989,6 +1043,18 @@ class TestBench:
         assert status == 0
         assert "refused" in out
         assert "trace evaluations" in out
+
+
+def test_cli_imports_no_table_writer_internals():
+    # The table text is written by structure_constants.write_tables alone.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.level, node.module) in ((1, "structure_constants"),
+                                               (0, "sunlie.structure_constants"))
+             for alias in node.names]
+    assert "write_tables" in names
+    assert {"_blocks", "_row_chunks", "_stats"}.isdisjoint(names)
 
 
 def test_cli_imports_no_private_dynamics_name():

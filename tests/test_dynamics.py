@@ -20,7 +20,14 @@ from sunlie.dynamics import (
     reconstruct_density,
     state_to_bloch,
 )
-from sunlie.generators import AlgebraConfig, _bloch_maps, _generator_traces, all_generators
+from sunlie.generators import (
+    _HBAR_RANGE,
+    _MAX_ENTRY,
+    AlgebraConfig,
+    _bloch_maps,
+    _generator_traces,
+    all_generators,
+)
 from sunlie.structure_constants import build_d_table, build_f_table
 
 
@@ -72,6 +79,23 @@ class TestDecomposeHamiltonian:
         mat[0, 1] = mat[1, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             decompose_hamiltonian(AlgebraConfig(3), mat)
+
+    @pytest.mark.parametrize("big, hbar", [(1e308, 1.0), (1e250, 1e-100), (1.4e154, 1.0)])
+    def test_huge_entry_rejected(self, big, hbar):
+        # 2 * 1e308 overflows in the projection, 1e250 / 1e-100 in the
+        # reconstruction; the bound, sqrt of the largest float, holds for any hbar.
+        mat = np.diag([big, -big]).astype(complex)
+        with pytest.raises(ValueError, match="beyond 1.3e\\+154"):
+            decompose_hamiltonian(AlgebraConfig(2, hbar), mat)
+
+    @pytest.mark.parametrize("hbar", _HBAR_RANGE)
+    def test_largest_entry_decomposes_at_either_end_of_hbar(self, hbar):
+        cfg = AlgebraConfig(3, hbar)
+        mat = _MAX_ENTRY * random_hermitian(np.random.default_rng(7), 3)
+        mat /= np.abs(mat).max()
+        coeffs = decompose_hamiltonian(cfg, mat)
+        rebuilt = hamiltonian_from_coefficients(cfg, coeffs)
+        assert np.abs(rebuilt - mat).max() <= 1e-12 * _MAX_ENTRY
 
     def test_memory_stays_quadratic_at_n64(self):
         # The answer is N**2 numbers; a dense (N**2-1, N, N) generator stack
@@ -140,6 +164,12 @@ class TestStateToBloch:
     def test_non_finite_amplitude_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             state_to_bloch(AlgebraConfig(2), [math.nan, 0.0])
+
+    @pytest.mark.parametrize("big", [1e200, 1e200j, 1.5e308 + 1.5e308j, 2.0 + 1e-15])
+    def test_huge_amplitude_rejected(self, big):
+        # Its square would overflow; any modulus above 2 gives norm**2 > 4.
+        with pytest.raises(ValueError, match="modulus .* so its norm\\*\\*2 is not 1"):
+            state_to_bloch(AlgebraConfig(2), [big, 0.0])
 
 
 class TestReconstructDensity:
@@ -844,6 +874,9 @@ class TestPrecessionBlocks:
         ({"spec": IntegrationSpec(t_final=0.0, dt=5.0)}, "unstable"),
         ({"spec": IntegrationSpec(t_final=1e9, dt=1e-9)}, "do not fit in memory"),
         ({"spec": IntegrationSpec(t_final=1e9, dt=1e-9, method="exact")}, "do not fit in memory"),
+        # dt * radius and t_final * radius overflow: refused, not a RuntimeWarning.
+        ({"spec": IntegrationSpec(t_final=1.7e308, dt=1.7e308)}, "unstable"),
+        ({"spec": IntegrationSpec(t_final=1.7e308, dt=1.7e308, method="exact")}, "overflows"),
     ])
     def test_refused_at_the_call(self, problem, compare, change, match):
         # Each refusal comes from the call itself: no block is asked for.

@@ -1,9 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from sunlie.generators import AlgebraConfig, all_generators, decompose_diagonal, make_generator
+from sunlie.generators import (
+    _HBAR_RANGE,
+    AlgebraConfig,
+    all_generators,
+    decompose_diagonal,
+    make_generator,
+)
 from sunlie.indexing import all_labels, diagonal, symmetric
 
 SIGMA = [
@@ -86,13 +93,29 @@ def test_label_beyond_dimension_rejected():
         make_generator(AlgebraConfig(3), symmetric(4, 2))
 
 
-# An infinite hbar would turn generator entries into inf and NaN.
+# An infinite hbar would turn generator entries into inf and NaN; an hbar
+# whose cube underflows makes every oracle trace NaN, one whose cube
+# overflows stops the oracle with an OverflowError.
 @pytest.mark.parametrize(
-    "n_dim, hbar", [(1, 1.0), (3, 0.0), (3, -2.0), (2, math.inf), (2, math.nan)]
+    "n_dim, hbar", [(1, 1.0), (3, 0.0), (3, -2.0), (2, math.inf), (2, math.nan),
+                    (2, 1e-120), (2, 1e120), (2, 1e-300), (2, 1e300)]
 )
 def test_bad_config_rejected(n_dim, hbar):
     with pytest.raises(ValueError):
         AlgebraConfig(n_dim, hbar)
+
+
+def test_hbar_range_keeps_its_cube_and_reciprocal_cube_normal():
+    low, high = _HBAR_RANGE
+    tiny = sys.float_info.min
+    for hbar in (low, high):
+        AlgebraConfig(2, hbar)
+        assert tiny <= hbar**3 <= sys.float_info.max and hbar**-3 >= tiny
+    for hbar in (math.nextafter(low, 0.0), math.nextafter(high, math.inf)):
+        with pytest.raises(ValueError, match="hbar must be positive and finite, in"):
+            AlgebraConfig(2, hbar)
+    # The reciprocal cube, not the cube, sets the upper end.
+    assert (high * 1.01) ** 3 < sys.float_info.max and (high * 1.01) ** -3 < tiny
 
 
 def test_config_takes_numpy_integers():
@@ -169,3 +192,8 @@ class TestDecomposeDiagonal:
         # alone would pass it through and return NaN coefficients.
         with pytest.raises(ValueError, match="non-finite"):
             decompose_diagonal(AlgebraConfig(3), np.diag([1.0, bad, 2.0]))
+
+    def test_huge_entry_rejected(self):
+        # The trace of the diagonal would overflow.
+        with pytest.raises(ValueError, match="modulus 1e\\+308"):
+            decompose_diagonal(AlgebraConfig(3), np.diag([1e308, 1e308, 1.0]))

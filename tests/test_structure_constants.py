@@ -1,5 +1,7 @@
 import hashlib
+import io
 import itertools
+import json
 import math
 import re
 from itertools import permutations
@@ -17,6 +19,7 @@ from sunlie.structure_constants import (
     ConstantTable,
     build_d_table,
     build_f_table,
+    write_tables,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -442,7 +445,10 @@ def test_builders_match_per_instance_reference(build, kind, n_dim):
     assert [(t.i, t.j, t.k) for t in table.triples()] == sorted(expected)
     assert table.stats() == reference_stats(kind, n_dim, expected)
     lines = [f"{kind},{i},{j},{k},{v!r}\n" for (i, j, k), v in sorted(expected.items())]
-    assert table.rows(f"{kind},") == "".join(lines)
+    out = io.BytesIO()
+    assert write_tables(out, n_dim, [kind], False) == [
+        (kind, *reference_stats(kind, n_dim, expected))]
+    assert out.getvalue().decode() == "kind,i,j,k,value\n" + "".join(lines)
 
 
 @pytest.mark.parametrize("build", [build_f_table, build_d_table])
@@ -485,14 +491,43 @@ def test_tables_of_different_n_share_prefix():
         assert large[key] == value
 
 
+def csv_lines(table):
+    """The CSV lines of ``table``, kind first, formatted here from its dict copy."""
+    return "".join(f"{table.kind},{i},{j},{k},{v!r}\n"
+                   for (i, j, k), v in sorted(table.as_dict().items()))
+
+
 def test_rows_prefix_and_the_empty_table():
-    table = build_f_table(3)
-    lines = table.rows().splitlines(keepends=True)
-    assert table.rows("x,") == "".join("x," + line for line in lines)
+    # Each table's lines carry its own kind, f's then d's.
+    tables = [build_f_table(3), build_d_table(3)]
+    out = io.BytesIO()
+    assert write_tables(out, 3, ["f", "d"], False) == [(t.kind, *t.stats()) for t in tables]
+    assert out.getvalue().decode() == "kind,i,j,k,value\n" + "".join(map(csv_lines, tables))
     empty = build_d_table(2)  # every d family vanishes at N = 2
     assert len(empty) == 0
-    assert empty.rows() == empty.rows("d,") == ""
-    assert empty.stats() == (0, hashlib.sha256(b"d,2\n").hexdigest()[:16])
+    stats = (0, hashlib.sha256(b"d,2\n").hexdigest()[:16])
+    assert empty.stats() == stats
+    payload = {"n": 2, "tables": [{"kind": "d", "count": 0, "checksum": stats[1],
+                                   "triples": []}]}
+    for json_format, text in ((False, "kind,i,j,k,value\n"),
+                              (True, json.dumps(payload, indent=2) + "\n")):
+        out = io.BytesIO()
+        assert write_tables(out, 2, ["d"], json_format) == [("d", *stats)]
+        assert out.getvalue().decode() == text
+
+
+@pytest.mark.parametrize("json_format", [False, True])
+@pytest.mark.parametrize("n_dim, kinds, message", [
+    (1, ["f"], "N 1 is outside"),
+    (MAX_TABLE_N + 1, ["f"], "beyond the largest table dimension"),
+    (3, ["f", "both"], "kind must be"),
+    (3, ["F"], "kind must be"),
+])
+def test_writer_refuses_before_the_first_byte(n_dim, kinds, message, json_format):
+    out = io.BytesIO()
+    with pytest.raises(ValueError, match=message):
+        write_tables(out, n_dim, kinds, json_format)
+    assert out.getvalue() == b""
 
 
 @pytest.mark.parametrize("build", [build_f_table, build_d_table])
@@ -507,7 +542,7 @@ def test_stats_hold_one_piece_of_text_beside_the_table(build, monkeypatch):
     monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", budget)
     table = build(48)
     bound = 9 * len(table) + 6 * budget + 2**18
-    assert bound < len(table.rows())  # the text would not fit whole
+    assert bound < len(csv_lines(table)) - 2 * len(table)  # unprefixed, it would not fit whole
     (count, _), peak = traced_peak(table.stats)
     assert count == len(table)
     assert peak <= bound
