@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from contextlib import nullcontext
@@ -44,26 +43,9 @@ from .structure_constants import (
 from .trace_oracle import OracleCostError, check_ceiling, estimate_cost, full_oracle_table
 
 SPOT_CHECK_DRAWS = 1000
-
-
-def _dimension(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"N must be an integer, got {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError("N must be >= 2")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
-    return value
+# verify's bound on |closed form - oracle| for each triple, and bench's best-of count.
+VERIFY_TOL = 1e-12
+BENCH_REPEATS = 3
 
 
 def _parse_label(text: str) -> GeneratorLabel:
@@ -173,8 +155,8 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_tables(closed: ConstantTable, oracle: ConstantTable, tol: float) -> list[str]:
-    """Triple-level differences; empty means exact support match within tol."""
+def _compare_tables(closed: ConstantTable, oracle: ConstantTable) -> list[str]:
+    """Triple-level differences; empty means exact support match within VERIFY_TOL."""
     closed_map = closed.as_dict()
     oracle_map = oracle.as_dict()
     problems = []
@@ -184,7 +166,7 @@ def _compare_tables(closed: ConstantTable, oracle: ConstantTable, tol: float) ->
         problems.append(f"spurious {key}: closed-form={closed_map[key]!r}")
     for key in sorted(closed_map.keys() & oracle_map.keys()):
         delta = abs(closed_map[key] - oracle_map[key])
-        if delta > tol:
+        if delta > VERIFY_TOL:
             problems.append(
                 f"value {key}: closed-form={closed_map[key]!r} "
                 f"oracle={oracle_map[key]!r} |delta|={delta:.3e}"
@@ -219,11 +201,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     status = 0
     for closed in tables:
         oracle = full_oracle_table(cfg, closed.kind)
-        problems = _compare_tables(closed, oracle, args.tol)
+        problems = _compare_tables(closed, oracle)
         verdict = "OK" if not problems else "FAIL"
         print(
             f"kind={closed.kind} n={args.n} closed={len(closed)} oracle={len(oracle)} "
-            f"tol={args.tol:g} {verdict}"
+            f"tol={VERIFY_TOL:g} {verdict}"
         )
         for line in problems:
             print(f"  {line}")
@@ -272,7 +254,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     best = float("inf")
-    for _ in range(_integer(args.repeats, "--repeats", 1)):
+    for _ in range(BENCH_REPEATS):
         start = time.perf_counter()
         f_table, d_table = _tables(args.n, "both")
         best = min(best, time.perf_counter() - start)
@@ -303,30 +285,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generators", help="emit one generator matrix as JSON")
-    p.add_argument("--n", type=_dimension, required=True, help="matrix dimension N >= 2")
-    p.add_argument("--hbar", type=_positive_float, default=1.0)
+    p.add_argument("--n", type=int, required=True, help="matrix dimension N >= 2")
+    p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--index", type=int, help="linear index in 1..N^2-1")
     p.add_argument("--label", help="label as S:n,m A:n,m or D:n")
     p.add_argument("--output", help="file path (default stdout)")
     p.set_defaults(func=_cmd_generators)
 
     p = sub.add_parser("constants", help="write the closed-form constant tables")
-    p.add_argument("--n", type=_dimension, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=(F_KIND, D_KIND, "both"), default="both")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="file path (default stdout; stats then go to stderr)")
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("verify", help="closed-form tables vs the trace oracle")
-    p.add_argument("--n", type=_dimension, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=(F_KIND, D_KIND, "both"), default="both")
-    p.add_argument("--tol", type=_positive_float, default=1e-12)
-    p.add_argument("--hbar", type=_positive_float, default=1.0)
+    p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("adjoint", help="emit one adjoint matrix as JSON")
-    p.add_argument("--n", type=_dimension, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--output", help="file path (default stdout)")
     p.set_defaults(func=_cmd_adjoint)
@@ -335,10 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", required=True, help="JSON file {n, re, im}")
     p.add_argument("--initial", required=True, help="JSON file {re, im}")
     p.add_argument("--t-final", type=float, required=True)
-    p.add_argument("--dt", type=_positive_float, required=True)
+    p.add_argument("--dt", type=float, required=True)
     p.add_argument("--method", choices=(RK4, EXACT), default=RK4)
     p.add_argument("--stride", type=int, default=1, help="record every k-th step")
-    p.add_argument("--hbar", type=_positive_float, default=1.0)
+    p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--output",
                    help="trajectory CSV path (default stdout; the gap then goes to stderr)")
     p.add_argument("--compare-tdse", action="store_true",
@@ -346,8 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bench", help="time closed-form generation vs the oracle")
-    p.add_argument("--n", type=_dimension, required=True)
-    p.add_argument("--repeats", type=int, default=3, help="closed-form timing repeats")
+    p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_bench)
 
     return parser

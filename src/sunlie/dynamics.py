@@ -408,7 +408,7 @@ def _integrate_precession(
     m_idx, n_idx = _bloch_maps(n_dim)[:2]
     # One mode per entry of rho~ = V^dagger rho V, w_ab = (lambda_a - lambda_b) / hbar.
     rho0 = vectors.conj().T @ reconstruct_density(cfg, s0) @ vectors
-    a, b = np.triu_indices(n_dim, 1)
+    a, b = m_idx, n_idx  # the modes above the diagonal, a < b
     group, block = _block_samples(n_dim, n_dim)
 
     def read(factor):

@@ -125,8 +125,32 @@ def _generator_traces(cfg: AlgebraConfig, lower: np.ndarray, diagonal: np.ndarra
 
 
 def _expansion(cfg: AlgebraConfig, identity: float, coeffs: np.ndarray, scale: float) -> np.ndarray:
-    """Dense identity * I + scale * sum_k coeffs_k S_k, written entry by entry."""
-    coeffs = scale * _check_vector(coeffs, cfg.dim, "coefficient vector")
+    """Dense identity * I + scale * sum_k coeffs_k S_k, written entry by entry.
+
+    With T = scale * max |coeffs_k|, every scaled coefficient is at most T, an
+    off-diagonal entry at most hbar T / sqrt(2), and a diagonal entry differs
+    from ``identity`` by at most hbar T times the sum of coordinate k's Cartan
+    weights: sqrt((k-1)/(2k)) < 1/sqrt(2) from D_k, and 1/sqrt(2n(n-1)) <=
+    1/(sqrt(2) (n-1)) from each D_n with n > k, so below (1 + ln N)/sqrt(2).
+    The (N-1, N) weights fit in memory only for N < 2**30, where that sum is
+    below 16.  So T max(1, hbar) <= _MAX_EXPANSION, a 32nd of the largest
+    float, keeps every product finite, and |identity| <= _MAX_EXPANSION keeps
+    the diagonal's sums finite too.  decompose_hamiltonian's coefficients
+    pass: from entries of modulus at most _MAX_ENTRY they are at most
+    2 sqrt(2) _MAX_ENTRY, so T max(1, hbar) <= 2 sqrt(2) _MAX_ENTRY /
+    min(1, hbar), below 1.4e257 over the hbar range.
+    """
+    if not abs(identity) <= _MAX_EXPANSION:  # NaN fails too
+        raise ValueError(f"identity coefficient must be finite, of modulus at most "
+                         f"{_MAX_EXPANSION:.2g}, got {identity}")
+    coeffs = _check_vector(coeffs, cfg.dim, "coefficient vector")
+    top = float(np.abs(coeffs).max())
+    size = float(scale) * top * max(1.0, float(cfg.hbar))  # inf, not a warning
+    if not size <= _MAX_EXPANSION:
+        raise ValueError(f"coefficient vector has an entry of modulus {top:.3g}, too large to "
+                         f"expand at scale {scale:.3g} and hbar={cfg.hbar:.3g} "
+                         f"({size:.3g} > {_MAX_EXPANSION:.2g})")
+    coeffs = scale * coeffs
     m_idx, n_idx, s_pos, a_pos, d_pos, weights = _bloch_maps(cfg.n_dim)
     out = np.diag(identity + cfg.hbar * (coeffs[d_pos] @ weights)).astype(np.complex128)
     lower = (0.5 * cfg.hbar) * (coeffs[s_pos] + 1j * coeffs[a_pos])
@@ -140,6 +164,8 @@ _HBAR_RANGE = (sys.float_info.min ** (1 / 3), sys.float_info.min ** (-1 / 3))
 # About 1.3e154: a matrix entry stays finite times N**2 and hbar or 1/hbar (< 3.6e102),
 # as decompositions, reconstructions and flow frequencies multiply it.
 _MAX_ENTRY = math.sqrt(sys.float_info.max)
+# The size of an expansion's scaled coefficients, times max(1, hbar) (see _expansion).
+_MAX_EXPANSION = sys.float_info.max / 32
 
 
 def _check_square(mat: np.ndarray, n_dim: int) -> tuple[np.ndarray, float]:

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -87,17 +86,6 @@ MAX_TABLE_N = 1448
 # table is listed in blocks of at most _CHUNK_BYTES // 8 triples (see _blocks).
 _CHUNK_BYTES = 2**19
 _CSV_LAYOUT = ("", ",", ",", ",", "\n")
-
-
-@dataclass(frozen=True)
-class ConstantTriple:
-    """One canonical non-zero structure constant."""
-
-    kind: str
-    i: int
-    j: int
-    k: int
-    value: float
 
 
 class ConstantTable:
@@ -131,10 +119,10 @@ class ConstantTable:
     def __len__(self) -> int:
         return self._values.size
 
-    def triples(self) -> list[ConstantTriple]:
-        """Canonical triples in lexicographic (i, j, k) order."""
+    def triples(self) -> list[tuple[int, int, int, float]]:
+        """Canonical (i, j, k, value) tuples in lexicographic (i, j, k) order."""
         i, j, k = (self._index + 1).tolist()
-        return [ConstantTriple(self.kind, *t) for t in zip(i, j, k, self._values.tolist())]
+        return list(zip(i, j, k, self._values.tolist()))
 
     def as_dict(self) -> dict[tuple[int, int, int], float]:
         """Copy of the canonical key -> value mapping."""

@@ -18,6 +18,7 @@ import sunlie.dynamics as dynamics
 import sunlie.structure_constants as structure_constants
 from conftest import random_hermitian, random_state, traced_peak
 from sunlie.adjoint import adjoint_matrix
+from sunlie.dynamics import IntegrationSpec
 from sunlie.generators import AlgebraConfig, make_generator
 from sunlie.indexing import index_to_label
 from sunlie.structure_constants import ConstantTable, build_d_table, build_f_table
@@ -133,11 +134,10 @@ class TestGenerators:
 
     def test_infinite_hbar_rejected(self, capsys):
         # Not NaN/Infinity matrix entries, which are not valid JSON.
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["generators", "--n", "2", "--hbar", "inf", "--index", "2"])
-        assert excinfo.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "positive finite number" in captured.err
+        with pytest.raises(ValueError) as refusal:
+            AlgebraConfig(2, math.inf)
+        status, out, err = run(capsys, "generators", "--n", "2", "--hbar", "inf", "--index", "2")
+        assert (status, out, err) == (2, "", f"error: {refusal.value}\n")
 
 
 def refuse_tables(monkeypatch):
@@ -408,17 +408,15 @@ class TestConstants:
         assert out == "" and not path.exists()
 
     def test_dimension_below_two_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["constants", "--n", "1"])
-        assert excinfo.value.code == 2
-        assert "N must be >= 2" in capsys.readouterr().err
+        status, out, err = run(capsys, "constants", "--n", "1")
+        assert (status, out, err) == (2, "", "error: N 1 is outside the integers >= 2\n")
 
 
 class TestVerify:
     def test_small_dimension_passes(self, capsys):
-        status, out, _ = run(capsys, "verify", "--n", "3", "--kind", "both", "--tol", "1e-12")
+        status, out, _ = run(capsys, "verify", "--n", "3", "--kind", "both")
         assert status == 0
-        assert "kind=f n=3" in out and "OK" in out
+        assert "kind=f n=3" in out and "tol=1e-12 OK" in out
         assert "permutation spot check" in out
 
     def test_mismatch_reported_and_exit_one(self, capsys, monkeypatch):
@@ -460,11 +458,10 @@ class TestVerify:
 
     def test_infinite_hbar_rejected(self, capsys):
         # Not a reported mismatch (exit 1) from an inf/NaN oracle.
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["verify", "--n", "2", "--hbar", "inf"])
-        assert excinfo.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "positive finite number" in captured.err
+        with pytest.raises(ValueError) as refusal:
+            AlgebraConfig(2, math.inf)
+        status, out, err = run(capsys, "verify", "--n", "2", "--hbar", "inf")
+        assert (status, out, err) == (2, "", f"error: {refusal.value}\n")
 
     @pytest.mark.parametrize("hbar", ["1e-120", "1e120"])
     def test_hbar_with_a_cube_beyond_normal_floats_rejected(self, capsys, hbar):
@@ -1012,14 +1009,14 @@ class TestColdImports:
 
 class TestBench:
     def test_small_dimension_times_both(self, capsys):
-        status, out, _ = run(capsys, "bench", "--n", "3", "--repeats", "2")
+        status, out, _ = run(capsys, "bench", "--n", "3")
         assert status == 0
         assert "closed-form n=3" in out
         assert "oracle n=3" in out
         assert "speedup" in out
 
     def test_counts_are_table_sizes(self, capsys):
-        status, out, _ = run(capsys, "bench", "--n", "4", "--repeats", "1")
+        status, out, _ = run(capsys, "bench", "--n", "4")
         assert status == 0
         f_count, d_count = len(build_f_table(4)), len(build_d_table(4))
         assert f"closed-form n=4: f={f_count} d={d_count} triples" in out
@@ -1031,18 +1028,62 @@ class TestBench:
         assert excinfo.value.code == 2
         assert "--hbar" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("repeats", ["0", "-1"])
-    def test_repeats_below_one_rejected(self, capsys, repeats):
-        status, out, err = run(capsys, "bench", "--n", "3", "--repeats", repeats)
-        assert status == 2
-        assert err.startswith("error:") and "--repeats" in err
-        assert out == ""
-
     def test_oracle_refused_above_ceiling(self, capsys):
-        status, out, _ = run(capsys, "bench", "--n", "64", "--repeats", "1")
+        status, out, _ = run(capsys, "bench", "--n", "64")
         assert status == 0
         assert "refused" in out
         assert "trace evaluations" in out
+
+
+def refused_values():
+    """Each value the CLI passes on as a plain int or float, to each command
+    that takes it, with the library call that refuses it."""
+    gen = ["generators", "--n", "2", "--index", "1", "--output", "{out}"]
+    sim = ["simulate", "--hamiltonian", "{h}", "--initial", "{psi}", "--t-final", "1",
+           "--output", "{out}"]
+    cases = [
+        pytest.param(["generators", "--n", "1", "--index", "1", "--output", "{out}"],
+                     lambda: AlgebraConfig(1), id="generators-n=1"),
+        pytest.param(["constants", "--n", "1", "--output", "{out}"],
+                     lambda: build_f_table(1), id="constants-n=1"),
+        pytest.param(["verify", "--n", "1"], lambda: AlgebraConfig(1), id="verify-n=1"),
+        pytest.param(["adjoint", "--n", "1", "--index", "1", "--output", "{out}"],
+                     lambda: build_f_table(1), id="adjoint-n=1"),
+        pytest.param(["bench", "--n", "1"], lambda: build_f_table(1), id="bench-n=1"),
+    ]
+    for hbar in ("0", "inf", "nan"):
+        for argv in (gen, ["verify", "--n", "2"], sim + ["--dt", "0.1"]):
+            cases.append(pytest.param(argv + ["--hbar", hbar],
+                                      lambda h=float(hbar): AlgebraConfig(2, h),
+                                      id=f"{argv[0]}-hbar={hbar}"))
+    for dt in ("0", "-1", "nan"):
+        cases.append(pytest.param(sim + ["--dt", dt], lambda dt=float(dt): IntegrationSpec(1.0, dt),
+                                  id=f"simulate-dt={dt}"))
+    return cases
+
+
+@pytest.mark.parametrize("argv, call", refused_values())
+def test_library_refuses_each_bad_value(capsys, tmp_path, argv, call):
+    # N, hbar and dt are parsed as plain numbers; the library's check refuses
+    # a bad one before the command writes a byte, in its own words.
+    with pytest.raises(ValueError) as refusal:
+        call()
+    h_path, psi_path = write_problem(tmp_path, np.diag([0.5, -0.5]), np.array([1.0, 0.0]))
+    out_path = tmp_path / "out"
+    argv = [arg.format(h=h_path, psi=psi_path, out=out_path) for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {refusal.value}\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [["verify", "--n", "3", "--tol", "1e-3"],
+                                  ["bench", "--n", "3", "--repeats", "1"]],
+                         ids=["verify-tol", "bench-repeats"])
+def test_fixed_tolerance_and_repeats_are_not_options(capsys, argv):
+    # verify compares within VERIFY_TOL and bench takes the best of BENCH_REPEATS.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
 
 
 def test_cli_imports_no_table_writer_internals():

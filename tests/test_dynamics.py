@@ -91,9 +91,21 @@ class TestDecomposeHamiltonian:
     @pytest.mark.parametrize("hbar", _HBAR_RANGE)
     def test_largest_entry_decomposes_at_either_end_of_hbar(self, hbar):
         cfg = AlgebraConfig(3, hbar)
-        mat = _MAX_ENTRY * random_hermitian(np.random.default_rng(7), 3)
-        mat /= np.abs(mat).max()
+        mat = random_hermitian(np.random.default_rng(7), 3)
+        mat *= _MAX_ENTRY / np.abs(mat).max()
         coeffs = decompose_hamiltonian(cfg, mat)
+        rebuilt = hamiltonian_from_coefficients(cfg, coeffs)
+        assert np.abs(rebuilt - mat).max() <= 1e-12 * _MAX_ENTRY
+
+    @pytest.mark.parametrize("hbar", _HBAR_RANGE)
+    def test_largest_coefficients_rebuild_at_either_end_of_hbar(self, hbar):
+        # Every entry at the bound and D_8's diagonal pattern on the diagonal:
+        # its coefficient, 2 sqrt(2 * 7/8) _MAX_ENTRY, exceeds the entry bound.
+        cfg = AlgebraConfig(8, hbar)
+        mat = np.full((8, 8), _MAX_ENTRY)
+        mat[7, 7] = -_MAX_ENTRY
+        coeffs = decompose_hamiltonian(cfg, mat)
+        assert np.abs(coeffs.h).max() > 2.6 * _MAX_ENTRY
         rebuilt = hamiltonian_from_coefficients(cfg, coeffs)
         assert np.abs(rebuilt - mat).max() <= 1e-12 * _MAX_ENTRY
 
@@ -268,6 +280,31 @@ class TestNonFiniteVectors:
     def test_rejected(self, call, bad):
         with pytest.raises(ValueError, match="non-finite"):
             call(np.array([bad, 0.0, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: reconstruct_density(AlgebraConfig(2), [1e308, 0.0, 0.0]),
+                     id="density"),
+        pytest.param(lambda: reconstruct_density(AlgebraConfig(2, 1e-100), [1e200, 0.0, 0.0]),
+                     id="density-small-hbar"),
+        pytest.param(lambda: hamiltonian_from_coefficients(
+            AlgebraConfig(2, 1e-100), HamiltonianCoefficients(0.0, [1e300, 0.0, 0.0], 1e-100)),
+                     id="hamiltonian-small-hbar"),
+        pytest.param(lambda: hamiltonian_from_coefficients(
+            AlgebraConfig(2), HamiltonianCoefficients(1.79e308, [0.0, 0.0, 5e306])),
+                     id="hamiltonian-huge-identity"),
+        pytest.param(lambda: hamiltonian_from_coefficients(
+            AlgebraConfig(2), HamiltonianCoefficients(math.nan, [0.0, 0.0, 1.0])),
+                     id="hamiltonian-nan-identity"),
+    ],
+)
+def test_expansion_beyond_the_floats_rejected(call):
+    # scale * coefficient, or the identity plus the diagonal, overflowed in
+    # numpy (a RuntimeWarning and inf/NaN entries); a NaN identity came back as is.
+    with pytest.raises(ValueError, match="too large to expand|identity coefficient"):
+        call()
 
 
 class TestIndependentReferences:

@@ -228,11 +228,11 @@ def test_cartan_generators_commute(n_dim):
 def test_canonical_storage_invariants(build, strict, n_dim):
     table = build(n_dim)
     top = n_dim * n_dim - 1
-    for t in table.triples():
-        assert 1 <= t.i <= top and t.k <= top
-        assert (t.i < t.j < t.k) if strict else (t.i <= t.j <= t.k)
-        assert t.value != 0.0
-        assert abs(t.value) <= MAX_MAGNITUDE + 1e-12
+    for i, j, k, value in table.triples():
+        assert 1 <= i <= top and k <= top
+        assert (i < j < k) if strict else (i <= j <= k)
+        assert value != 0.0
+        assert abs(value) <= MAX_MAGNITUDE + 1e-12
 
 
 def columns(entries, dtype=np.int64):
@@ -442,7 +442,7 @@ def test_builders_match_per_instance_reference(build, kind, n_dim):
     table = build(n_dim)
     expected = reference_table(n_dim, kind)
     assert table.as_dict() == expected  # exact: same arithmetic per value
-    assert [(t.i, t.j, t.k) for t in table.triples()] == sorted(expected)
+    assert [(i, j, k) for i, j, k, _ in table.triples()] == sorted(expected)
     assert table.stats() == reference_stats(kind, n_dim, expected)
     lines = [f"{kind},{i},{j},{k},{v!r}\n" for (i, j, k), v in sorted(expected.items())]
     out = io.BytesIO()
