@@ -294,10 +294,10 @@ def _eigensystem(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ||H||_inf bounds the spectral radius, so H + ||H||_inf I is positive
     semidefinite: its singular value decomposition is its eigendecomposition,
-    and the singular values less the shift are the eigenvalues of H.  numpy's
-    eigh (zheevd) switches to divide and conquer above N = 25, where it took
-    6-16 ms at N = 26-48 against 0.2-0.7 ms for this SVD (2-core x86), with
-    eigenvalues within 1e-13 of each other.
+    and the singular values less the shift are the eigenvalues of H.  Above
+    N = 25 numpy's eigh runs on OpenBLAS's threads and at times took 12-16 ms
+    at N = 26-40 waiting on the second, against 0.13-0.41 ms on one thread and
+    0.19-0.56 ms for this SVD (2-core x86); `simulate` is benchmarked at N = 32.
     """
     shift = np.abs(hamiltonian).sum(axis=1).max()
     u, sigma, _ = np.linalg.svd(hamiltonian + shift * np.eye(len(hamiltonian)))

@@ -126,8 +126,7 @@ class ConstantTable:
 
     def as_dict(self) -> dict[tuple[int, int, int], float]:
         """Copy of the canonical key -> value mapping."""
-        i, j, k = (self._index + 1).tolist()
-        return dict(zip(zip(i, j, k), self._values.tolist()))
+        return {(i, j, k): v for i, j, k, v in self.triples()}
 
     def lookup(self, i: int, j: int, k: int) -> float:
         """Constant for an arbitrary index order; 0.0 if absent from the table."""
@@ -180,12 +179,12 @@ def _row_chunks(
     UTF-8 bytes in pieces of whole lines, each with its line count, each line
     ``head i sep j sep k sep value tail`` for the five strings of ``layout``.
 
-    The labels are formatted once, and each distinct value once, by the first
-    block that holds it: only O(N) values are distinct.  The fields of a
-    piece's lines, separators included, are gathered from arrays of
-    NUL-padded byte strings into one buffer of at most _CHUNK_BYTES (or one
-    line), viewed as the line record of the block at hand; dropping the NULs
-    joins them.  A block of no triples yields no piece.
+    The labels are formatted once per call, and each block formats its own
+    O(N) distinct values: a block's text depends on that block alone.  The
+    fields of a piece's lines, separators included, are gathered from arrays
+    of NUL-padded byte strings into one buffer of at most _CHUNK_BYTES (or
+    one line), viewed as the line record of the block at hand; dropping the
+    NULs joins them.  A block of no triples yields no piece.
     """
     head, i_sep, j_sep, k_sep, tail = layout
     numbers = range(1, n_dim * n_dim)
@@ -194,32 +193,27 @@ def _row_chunks(
                                         dtype=bytes)
               for before, after in set(around)}  # one array serves CSV's three equal fields
     fields = [labels[pair] for pair in around]
-    texts: dict[float, bytes] = {}  # the text of every value seen so far
-    distinct = np.empty(0)  # their values, sorted, and the texts in that order
-    fields.append(np.empty(0, dtype=bytes))
     memory = np.empty(_CHUNK_BYTES, dtype=np.uint8)
     for keys, values in blocks:
         # np.unique would import numpy.ma on first use.  The constructor keeps
         # every value finite and non-zero, so != between sorted neighbours
         # finds each distinct one exactly.
-        seen = np.sort(values)
-        seen = seen[:1].tolist() + seen[1:][seen[1:] != seen[:-1]].tolist()
-        new = [v for v in seen if v not in texts]
-        if new:
-            texts.update((v, f"{v!r}{tail}".encode()) for v in new)
-            distinct = np.array(sorted(texts))
-            fields[3] = np.array([texts[v] for v in distinct.tolist()], dtype=bytes)
-        line = np.dtype([("", field.dtype) for field in fields])
+        distinct = np.sort(values)
+        distinct = np.append(distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]])
+        columns = *fields, np.array([f"{v!r}{tail}".encode() for v in distinct.tolist()], "S")
+        line = np.dtype([("", column.dtype) for column in columns])
         if memory.size < line.itemsize:
             memory = np.empty(line.itemsize, dtype=np.uint8)
         buffer = memory[: memory.size - memory.size % line.itemsize].view(line)
         for start in range(0, values.size, buffer.size):
             lines, stop = buffer[: values.size - start], start + buffer.size
             picks = *keys[:, start:stop], np.searchsorted(distinct, values[start:stop])
-            for name, field, pick in zip(line.names, fields, picks):
-                lines[name] = field[pick]
+            for name, column, pick in zip(line.names, columns, picks):
+                lines[name] = column[pick]
             raw = lines.view(np.uint8)
             yield raw[raw != 0].tobytes(), len(lines)
+        # Nothing of this block (the picks view its keys) is held while the next is built.
+        keys = values = distinct = picks = pick = None
 
 
 def _stats(
@@ -238,6 +232,7 @@ def _stats(
             fh.write(memoryview(piece.replace(b"\n", b"\n" + prefix))[: -len(prefix)])
         digest.update(piece)
         count += lines
+        del piece  # the next piece may build a block: hold no text meanwhile
     return count, digest.hexdigest()[:16]
 
 

@@ -72,6 +72,37 @@ def test_commutator_representation_exhaustive(n_dim):
     assert report.passed
 
 
+def _dense_max_deviation(table, pairs):
+    """Largest entry of F_i F_j - F_j F_i + sum_k f_ijk F_k over 0-based ``pairs``, from
+    whole d x d matrices F_i = i T_i: the per-pair residual without any slicing."""
+    def f_matrix(i):
+        return (1j * adjoint_matrix(table, i + 1)).real
+
+    worst = 0.0
+    for i, j in pairs:
+        f_i, f_j = f_matrix(i), f_matrix(j)
+        residual = f_i @ f_j - f_j @ f_i
+        for k in np.flatnonzero(f_i[j]):
+            residual += f_i[j, k] * f_matrix(k)
+        worst = max(worst, float(np.abs(residual).max()))
+    return worst
+
+
+@pytest.mark.parametrize("n_dim, seed", [(3, 1), (4, 1), (5, 1), (6, 1), (7, 2), (12, 3)])
+def test_sliced_check_matches_dense_residual(n_dim, seed):
+    # Every pair up to N=6; beyond, the DEFAULT_SAMPLE_PAIRS pairs the seed draws.
+    table = build_f_table(n_dim)
+    d = n_dim * n_dim - 1
+    pairs = np.transpose(np.triu_indices(d, 1))
+    if n_dim > 6:
+        pairs = pairs[np.random.default_rng(seed).choice(len(pairs), DEFAULT_SAMPLE_PAIRS,
+                                                          replace=False)]
+    report = verify_adjoint_commutators(table, seed=seed)
+    assert (report.pairs_checked, report.exhaustive) == (len(pairs), n_dim <= 6)
+    assert abs(report.max_deviation - _dense_max_deviation(table, pairs)) <= 1e-15
+    assert report.passed
+
+
 def test_commutator_representation_sampled():
     report = verify_adjoint_commutators(build_f_table(8), seed=3)
     assert not report.exhaustive
