@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _MAX_MULTIPLY_ADDS
 from .indexing import _integer
 from .structure_constants import ConstantTable, _signed_permutations
 
@@ -55,6 +56,21 @@ def adjoint_matrix(table: ConstantTable, i: int) -> np.ndarray:
     return out
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in row blocks of fewer than _MAX_MULTIPLY_ADDS multiply-adds each.
+
+    Larger products wake OpenBLAS's second thread (2-core x86, OpenBLAS
+    0.3.31: complex ones from 2**16, real ones from about 2**20), which on a
+    shared host at times stalled the N = 12 check for 0.1-0.3 s; each block
+    runs on the calling thread.
+    """
+    rows = max(1, (_MAX_MULTIPLY_ADDS - 1) // (a.shape[1] * b.shape[1]))
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    for start in range(0, a.shape[0], rows):
+        np.matmul(a[start:start + rows], b, out=out[start:start + rows])
+    return out
+
+
 def verify_adjoint_commutators(table: ConstantTable, *, seed: int = 42) -> AdjointReport:
     """Check [T_i, T_j] = i sum_k f_ijk T_k over index pairs.
 
@@ -84,7 +100,7 @@ def verify_adjoint_commutators(table: ConstantTable, *, seed: int = 42) -> Adjoi
             touched[j_all[rows[k]]] = True
         where = np.flatnonzero(touched)
         f_i, f_j = f_matrix(i, where), f_matrix(j, where)
-        residual = f_i @ f_j - f_j @ f_i
+        residual = _product(f_i, f_j) - _product(f_j, f_i)
         for k, f_ijk in sorted(zip(k_all[ijk].tolist(), f_all[ijk].tolist())):  # k ascending
             residual += f_ijk * f_matrix(k, where)
         return float(np.abs(residual).max())

@@ -6,10 +6,12 @@ basis pin the constants down as traces:
     f_ijk = -(2i/hbar**3) Tr[[S_i, S_j] S_k]
     d_ijk =  (2/hbar**3)  Tr[{S_i, S_j} S_k]
 
-This module evaluates them exactly that way, one triple at a time, with
-dense matrix products and no shortcuts.  It is deliberately the slow,
-maximally dumb path: its only job is to be trustworthy enough to verify
-the closed-form tables against.  Enumerating all canonical triples costs
+This module evaluates them exactly that way, with dense matrix products
+and one trace per triple; the only thing shared between triples is each
+pair's (anti)commutator, formed once and then multiplied by every S_k.  It
+is deliberately the slow, maximally dumb path: it knows nothing of the
+closed forms, and its only job is to be trustworthy enough to verify the
+closed-form tables against.  Enumerating all canonical triples costs
 O(N**6) evaluations of O(N**3) products, so a ceiling (default N = 8,
 overridable through the SUNLIE_ORACLE_CEILING environment variable) guards
 against accidentally launching an N = 64 run that would take days.
@@ -19,13 +21,12 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
 from .generators import AlgebraConfig, all_generators, make_generator
 from .indexing import index_to_label
-from .structure_constants import F_KIND, ConstantTable, _check_kind
+from .structure_constants import D_KIND, F_KIND, ConstantTable, _check_kind
 
 DEFAULT_CEILING = 8
 CEILING_ENV = "SUNLIE_ORACLE_CEILING"
@@ -54,30 +55,32 @@ def _real_part(trace_value: complex) -> float:
     return float(trace_value.real)
 
 
-def _f_value(gi: np.ndarray, gj: np.ndarray, gk: np.ndarray, hbar: float) -> float:
-    t = -2j * np.trace((gi @ gj - gj @ gi) @ gk) / hbar**3
-    return _real_part(t)
+def _pair(gi: np.ndarray, gj: np.ndarray, kind: str) -> np.ndarray:
+    """[S_i, S_j] for 'f', {S_i, S_j} for 'd'."""
+    return gi @ gj - gj @ gi if kind == F_KIND else gi @ gj + gj @ gi
 
 
-def _d_value(gi: np.ndarray, gj: np.ndarray, gk: np.ndarray, hbar: float) -> float:
-    t = 2.0 * np.trace((gi @ gj + gj @ gi) @ gk) / hbar**3
-    return _real_part(t)
+def _value(pair: np.ndarray, gk: np.ndarray, kind: str, hbar: float) -> float:
+    """The constant from Tr[pair S_k], scaled as the definition above scales it."""
+    t = (pair @ gk).trace()
+    return _real_part(-2j * t / hbar**3 if kind == F_KIND else 2.0 * t / hbar**3)
+
+
+def _trace(cfg: AlgebraConfig, i: int, j: int, k: int, kind: str) -> float:
+    gi, gj, gk = (
+        make_generator(cfg, index_to_label(idx, cfg.n_dim)) for idx in (i, j, k)
+    )
+    return _value(_pair(gi, gj, kind), gk, kind, cfg.hbar)
 
 
 def f_trace(cfg: AlgebraConfig, i: int, j: int, k: int) -> float:
     """f_ijk from the commutator trace; indices in 1..N**2-1, any order."""
-    gi, gj, gk = (
-        make_generator(cfg, index_to_label(idx, cfg.n_dim)) for idx in (i, j, k)
-    )
-    return _f_value(gi, gj, gk, cfg.hbar)
+    return _trace(cfg, i, j, k, F_KIND)
 
 
 def d_trace(cfg: AlgebraConfig, i: int, j: int, k: int) -> float:
     """d_ijk from the anti-commutator trace; indices in 1..N**2-1, any order."""
-    gi, gj, gk = (
-        make_generator(cfg, index_to_label(idx, cfg.n_dim)) for idx in (i, j, k)
-    )
-    return _d_value(gi, gj, gk, cfg.hbar)
+    return _trace(cfg, i, j, k, D_KIND)
 
 
 def resolve_ceiling() -> int:
@@ -93,12 +96,17 @@ def estimate_cost(n_dim: int, kind: str) -> tuple[int, float]:
     """Canonical triple count and a rough single-threaded runtime in seconds."""
     d = n_dim * n_dim - 1
     if kind == F_KIND:
-        n_triples = d * (d - 1) * (d - 2) // 6
+        n_pairs = d * (d - 1) // 2
+        n_triples = n_pairs * (d - 2) // 3
     else:
-        n_triples = d * (d + 1) * (d + 2) // 6
-    # Dominated by per-triple dispatch overhead until N gets large, then by
-    # the three dense N x N products.
-    seconds = n_triples * (1.5e-5 + 6.0 * n_dim**3 / 2.0e9)
+        n_pairs = d * (d + 1) // 2
+        n_triples = n_pairs * (d + 2) // 3
+    # Each triple costs one N x N product and its trace, each pair one
+    # (anti)commutator of two products.  Python and numpy call overhead
+    # dominates until N gets large: about 5 us a triple and 3 us a pair,
+    # with products at about 5e9 complex multiply-adds a second (2-core x86).
+    product = n_dim**3 / 5.0e9
+    seconds = n_triples * (5.0e-6 + product) + n_pairs * (3.0e-6 + 2.0 * product)
     return n_triples, seconds
 
 
@@ -125,16 +133,18 @@ def full_oracle_table(cfg: AlgebraConfig, kind: str) -> ConstantTable:
     """
     check_ceiling(cfg.n_dim, _check_kind(kind))
     gens = all_generators(cfg)
-    value_of = _f_value if kind == F_KIND else _d_value
-    enumerate_canonical = combinations if kind == F_KIND else combinations_with_replacement
+    strict = kind == F_KIND  # j > i and k > j for f, j >= i and k >= j for d
 
-    keys: list[tuple[int, int, int]] = []  # canonical order is sorted order
+    keys: list[tuple[int, int, int]] = []  # lexicographic, so canonical order is sorted order
     values: list[float] = []
-    for i, j, k in enumerate_canonical(range(1, cfg.dim + 1), 3):
-        value = value_of(gens[i - 1], gens[j - 1], gens[k - 1], cfg.hbar)
-        if abs(value) > ZERO_THRESHOLD:
-            keys.append((i, j, k))
-            values.append(value)
+    for i in range(1, cfg.dim + 1):
+        for j in range(i + strict, cfg.dim + 1):
+            pair = _pair(gens[i - 1], gens[j - 1], kind)
+            for k in range(j + strict, cfg.dim + 1):
+                value = _value(pair, gens[k - 1], kind, cfg.hbar)
+                if abs(value) > ZERO_THRESHOLD:
+                    keys.append((i, j, k))
+                    values.append(value)
 
     if values:
         floor = 1.0 / math.sqrt(2.0 * cfg.n_dim * (cfg.n_dim - 1))

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
+from sunlie import adjoint
 from sunlie.adjoint import (
     DEFAULT_SAMPLE_PAIRS,
+    _product,
     adjoint_matrix,
     adjoint_stack,
     verify_adjoint_commutators,
 )
+from sunlie.dynamics import _MAX_MULTIPLY_ADDS
 from sunlie.structure_constants import build_d_table, build_f_table
 
 
@@ -100,6 +103,35 @@ def test_sliced_check_matches_dense_residual(n_dim, seed):
     report = verify_adjoint_commutators(table, seed=seed)
     assert (report.pairs_checked, report.exhaustive) == (len(pairs), n_dim <= 6)
     assert abs(report.max_deviation - _dense_max_deviation(table, pairs)) <= 1e-15
+    assert report.passed
+
+
+@pytest.mark.parametrize("width", [61, 131])
+def test_blocked_product_matches_matmul(width, monkeypatch):
+    # Two widths that a pair's sliced matrices take at N=12; each block
+    # stays below _MAX_MULTIPLY_ADDS multiply-adds.
+    rng = np.random.default_rng(width)
+    a, b = rng.normal(size=(width, width)), rng.normal(size=(width, width))
+    blocks = []
+    matmul = np.matmul
+
+    def spy(x, y, out):
+        blocks.append(len(x))
+        assert len(x) * x.shape[1] * y.shape[1] < _MAX_MULTIPLY_ADDS
+        return matmul(x, y, out=out)
+
+    monkeypatch.setattr(adjoint.np, "matmul", spy)
+    product = _product(a, b)
+    monkeypatch.undo()
+    assert sum(blocks) == width and len(blocks) > 1
+    np.testing.assert_allclose(product, a @ b, rtol=0, atol=1e-13 * np.abs(a @ b).max())
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_n12_sampled_report_passes(seed):
+    report = verify_adjoint_commutators(build_f_table(12), seed=seed)
+    assert (report.pairs_checked, report.exhaustive) == (DEFAULT_SAMPLE_PAIRS, False)
+    assert report.max_deviation <= 1e-15
     assert report.passed
 
 

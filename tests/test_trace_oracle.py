@@ -1,13 +1,16 @@
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from sunlie.generators import AlgebraConfig
+from sunlie import trace_oracle
+from sunlie.generators import AlgebraConfig, all_generators
 from sunlie.structure_constants import build_d_table, build_f_table
 from sunlie.trace_oracle import (
     CEILING_ENV,
+    ZERO_THRESHOLD,
+    OracleConsistencyError,
     OracleCostError,
     d_trace,
     estimate_cost,
@@ -60,6 +63,41 @@ def test_oracle_agrees_with_closed_form(n_dim, kind, build):
     assert oracle.keys() == closed.keys()
     for key in closed:
         assert abs(oracle[key] - closed[key]) <= 1e-12
+
+
+@pytest.mark.parametrize("n_dim", [2, 3, 4])
+@pytest.mark.parametrize("hbar", [1.0, 1.5])
+@pytest.mark.parametrize("kind, trace", [("f", f_trace), ("d", d_trace)])
+def test_table_is_the_per_triple_trace(n_dim, hbar, kind, trace):
+    # The table forms each pair's (anti)commutator once; a stored value is
+    # still the single-triple trace bit for bit, and an absent one is round-off.
+    cfg = AlgebraConfig(n_dim, hbar)
+    stored = full_oracle_table(cfg, kind).as_dict()
+    canonical = combinations if kind == "f" else combinations_with_replacement
+    for i, j, k in canonical(range(1, cfg.dim + 1), 3):
+        value = trace(cfg, i, j, k)
+        if (i, j, k) in stored:
+            assert stored[i, j, k] == value
+        else:
+            assert abs(value) <= ZERO_THRESHOLD
+
+
+@pytest.mark.parametrize("kind", ["f", "d"])
+def test_imaginary_residue_refused(kind, monkeypatch):
+    # i S for every S multiplies each trace by i**3 = -i: every non-zero value turns imaginary.
+    monkeypatch.setattr(trace_oracle, "all_generators",
+                        lambda cfg: [1j * g for g in all_generators(cfg)])
+    with pytest.raises(OracleConsistencyError, match="imaginary residue"):
+        full_oracle_table(AlgebraConfig(3), kind)
+
+
+@pytest.mark.parametrize("kind", ["f", "d"])
+def test_value_below_magnitude_floor_refused(kind, monkeypatch):
+    # Halved generators scale every value by 1/8, below 1/sqrt(2N(N-1)) at N=3.
+    monkeypatch.setattr(trace_oracle, "all_generators",
+                        lambda cfg: [0.5 * g for g in all_generators(cfg)])
+    with pytest.raises(OracleConsistencyError, match="magnitude floor"):
+        full_oracle_table(AlgebraConfig(3), kind)
 
 
 def test_hbar_independence():
