@@ -3,8 +3,8 @@
 The matrices T_i with entries [T_i]_jk = -i f_ijk represent the algebra on
 itself: [T_i, T_j] = i sum_k f_ijk T_k.  Because f is real and totally
 anti-symmetric, every T_i is Hermitian, purely imaginary off the diagonal,
-zero on it, and traceless.  Every matrix here is written entry by entry
-from the six signed index orders of the canonical f triples.
+zero on it, and traceless.  Every matrix here is written entry by entry from
+the cyclic orders (i, j, k) of the f triples: -i f_ijk at (j, k), its conjugate at (k, j).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import _MAX_MULTIPLY_ADDS
 from .indexing import _integer
-from .structure_constants import ConstantTable, _signed_permutations
+from .structure_constants import ConstantTable, _cyclic_orders
 
 # Pair verification is exhaustive up to this N and samples this many pairs
 # beyond it.
@@ -39,9 +39,9 @@ class AdjointReport:
 def adjoint_stack(table: ConstantTable) -> np.ndarray:
     """All adjoint matrices as one (d, d, d) complex array, d = N**2 - 1."""
     d = table.n_dim * table.n_dim - 1
-    i, j, k, f = _signed_permutations(table)
-    stack = np.zeros((d, d, d), dtype=np.complex128)
-    stack[i, j, k] = -1j * f
+    stack = np.empty((d, d, d), dtype=np.complex128)
+    for i in range(d):
+        stack[i] = adjoint_matrix(table, i + 1)
     return stack
 
 
@@ -49,10 +49,12 @@ def adjoint_matrix(table: ConstantTable, i: int) -> np.ndarray:
     """The (N**2-1) x (N**2-1) matrix T_i with [T_i]_jk = -i f_ijk."""
     d = table.n_dim * table.n_dim - 1
     i = _integer(i, "index", 1, d)
-    rows, j, k, f = _signed_permutations(table)
-    mine = rows == i - 1
+    orders, f = _cyclic_orders(table)
     out = np.zeros((d, d), dtype=np.complex128)
-    out[j[mine], k[mine]] = -1j * f[mine]
+    for rows, j, k in orders:  # -i f_ikj = conj(-i f_ijk): T_i is Hermitian
+        mine = rows == i - 1
+        j, k, entries = j[mine], k[mine], -1j * f[mine]
+        out[j, k], out[k, j] = entries, entries.conj()
     return out
 
 
@@ -84,25 +86,32 @@ def verify_adjoint_commutators(table: ConstantTable, *, seed: int = 42) -> Adjoi
     """
     seed = _integer(seed, "seed", 0)
     d = table.n_dim * table.n_dim - 1
-    i_all, j_all, k_all, f_all = _signed_permutations(table)
-    order = np.argsort(i_all, kind="stable")
-    rows = np.split(order, np.searchsorted(i_all[order], np.arange(1, d)))  # the triples of each i
+    orders, f = _cyclic_orders(table)
+    # The orders' first indices: a triple's next index lies one table length on, cyclically.
+    columns = np.concatenate(orders[0])  # a, b, c
+    order = np.argsort(columns, kind="stable")
+    rows = np.split(order, np.searchsorted(columns[order], np.arange(1, d)))  # each i's entries
+    steps, signs = np.array([[f.size], [-f.size]]), np.array([[1.0], [-1.0]])
 
-    def f_matrix(k: int, where: np.ndarray) -> np.ndarray:  # [F_k]_ab = f_kab on ``where``
-        out = np.zeros((where.size, where.size))
-        out[where.searchsorted(j_all[rows[k]]), where.searchsorted(k_all[rows[k]])] = f_all[rows[k]]
+    def row(i: int) -> tuple:  # (j, k, f_ijk) != 0, 2 x entries: i's entries, then their odd orders
+        j = columns.take(rows[i] + steps, mode="wrap")
+        return j, j[::-1], f.take(rows[i], mode="wrap") * signs
+
+    def f_matrix(j: np.ndarray, k: np.ndarray, f_jk: np.ndarray, where: np.ndarray) -> np.ndarray:
+        out = np.zeros((where.size, where.size))  # [F_i]_jk = f_ijk on ``where``, from row(i)
+        out[where.searchsorted(j), where.searchsorted(k)] = f_jk
         return out
 
     def deviation(i: int, j: int) -> float:  # the pair's matrices die with the call
-        ijk = rows[i][j_all[rows[i]] == j]  # the triples (i, j, k): f_ijk != 0
-        touched = np.zeros(d, dtype=bool)
-        for k in (i, j, *k_all[ijk]):
-            touched[j_all[rows[k]]] = True
-        where = np.flatnonzero(touched)
-        f_i, f_j = f_matrix(i, where), f_matrix(j, where)
+        js, ks, values = f_row = row(i)
+        ijk = js == j  # the triples (i, j, k): f_ijk != 0
+        f_rows = {i: f_row, **{k: row(k) for k in (j, *ks[ijk].tolist())}}
+        touched = np.concatenate([others.ravel() for others, _, _ in f_rows.values()])
+        where = np.flatnonzero(np.bincount(touched, minlength=d))  # ascending, each once
+        f_i, f_j = f_matrix(*f_rows[i], where), f_matrix(*f_rows[j], where)
         residual = _product(f_i, f_j) - _product(f_j, f_i)
-        for k, f_ijk in sorted(zip(k_all[ijk].tolist(), f_all[ijk].tolist())):  # k ascending
-            residual += f_ijk * f_matrix(k, where)
+        for k, f_ijk in sorted(zip(ks[ijk].tolist(), values[ijk].tolist())):  # k ascending
+            residual += f_ijk * f_matrix(*f_rows[k], where)
         return float(np.abs(residual).max())
 
     firsts, seconds = np.triu_indices(d, 1)

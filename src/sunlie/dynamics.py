@@ -79,7 +79,7 @@ from .generators import (
     _generator_traces,
 )
 from .indexing import _integer
-from .structure_constants import ConstantTable, _check_f_table, _signed_permutations
+from .structure_constants import ConstantTable, _cyclic_orders
 
 RK4 = "rk4"
 EXACT = "exact"
@@ -230,14 +230,15 @@ def precession_rhs(
 ) -> np.ndarray:
     """Time derivative ds_i/dt = (1/hbar) sum_jk f_ijk h_j s_k.
 
-    Sparse contraction: one scatter-add over the six signed index orders of
-    every canonical triple, O(#triples) per call.
+    Sparse contraction, O(#triples) per call: one scatter-add per cyclic order
+    (i, j, k) of the canonical triples, f_ijk (h_j s_k - h_k s_j) into row i.
     """
-    i, j, k, f = _signed_permutations(table)
+    orders, f = _cyclic_orders(table)
     dim = table.n_dim * table.n_dim - 1
     h = _check_vector(coeffs.h, dim, "Hamiltonian coefficient vector")
     s = _check_vector(bloch, dim, "coherence vector")
-    return np.bincount(i, weights=f * h[j] * s[k], minlength=dim) / coeffs.hbar
+    return sum(np.bincount(i, f * (h[j] * s[k] - h[k] * s[j]), minlength=dim)
+               for i, j, k in orders) / coeffs.hbar
 
 
 def precession_matrix(table: ConstantTable, coeffs: HamiltonianCoefficients) -> np.ndarray:
@@ -247,11 +248,19 @@ def precession_matrix(table: ConstantTable, coeffs: HamiltonianCoefficients) -> 
     f-driven form of the flow that the integrators, which work in the
     eigenbasis of H, are checked against.
     """
-    i, j, k, f = _signed_permutations(table)
+    orders, f = _cyclic_orders(table)
     dim = table.n_dim * table.n_dim - 1
     h = _check_vector(coeffs.h, dim, "Hamiltonian coefficient vector")
-    omega = np.bincount(i * dim + k, weights=f * h[j], minlength=dim * dim)
+    omega = np.zeros(dim * dim)
+    for i, j, k in orders:  # f_ikj = -f_ijk
+        np.add.at(omega, _flat(i, k, dim), f * h[j])
+        np.add.at(omega, _flat(i, j, dim), -f * h[k])
     return omega.reshape(dim, dim) / coeffs.hbar
+
+
+def _flat(i: np.ndarray, k: np.ndarray, dim: int) -> np.ndarray:
+    """i * dim + k, widened first: the tables' int32 holds N**2 - 1, not the product."""
+    return i.astype(np.intp) * dim + k
 
 
 def _sample_grid(spec: IntegrationSpec, radius: float, first: np.ndarray) -> tuple:
@@ -391,7 +400,7 @@ def integrate_bloch(
     Both methods evolve the density matrix in the eigenbasis of H (see the
     module docstring); the f table is validated but not contracted.
     """
-    _check_f_table(table)
+    _cyclic_orders(table)  # refuses a d table
     return _collect(*_integrate_precession(table.n_dim, coeffs, s0, spec))
 
 
@@ -464,7 +473,7 @@ def bloch_tdse_deviation(
     The last gap of `precession_blocks` with the comparison, the stream that
     `simulate --compare-tdse` writes.
     """
-    _check_f_table(table)
+    _cyclic_orders(table)  # refuses a d table
     if table.n_dim != cfg.n_dim:
         raise ValueError(f"an N={table.n_dim} table does not fit N={cfg.n_dim}")
     for *_, gap in precession_blocks(cfg, hamiltonian, psi0, spec, True):

@@ -161,10 +161,9 @@ class ConstantTable:
         """Canonical triples as parallel arrays (a, b, c, value), 0-based.
 
         These are read-only views of the table itself, shared by every
-        caller; they back the vectorized contractions in the dynamics layer.
-        The indices are stored as int32, which holds N**2 - 1 up to
-        MAX_TABLE_N but not a product of two of them: widen before
-        multiplying (`_signed_permutations` does).
+        caller; `_cyclic_orders` serves them to every f contraction.  The
+        indices are int32, which holds N**2 - 1 up to MAX_TABLE_N but not a
+        product of two of them: widen before multiplying (`dynamics._flat` does).
         """
         a, b, c = self._index
         return a, b, c, self._values
@@ -210,8 +209,7 @@ def _row_chunks(
             picks = *keys[:, start:stop], np.searchsorted(distinct, values[start:stop])
             for name, column, pick in zip(line.names, columns, picks):
                 lines[name] = column[pick]
-            raw = lines.view(np.uint8)
-            yield raw[raw != 0].tobytes(), len(lines)
+            yield lines.tobytes().translate(None, b"\0"), len(lines)
         # Nothing of this block (the picks view its keys) is held while the next is built.
         keys = values = distinct = picks = pick = None
 
@@ -326,34 +324,17 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
-def _check_f_table(table: ConstantTable) -> None:
-    """Refuse a d table where only f is meaningful."""
+def _cyclic_orders(table: ConstantTable) -> tuple[tuple, np.ndarray]:
+    """The table's own 0-based (a, b, c) as (a, b, c), (b, c, a) and (c, a, b), and f_abc.
+
+    Each order (i, j, k) has f_ijk = f_abc and its odd order f_ikj = -f_ijk: the
+    whole of f, in read-only int32 views (widen before multiplying two indices).
+    Every use of f starts here, so a d table is refused here.
+    """
     if table.kind != F_KIND:
         raise ValueError(f"f contractions need an '{F_KIND}' table, got '{table.kind}'")
-
-
-def _signed_permutations(
-    table: ConstantTable,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every ordered index triple of an f table: parallel arrays (i, j, k, f_ijk), 0-based.
-
-    Each canonical (a, b, c, v) appears in its six orders, odd orders with -v,
-    which is the whole of f by total anti-symmetry.  The indices are widened
-    from the table's int32 to intp here, once, so that products of them such
-    as i * dim + k cannot overflow.  The arrays hold one
-    block per order, each block in canonical-triple order; accumulations
-    over them sum in that fixed order, so their results are reproducible to
-    the bit.  Every f contraction starts here, so this is where a d table
-    is refused.
-    """
-    _check_f_table(table)
     a, b, c, v = table.contraction_arrays()
-    return (
-        np.concatenate((a, a, b, b, c, c), dtype=np.intp),
-        np.concatenate((b, c, c, a, a, b), dtype=np.intp),
-        np.concatenate((c, b, a, c, b, a), dtype=np.intp),
-        np.concatenate((v, -v, v, -v, v, -v)),
-    )
+    return ((a, b, c), (b, c, a), (c, a, b)), v
 
 
 def _coordinates(

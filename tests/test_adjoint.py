@@ -160,6 +160,17 @@ def test_sampled_verification_memory_is_per_pair():
     assert peak < 8e6
 
 
+@pytest.mark.parametrize("n_dim", [16, 32])
+def test_adjoint_matrix_memory_is_the_answer(n_dim):
+    # One row is picked from the table's own arrays with one-byte masks, not
+    # from a copy of the table in six signed orders (9.9x its bytes at N = 32).
+    table = build_f_table(n_dim)
+    middle = n_dim * n_dim // 2
+    matrix, peak = traced_peak(adjoint_matrix, table, middle)
+    assert matrix.shape == (n_dim * n_dim - 1,) * 2
+    assert peak <= matrix.nbytes + sum(a.nbytes for a in table.contraction_arrays())
+
+
 def test_adjoint_rejects_d_table():
     with pytest.raises(ValueError, match="'f' table"):
         adjoint_matrix(build_d_table(3), 1)

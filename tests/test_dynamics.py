@@ -28,7 +28,9 @@ from sunlie.generators import (
     _generator_traces,
     all_generators,
 )
-from sunlie.structure_constants import build_d_table, build_f_table
+from sunlie.structure_constants import (
+    MAX_TABLE_N, ConstantTable, _cyclic_orders, build_d_table, build_f_table,
+)
 
 
 class TestDecomposeHamiltonian:
@@ -246,6 +248,37 @@ class TestPrecessionRhs:
         coeffs = HamiltonianCoefficients(0.0, np.zeros(8), 1.0)
         with pytest.raises(ValueError, match="'f' table"):
             precession_rhs(build_d_table(3), coeffs, np.zeros(8))
+
+    @pytest.mark.parametrize("n_dim", [16, 32])
+    def test_working_memory_is_bounded(self, n_dim):
+        # The contraction reads the table's own arrays in its three cyclic
+        # orders, a few gathered float columns at a time: no copy of the
+        # table in six signed orders (14x its bytes at N = 32).
+        rng = np.random.default_rng(n_dim)
+        table = build_f_table(n_dim)
+        dim = n_dim * n_dim - 1
+        coeffs = HamiltonianCoefficients(0.0, rng.normal(size=dim), 1.0)
+        ds, peak = traced_peak(precession_rhs, table, coeffs, rng.normal(size=dim))
+        assert ds.shape == (dim,)
+        assert peak <= 3 * sum(a.nbytes for a in table.contraction_arrays())
+
+    def test_flat_positions_at_the_largest_dimension(self):
+        # precession_matrix widens the tables' int32 indices before it forms
+        # the flat position i * dim + k of each signed order: at MAX_TABLE_N
+        # that passes 2**31 and stays exact.  Three triples, and the flat
+        # positions alone: the dim x dim matrix is never allocated.
+        top = MAX_TABLE_N**2 - 1
+        keys = np.array([[top - 3, 1, top - 2], [top - 1, 2, top - 1], [top, top, top]],
+                        dtype=np.int32)
+        orders, _ = _cyclic_orders(ConstantTable(MAX_TABLE_N, "f", keys, np.ones(3)))
+        flat = []
+        for i, j, k in orders:
+            for last in (k, j):  # the order (i, j, k), then (i, k, j)
+                at = dynamics._flat(i, last, top)
+                assert at.dtype == np.intp
+                assert at.tolist() == [x * top + z for x, z in zip(i.tolist(), last.tolist())]
+                flat.append(at.max())
+        assert max(flat) > 2**31
 
 
 def _su2(h):

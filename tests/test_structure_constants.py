@@ -346,8 +346,9 @@ def test_numpy_integer_keys_act_as_ints():
 
 def test_keys_at_the_largest_dimension():
     # Indices near N**2 - 1 = 2,096,703 at MAX_TABLE_N, stored as int32: they
-    # sort, validate and look up exactly, and the contractions widen them
-    # before any product of two.  Three triples: nothing here grows with N.
+    # sort, validate and look up exactly (test_dynamics holds that the
+    # contractions widen them before any product of two).  Three triples:
+    # nothing here grows with N.
     top = MAX_TABLE_N**2 - 1
     assert top == 2_096_703
     keys = np.array([[top - 3, 1, top - 2], [top - 1, 2, top - 1], [top, top, top]],
@@ -362,11 +363,6 @@ def test_keys_at_the_largest_dimension():
     assert table.lookup(top - 1, top, top - 2) == 0.25
     assert table.lookup(top, 2, 1) == 1.0
     assert table.lookup(top - 3, top - 2, top) == 0.0
-    i, j, k, f = structure_constants._signed_permutations(table)
-    assert i.dtype == j.dtype == k.dtype == np.intp
-    flat = i * top + k  # the flat position precession_matrix forms
-    assert flat.tolist() == [x * top + z for x, z in zip(i.tolist(), k.tolist())]
-    assert flat.max() > 2**31
     with pytest.raises(RuntimeError, match="is a duplicate"):
         ConstantTable(MAX_TABLE_N, "f", np.array([[top - 2] * 2, [top - 1] * 2, [top] * 2]),
                       np.ones(2))
