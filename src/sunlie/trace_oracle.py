@@ -6,15 +6,17 @@ basis pin the constants down as traces:
     f_ijk = -(2i/hbar**3) Tr[[S_i, S_j] S_k]
     d_ijk =  (2/hbar**3)  Tr[{S_i, S_j} S_k]
 
-This module evaluates them exactly that way, with dense matrix products
-and one trace per triple; the only thing shared between triples is each
-pair's (anti)commutator, formed once and then multiplied by every S_k.  It
-is deliberately the slow, maximally dumb path: it knows nothing of the
-closed forms, and its only job is to be trustworthy enough to verify the
-closed-form tables against.  Enumerating all canonical triples costs
-O(N**6) evaluations of O(N**3) products, so a ceiling (default N = 8,
-overridable through the SUNLIE_ORACLE_CEILING environment variable) guards
-against accidentally launching an N = 64 run that would take days.
+This module evaluates them exactly that way, with one dense matrix product
+and one trace per triple.  The only thing shared between triples is each
+pair's (anti)commutator, formed once; its products with every S_k it meets
+are taken in one stacked product and their traces in one call, bit-identical
+to forming each triple's product and trace on its own.  It is deliberately
+the slow, maximally dumb path: it knows nothing of the closed forms, and its
+only job is to be trustworthy enough to verify the closed-form tables
+against.  Enumerating all canonical triples costs O(N**6) evaluations of
+O(N**3) products, so a ceiling (default N = 8, overridable through the
+SUNLIE_ORACLE_CEILING environment variable) guards against accidentally
+launching an N = 64 run that would take days.
 """
 
 from __future__ import annotations
@@ -46,24 +48,26 @@ class OracleCostError(ValueError):
     """Refusal to start a run whose cost estimate is out of bounds."""
 
 
-def _real_part(trace_value: complex) -> float:
-    if abs(trace_value.imag) > _IMAG_TOL:
-        raise OracleConsistencyError(
-            f"trace expression has imaginary residue {trace_value.imag:.3e}; "
-            "the exact value is real"
-        )
-    return float(trace_value.real)
-
-
 def _pair(gi: np.ndarray, gj: np.ndarray, kind: str) -> np.ndarray:
     """[S_i, S_j] for 'f', {S_i, S_j} for 'd'."""
     return gi @ gj - gj @ gi if kind == F_KIND else gi @ gj + gj @ gi
 
 
+def _scaled(traces: np.ndarray, kind: str, hbar: float) -> np.ndarray:
+    """The constants from Tr[pair S_k] values, scaled as the definition above scales them."""
+    values = -2j * traces / hbar**3 if kind == F_KIND else 2.0 * traces / hbar**3
+    residue = np.abs(values.imag).max()
+    if residue > _IMAG_TOL:
+        raise OracleConsistencyError(
+            f"trace expression has imaginary residue {residue:.3e}; "
+            "the exact value is real"
+        )
+    return values.real
+
+
 def _value(pair: np.ndarray, gk: np.ndarray, kind: str, hbar: float) -> float:
-    """The constant from Tr[pair S_k], scaled as the definition above scales it."""
-    t = (pair @ gk).trace()
-    return _real_part(-2j * t / hbar**3 if kind == F_KIND else 2.0 * t / hbar**3)
+    """The constant from Tr[pair S_k] for a single S_k."""
+    return float(_scaled((pair @ gk).trace(), kind, hbar))
 
 
 def _trace(cfg: AlgebraConfig, i: int, j: int, k: int, kind: str) -> float:
@@ -95,18 +99,17 @@ def resolve_ceiling() -> int:
 def estimate_cost(n_dim: int, kind: str) -> tuple[int, float]:
     """Canonical triple count and a rough single-threaded runtime in seconds."""
     d = n_dim * n_dim - 1
-    if kind == F_KIND:
-        n_pairs = d * (d - 1) // 2
-        n_triples = n_pairs * (d - 2) // 3
-    else:
-        n_pairs = d * (d + 1) // 2
-        n_triples = n_pairs * (d + 2) // 3
-    # Each triple costs one N x N product and its trace, each pair one
-    # (anti)commutator of two products.  Python and numpy call overhead
-    # dominates until N gets large: about 5 us a triple and 3 us a pair,
-    # with products at about 5e9 complex multiply-adds a second (2-core x86).
-    product = n_dim**3 / 5.0e9
-    seconds = n_triples * (5.0e-6 + product) + n_pairs * (3.0e-6 + 2.0 * product)
+    if kind == F_KIND:  # i < j < k, so j stops one short of d
+        n_pairs, n_triples = math.comb(d - 1, 2), math.comb(d, 3)
+    else:  # i <= j <= k
+        n_pairs, n_triples = math.comb(d + 1, 2), math.comb(d + 2, 3)
+    # A pair costs two products for its (anti)commutator and one stacked
+    # product and trace call over its k.  Numpy call overhead dominates: about
+    # 15 us a pair, 0.3 us a triple and 2e9 complex multiply-adds a second
+    # (2-core x86; f / d best of 3 measured 12.0 / 13.7 ms at N=6, 47.8 / 51.7
+    # at N=8, 96 / 114 at N=9, estimated 11.2 / 12.8, 51.4 / 55.6, 103 / 110).
+    product = n_dim**3 / 2.0e9
+    seconds = n_triples * (0.3e-6 + product) + n_pairs * (15e-6 + 2.0 * product)
     return n_triples, seconds
 
 
@@ -132,19 +135,20 @@ def full_oracle_table(cfg: AlgebraConfig, kind: str) -> ConstantTable:
     magnitude floor (which would mean round-off is bleeding into signal).
     """
     check_ceiling(cfg.n_dim, _check_kind(kind))
-    gens = all_generators(cfg)
+    gens = np.stack(all_generators(cfg))
     strict = kind == F_KIND  # j > i and k > j for f, j >= i and k >= j for d
 
     keys: list[tuple[int, int, int]] = []  # lexicographic, so canonical order is sorted order
     values: list[float] = []
     for i in range(1, cfg.dim + 1):
-        for j in range(i + strict, cfg.dim + 1):
+        for j in range(i + strict, cfg.dim + 1 - strict):  # f has no k > j at j = N**2 - 1
             pair = _pair(gens[i - 1], gens[j - 1], kind)
-            for k in range(j + strict, cfg.dim + 1):
-                value = _value(pair, gens[k - 1], kind, cfg.hbar)
-                if abs(value) > ZERO_THRESHOLD:
-                    keys.append((i, j, k))
-                    values.append(value)
+            # One product and one trace per canonical k, in one stacked product and one call.
+            first = j + strict
+            batch = _scaled(np.trace(pair @ gens[first - 1:], axis1=1, axis2=2), kind, cfg.hbar)
+            hits = np.flatnonzero(np.abs(batch) > ZERO_THRESHOLD)
+            keys.extend((i, j, first + at) for at in hits.tolist())
+            values.extend(batch[hits].tolist())
 
     if values:
         floor = 1.0 / math.sqrt(2.0 * cfg.n_dim * (cfg.n_dim - 1))

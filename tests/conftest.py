@@ -2,6 +2,10 @@ import tracemalloc
 
 import numpy as np
 
+from sunlie.generators import all_generators
+from sunlie.structure_constants import F_KIND, ConstantTable
+from sunlie.trace_oracle import ZERO_THRESHOLD, _pair, _value
+
 
 def random_hermitian(rng, n_dim):
     """Hermitian matrix with Gaussian entries, rescaled to unit spectral radius."""
@@ -26,3 +30,25 @@ def random_state(rng, n_dim):
     """Normalized complex amplitude vector."""
     c = rng.normal(size=n_dim) + 1j * rng.normal(size=n_dim)
     return c / np.linalg.norm(c)
+
+
+def per_triple_table(cfg, kind):
+    """The trace oracle's table as the per-triple form gives it, no ceiling checked.
+
+    Each pair's (anti)commutator is formed once, and each canonical triple
+    takes its own product and trace: `_pair` once per pair, `_value` once
+    per triple.
+    """
+    gens = all_generators(cfg)
+    strict = kind == F_KIND
+    keys, values = [], []
+    for i in range(1, cfg.dim + 1):
+        for j in range(i + strict, cfg.dim + 1):
+            pair = _pair(gens[i - 1], gens[j - 1], kind)
+            for k in range(j + strict, cfg.dim + 1):
+                value = _value(pair, gens[k - 1], kind, cfg.hbar)
+                if abs(value) > ZERO_THRESHOLD:
+                    keys.append((i, j, k))
+                    values.append(value)
+    return ConstantTable(cfg.n_dim, kind, np.array(keys, dtype=np.int32).reshape(-1, 3).T,
+                         np.array(values))

@@ -4,6 +4,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 import pytest
 
+from conftest import per_triple_table
 from sunlie import trace_oracle
 from sunlie.generators import AlgebraConfig, all_generators
 from sunlie.structure_constants import build_d_table, build_f_table
@@ -82,6 +83,18 @@ def test_table_is_the_per_triple_trace(n_dim, hbar, kind, trace):
             assert abs(value) <= ZERO_THRESHOLD
 
 
+@pytest.mark.parametrize("n_dim", [5, 6, 7, 8])
+@pytest.mark.parametrize("hbar", [1.0, 1.5])
+@pytest.mark.parametrize("kind", ["f", "d"])
+def test_table_bytes_are_the_per_triple_loop(n_dim, hbar, kind):
+    # Each pair's k are taken in one stacked product; the table is still the
+    # per-triple product and trace, byte for byte.
+    cfg = AlgebraConfig(n_dim, hbar)
+    batched, looped = full_oracle_table(cfg, kind), per_triple_table(cfg, kind)
+    assert batched._index.tobytes() == looped._index.tobytes()
+    assert batched._values.tobytes() == looped._values.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["f", "d"])
 def test_imaginary_residue_refused(kind, monkeypatch):
     # i S for every S multiplies each trace by i**3 = -i: every non-zero value turns imaginary.
@@ -89,6 +102,30 @@ def test_imaginary_residue_refused(kind, monkeypatch):
                         lambda cfg: [1j * g for g in all_generators(cfg)])
     with pytest.raises(OracleConsistencyError, match="imaginary residue"):
         full_oracle_table(AlgebraConfig(3), kind)
+
+
+@pytest.mark.parametrize("kind", ["f", "d"])
+def test_residue_in_the_last_generator_refused(kind, monkeypatch):
+    # Only the last generator carries a residue, so it sits last in every
+    # pair's batch of k (or in the pair itself).
+    def last_tilted(cfg):
+        gens = all_generators(cfg)
+        gens[-1] = (1 + 1e-9j) * gens[-1]
+        return gens
+
+    monkeypatch.setattr(trace_oracle, "all_generators", last_tilted)
+    with pytest.raises(OracleConsistencyError, match="imaginary residue"):
+        full_oracle_table(AlgebraConfig(3), kind)
+
+
+@pytest.mark.parametrize("kind", ["f", "d"])
+def test_residue_anywhere_in_a_batch_refused(kind):
+    # Tr[pair S_k] is imaginary for f and real for d; the values are 2|Tr|.
+    traces = np.array([0.5, 0.25, 0.125], dtype=complex) * (1j if kind == "f" else 1)
+    assert trace_oracle._scaled(traces, kind, 1.0).tolist() == [1.0, 0.5, 0.25]
+    traces[-1] *= 1 + 1e-9j
+    with pytest.raises(OracleConsistencyError, match="imaginary residue"):
+        trace_oracle._scaled(traces, kind, 1.0)
 
 
 @pytest.mark.parametrize("kind", ["f", "d"])
