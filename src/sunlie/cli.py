@@ -195,8 +195,7 @@ def _permutation_spot_check(tables: Sequence[ConstantTable], seed: int) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     _integer(args.seed, "seed", 0)  # refused before a line is written
     cfg = AlgebraConfig(args.n, args.hbar)
-    for kind in _kinds(args.kind):
-        check_ceiling(args.n, kind)  # refused before a table is built
+    check_ceiling(args.n, _kinds(args.kind))  # refused before a table is built
     tables = _tables(args.n, args.kind)
     status = 0
     for closed in tables:
@@ -260,17 +259,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         best = min(best, time.perf_counter() - start)
     print(f"closed-form n={args.n}: f={len(f_table)} d={len(d_table)} triples in {best:.6f} s")
 
-    cfg = AlgebraConfig(args.n)
     try:
-        start = time.perf_counter()
-        for kind in (F_KIND, D_KIND):
-            full_oracle_table(cfg, kind)
-        oracle_elapsed = time.perf_counter() - start
+        check_ceiling(args.n, (F_KIND, D_KIND))
     except OracleCostError as exc:
         triples = sum(estimate_cost(args.n, kind)[0] for kind in (F_KIND, D_KIND))
         print(f"oracle n={args.n}: refused ({exc})")
         print(f"oracle n={args.n}: would need {triples} trace evaluations")
         return 0
+    cfg = AlgebraConfig(args.n)
+    start = time.perf_counter()
+    for kind in (F_KIND, D_KIND):
+        full_oracle_table(cfg, kind)
+    oracle_elapsed = time.perf_counter() - start
     print(f"oracle n={args.n}: both kinds in {oracle_elapsed:.6f} s")
     print(f"speedup: {oracle_elapsed / best:.1f}x")
     return 0

@@ -4,7 +4,7 @@ import numpy as np
 
 from sunlie.generators import all_generators
 from sunlie.structure_constants import F_KIND, ConstantTable
-from sunlie.trace_oracle import ZERO_THRESHOLD, _pair, _value
+from sunlie.trace_oracle import ZERO_THRESHOLD, _pair, _value, estimate_cost
 
 
 def random_hermitian(rng, n_dim):
@@ -52,3 +52,10 @@ def per_triple_table(cfg, kind):
                     values.append(value)
     return ConstantTable(cfg.n_dim, kind, np.array(keys, dtype=np.int32).reshape(-1, 3).T,
                          np.array(values))
+
+
+def summed_refusal(n_dim):
+    """The cost text of an oracle refusal at N for the f and d tables together."""
+    costs = [estimate_cost(n_dim, kind) for kind in ("f", "d")]
+    triples, seconds = sum(n for n, _ in costs), sum(s for _, s in costs)
+    return f"{triples:.3g} trace evaluations, roughly {seconds:.3g} s"

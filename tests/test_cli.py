@@ -16,7 +16,7 @@ import pytest
 import sunlie.cli as cli
 import sunlie.dynamics as dynamics
 import sunlie.structure_constants as structure_constants
-from conftest import random_hermitian, random_state, traced_peak
+from conftest import random_hermitian, random_state, summed_refusal, traced_peak
 from sunlie.adjoint import adjoint_matrix
 from sunlie.dynamics import IntegrationSpec
 from sunlie.generators import AlgebraConfig, make_generator
@@ -434,14 +434,20 @@ class TestVerify:
     @pytest.mark.parametrize("kind", ["f", "d", "both"])
     def test_refused_above_the_ceiling_before_any_table(self, capsys, monkeypatch, kind):
         # The oracle's ceiling is checked before a closed-form table is built,
-        # with the refusal the oracle gives: for both kinds, f's estimate.
+        # with the refusal the oracle gives for one kind, and for both kinds
+        # their summed triple count and seconds.
         refuse_tables(monkeypatch)
-        with pytest.raises(OracleCostError) as refusal:
-            full_oracle_table(AlgebraConfig(9), "d" if kind == "d" else "f")
         status, out, err = run(capsys, "verify", "--n", "9", "--kind", kind)
         assert status == 2
         assert out == ""
-        assert err == f"error: {refusal.value}\n"
+        if kind == "both":
+            assert err == (f"error: refusing brute-force run at N=9 (ceiling 8): "
+                           f"{summed_refusal(9)} single-threaded; raise "
+                           f"SUNLIE_ORACLE_CEILING to override\n")
+        else:
+            with pytest.raises(OracleCostError) as refusal:
+                full_oracle_table(AlgebraConfig(9), kind)
+            assert err == f"error: {refusal.value}\n"
 
     def test_negative_seed_refused_before_any_output(self, capsys):
         status, out, err = run(capsys, "verify", "--n", "3", "--seed", "-1")
@@ -1019,6 +1025,11 @@ class TestBench:
         assert status == 0
         assert "refused" in out
         assert "trace evaluations" in out
+
+    def test_refusal_carries_both_kinds(self, capsys):
+        status, out, _ = run(capsys, "bench", "--n", "9")
+        assert status == 0
+        assert summed_refusal(9) in out
 
 
 def refused_values():

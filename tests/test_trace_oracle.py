@@ -4,7 +4,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 import pytest
 
-from conftest import per_triple_table
+from conftest import per_triple_table, summed_refusal, traced_peak
 from sunlie import trace_oracle
 from sunlie.generators import AlgebraConfig, all_generators
 from sunlie.structure_constants import build_d_table, build_f_table
@@ -13,6 +13,7 @@ from sunlie.trace_oracle import (
     ZERO_THRESHOLD,
     OracleConsistencyError,
     OracleCostError,
+    check_ceiling,
     d_trace,
     estimate_cost,
     f_trace,
@@ -95,6 +96,52 @@ def test_table_bytes_are_the_per_triple_loop(n_dim, hbar, kind):
     assert batched._values.tobytes() == looped._values.tobytes()
 
 
+@pytest.mark.parametrize("n_dim", [3, 4, 5, 6])
+@pytest.mark.parametrize("hbar", [1.0, 1.5])
+@pytest.mark.parametrize("kind", ["f", "d"])
+@pytest.mark.parametrize("run", ["one j", "mid-row"])
+def test_run_boundaries_keep_the_bytes(n_dim, hbar, kind, run, monkeypatch):
+    # A budget of one product ends a run after every j; one of 2 d products
+    # makes runs of two j and more that end in the middle of a row of i.
+    cfg = AlgebraConfig(n_dim, hbar)
+    products = 1 if run == "one j" else 2 * cfg.dim
+    monkeypatch.setattr(trace_oracle, "_RUN_BYTES", products * 16 * n_dim**2)
+    batched, looped = full_oracle_table(cfg, kind), per_triple_table(cfg, kind)
+    assert batched._index.tobytes() == looped._index.tobytes()
+    assert batched._values.tobytes() == looped._values.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["f", "d"])
+@pytest.mark.parametrize("budget", [None, 20 * 16 * 8**2])
+def test_runs_stay_within_the_budget(kind, budget, monkeypatch):
+    # At the default budget every stacked product fits; at 20 products a
+    # single j meets more k than that and runs alone.
+    if budget is not None:
+        monkeypatch.setattr(trace_oracle, "_RUN_BYTES", budget)
+    limit = trace_oracle._RUN_BYTES
+    runs = []
+    matmul = np.matmul
+
+    def spy(pairs, gens, out):
+        runs.append((len(pairs), out.nbytes))
+        return matmul(pairs, gens, out=out)
+
+    monkeypatch.setattr(trace_oracle.np, "matmul", spy)
+    full_oracle_table(AlgebraConfig(8), kind)
+    monkeypatch.undo()
+    assert max(pairs for pairs, _ in runs) > 1
+    assert all(nbytes <= limit or pairs == 1 for pairs, nbytes in runs)
+    assert any(nbytes > limit for _, nbytes in runs) == (budget is not None)
+
+
+@pytest.mark.parametrize("kind", ["f", "d"])
+def test_working_memory_is_bounded_by_the_budget(kind):
+    # One buffer of _RUN_BYTES serves every run; the generators, each run's
+    # traces and the hits kept fit in as much again.
+    _, peak = traced_peak(full_oracle_table, AlgebraConfig(8), kind)
+    assert peak <= 2 * trace_oracle._RUN_BYTES
+
+
 @pytest.mark.parametrize("kind", ["f", "d"])
 def test_imaginary_residue_refused(kind, monkeypatch):
     # i S for every S multiplies each trace by i**3 = -i: every non-zero value turns imaginary.
@@ -114,6 +161,20 @@ def test_residue_in_the_last_generator_refused(kind, monkeypatch):
         return gens
 
     monkeypatch.setattr(trace_oracle, "all_generators", last_tilted)
+    with pytest.raises(OracleConsistencyError, match="imaginary residue"):
+        full_oracle_table(AlgebraConfig(3), kind)
+
+
+@pytest.mark.parametrize("kind", ["f", "d"])
+def test_residue_in_the_middle_of_a_run_refused(kind, monkeypatch):
+    # At N=3 each row of i is one run; the tilted generator sits mid-run as a
+    # j and mid-rectangle as a k.
+    def middle_tilted(cfg):
+        gens = all_generators(cfg)
+        gens[cfg.dim // 2] = (1 + 1e-9j) * gens[cfg.dim // 2]
+        return gens
+
+    monkeypatch.setattr(trace_oracle, "all_generators", middle_tilted)
     with pytest.raises(OracleConsistencyError, match="imaginary residue"):
         full_oracle_table(AlgebraConfig(3), kind)
 
@@ -176,6 +237,12 @@ class TestCeiling:
             full_oracle_table(AlgebraConfig(4), "f")
         monkeypatch.setenv(CEILING_ENV, "4")
         assert len(full_oracle_table(AlgebraConfig(4), "f")) == 29
+
+    def test_refusal_sums_the_kinds(self):
+        # A command that builds both tables is refused with their summed cost.
+        with pytest.raises(OracleCostError) as refusal:
+            check_ceiling(9, ("f", "d"))
+        assert summed_refusal(9) in str(refusal.value)
 
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv(CEILING_ENV, "many")
