@@ -25,20 +25,22 @@ symmetric, for coordinates m < p < q:
     d(X_qm, X_qm, D_p)  = 1/sqrt(2p(p-1))             (X in {S, A})
     d(X_pm, X_pm, D_q)  = sqrt(2/(q(q-1)))
 
-and for pairs m < n and Cartan coordinates k < n:
+and for pairs m < n, then Cartan coordinates n:
 
     d(X_nm, X_nm, D_m)  = -sqrt((m-1)/(2m))           (m >= 2)
     d(X_nm, X_nm, D_n)  = (2-n)/sqrt(2n(n-1))         (zero at n = 2)
-    d(D_n, D_k, D_k)    = sqrt(2/(n(n-1)))            (k >= 2)
+    d(D_n, D_m, D_m)    = sqrt(2/(n(n-1)))            (m >= 2)
     d(D_n, D_n, D_n)    = (2-n) sqrt(2/(n(n-1)))      (zero at n = 2)
 
 Each instance above is stored once under its canonical key: indices sorted
 ascending, strictly for f (repeated indices vanish by anti-symmetry), weakly
 for d.  The stored f value belongs to the ascending order; `lookup` restores
-the sign for any other ordering.  Both builders write every family directly
-in that ascending order, f with the sign of that order, so no triple is
-re-sorted.  Exactly-zero family instances (the m = 1 and n = 2 cases flagged
-above) are omitted: the table stores non-zeros only.
+the sign for any other ordering.  `_FAMILIES` is this list line for line
+(X counting twice), each family in that ascending order, f with the sign of
+that order, so no triple is re-sorted.  The table stores non-zeros only,
+and no family is filtered by value: each row lists its family from a first
+leading coordinate (below), 2 where D_m needs m >= 2 and 3 for the families
+zero at n = 2; the constructor's band check refuses any other zero.
 
 The generators of top coordinate c (S_cm and A_cm for m < c, then D_c) hold
 the indices (c-1)**2 .. c**2 - 1, and each family's canonical first index is
@@ -337,33 +339,85 @@ def _cyclic_orders(table: ConstantTable) -> tuple[tuple, np.ndarray]:
     return ((a, b, c), (b, c, a), (c, a, b)), v
 
 
-def _coordinates(
-    n_dim: int, lo: int, hi: int
-) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """1-based int32 coordinates of the families led by the coordinates lo..hi-1.
+# The leading domains of the families: their coordinates, strictly ascending,
+# and the one that leads them.
+_PAIRS_BY_N = ("mn", "n")
+_PAIRS_BY_M = ("mn", "m")
+_TRIPLES = ("mpq", "p")
+_CARTAN = ("n", "n")
 
-    They are the pairs m < n led by n, the pairs m < n led by m (from
-    m = 2: D_m leads them) and the triples m < p < q led by p.  The masks are
-    sized to the w = hi - lo leading coordinates: N x w, w x N and N x w x N.
-    int32 holds every index the families make of them, N**2 - 1 at most.
+# The families of the module docstring, line for line: kind, leading domain,
+# first leading coordinate, canonical index triple and value, a closed form in
+# the domain's coordinates.
+_FAMILIES = (
+    (F_KIND, _TRIPLES, 2, "S_pm A_qm S_qp", lambda m, p, q: -0.5),
+    (F_KIND, _TRIPLES, 2, "A_pm S_qm S_qp", lambda m, p, q: 0.5),
+    (F_KIND, _TRIPLES, 2, "S_pm S_qm A_qp", lambda m, p, q: 0.5),
+    (F_KIND, _TRIPLES, 2, "A_pm A_qm A_qp", lambda m, p, q: 0.5),
+    (F_KIND, _TRIPLES, 2, "D_p S_qm A_qm", lambda m, p, q: np.sqrt(1.0 / (2.0 * p * (p - 1)))),
+    (F_KIND, _PAIRS_BY_N, 2, "S_nm A_nm D_n", lambda m, n: np.sqrt(n / (2.0 * (n - 1)))),
+    (F_KIND, _PAIRS_BY_M, 2, "D_m S_nm A_nm", lambda m, n: -np.sqrt((m - 1) / (2.0 * m))),
+    (D_KIND, _TRIPLES, 2, "S_pm S_qm S_qp", lambda m, p, q: 0.5),
+    (D_KIND, _TRIPLES, 2, "S_pm A_qm A_qp", lambda m, p, q: 0.5),
+    (D_KIND, _TRIPLES, 2, "A_pm A_qm S_qp", lambda m, p, q: 0.5),
+    (D_KIND, _TRIPLES, 2, "A_pm S_qm A_qp", lambda m, p, q: -0.5),
+    (D_KIND, _TRIPLES, 2, "D_p S_qm S_qm", lambda m, p, q: np.sqrt(1.0 / (2.0 * p * (p - 1)))),
+    (D_KIND, _TRIPLES, 2, "D_p A_qm A_qm", lambda m, p, q: np.sqrt(1.0 / (2.0 * p * (p - 1)))),
+    (D_KIND, _TRIPLES, 2, "S_pm S_pm D_q", lambda m, p, q: np.sqrt(2.0 / (q * (q - 1)))),
+    (D_KIND, _TRIPLES, 2, "A_pm A_pm D_q", lambda m, p, q: np.sqrt(2.0 / (q * (q - 1)))),
+    (D_KIND, _PAIRS_BY_M, 2, "D_m S_nm S_nm", lambda m, n: -np.sqrt((m - 1) / (2.0 * m))),
+    (D_KIND, _PAIRS_BY_M, 2, "D_m A_nm A_nm", lambda m, n: -np.sqrt((m - 1) / (2.0 * m))),
+    (D_KIND, _PAIRS_BY_N, 3, "S_nm S_nm D_n", lambda m, n: (2 - n) / np.sqrt(2.0 * n * (n - 1))),
+    (D_KIND, _PAIRS_BY_N, 3, "A_nm A_nm D_n", lambda m, n: (2 - n) / np.sqrt(2.0 * n * (n - 1))),
+    (D_KIND, _PAIRS_BY_M, 2, "D_m D_m D_n", lambda m, n: np.sqrt(2.0 / (n * (n - 1)))),
+    (D_KIND, _CARTAN, 3, "D_n D_n D_n", lambda n: (2 - n) * np.sqrt(2.0 / (n * (n - 1)))),
+)
+
+_INDEX = {"S": symmetric_index, "A": antisymmetric_index, "D": diagonal_index}
+
+
+def _coordinates(every: np.ndarray, names: str, leader: str, lo: int, hi: int) -> dict:
+    """The 1-based int32 coordinates ``names``, strictly ascending, of every instance
+    whose coordinate ``leader`` lies in lo..hi-1, by name.
+
+    The mask is sized to the w = hi - lo leading coordinates: N x w, w x N,
+    N x w x N or w.  int32 holds every index made of them, N**2 - 1 at most.
     """
+    axes = [every[lo - 1 : hi - 1] if name == leader else every for name in names]
+    grids = np.ix_(*axes)
+    ascending = np.ones([axis.size for axis in axes], dtype=bool)
+    for low, high in zip(grids, grids[1:]):
+        ascending &= low < high
+    return {name: axis[at] for name, axis, at in zip(names, axes, np.nonzero(ascending))}
+
+
+def _families(kind: str, n_dim: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """1-based int32 (3, count) keys and values of the ``kind`` families led by the
+    coordinates lo..hi-1, unsorted.  Each domain's coordinates, and each index
+    named over them (S_pm is `symmetric_index(p, m)`), are made once, shared by
+    its families, and die on return."""
     every = np.arange(1, n_dim + 1, dtype=np.int32)
-    lead = every[lo - 1 : hi - 1]
-    below, above = every[:, None] < lead, lead[:, None] < every  # [m, n] for m < n
-    low = lead[lead >= 2]  # D_m exists from m = 2
-    m, n = np.nonzero(below)
-    m2, n2 = np.nonzero(low[:, None] < every)
-    m3, p, q = np.nonzero(below[:, :, None] & above)
-    return [every[m], lead[n]], [low[m2], every[n2]], [every[m3], lead[p], every[q]]
-
-
-def _gather(*families: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """1-based int32 (3, count) keys and values of (i, j, k, value) families, gathered in order."""
-    i, j, k, values = zip(*families)
-    keys = np.empty((3, sum(map(len, values))), dtype=np.int32)
-    for row, parts in zip(keys, (i, j, k)):
-        np.concatenate(parts, out=row)
-    return keys, np.concatenate(values)
+    shared: dict = {}  # per (domain, first): its coordinates, then its indices
+    families = []
+    for family_kind, domain, first, triple, value in _FAMILIES:
+        if family_kind != kind:
+            continue
+        if (domain, first) not in shared:
+            shared[domain, first] = _coordinates(every, *domain, max(lo, first), hi)
+        named, names = shared[domain, first], triple.split()
+        for name in names:
+            if name not in named:
+                named[name] = _INDEX[name[0]](*(named[c] for c in name[2:]))
+        families.append(([named[name] for name in names], [named[c] for c in domain[0]], value))
+    keys = np.empty((3, sum(coordinates[0].size for _, coordinates, _ in families)), np.int32)
+    values = np.empty(keys.shape[1])
+    stop = 0
+    for indices, coordinates, value in families:
+        start, stop = stop, stop + coordinates[0].size
+        for row, index in zip(keys, indices):
+            row[start:stop] = index
+        values[start:stop] = value(*coordinates)
+    return keys, values
 
 
 def build_f_table(n_dim: int) -> ConstantTable:
@@ -373,28 +427,7 @@ def build_f_table(n_dim: int) -> ConstantTable:
     that order, as `build_d_table` writes d.
     """
     n_dim = _check_table_dimension(n_dim)
-    return ConstantTable(n_dim, F_KIND, *_f_families(n_dim, 1, n_dim + 1))
-
-
-def _f_families(n_dim: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The f families led by the coordinates lo..hi-1, gathered unsorted; their
-    coordinate arrays die on return."""
-    (m, n), (m2, n2), (m3, p, q) = _coordinates(n_dim, lo, hi)
-    s_pm, a_pm = symmetric_index(p, m3), antisymmetric_index(p, m3)
-    s_qm, a_qm = symmetric_index(q, m3), antisymmetric_index(q, m3)
-    s_qp, a_qp = symmetric_index(q, p), antisymmetric_index(q, p)
-    half = np.broadcast_to(0.5, m3.shape)  # a view: no array per triple
-    return _gather(
-        (symmetric_index(n, m), antisymmetric_index(n, m), diagonal_index(n),
-         np.sqrt(n / (2.0 * (n - 1)))),
-        (diagonal_index(m2), symmetric_index(n2, m2), antisymmetric_index(n2, m2),
-         -np.sqrt((m2 - 1) / (2.0 * m2))),
-        (s_pm, a_qm, s_qp, np.broadcast_to(-0.5, m3.shape)),
-        (a_pm, s_qm, s_qp, half),
-        (s_pm, s_qm, a_qp, half),
-        (a_pm, a_qm, a_qp, half),
-        (diagonal_index(p), s_qm, a_qm, np.sqrt(1.0 / (2.0 * p * (p - 1)))),
-    )
+    return ConstantTable(n_dim, F_KIND, *_families(F_KIND, n_dim, 1, n_dim + 1))
 
 
 def build_d_table(n_dim: int) -> ConstantTable:
@@ -405,45 +438,7 @@ def build_d_table(n_dim: int) -> ConstantTable:
     the pairs (s_qm < a_qm < s_qp < a_qp for m < p).
     """
     n_dim = _check_table_dimension(n_dim)
-    return ConstantTable(n_dim, D_KIND, *_d_families(n_dim, 1, n_dim + 1))
-
-
-def _d_families(n_dim: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The d families led by the coordinates lo..hi-1, gathered unsorted; their
-    coordinate arrays die on return."""
-    (m, n), (m2, n2), (m3, p, q) = _coordinates(n_dim, lo, hi)
-    top = n >= 3  # the D_n families are zero at n = 2, omitted
-    m, n = m[top], n[top]
-    s_nm, a_nm, d_n = symmetric_index(n, m), antisymmetric_index(n, m), diagonal_index(n)
-    v_top = (2 - n) / np.sqrt(2.0 * n * (n - 1))
-    d_m = diagonal_index(m2)
-    v_low = -np.sqrt((m2 - 1) / (2.0 * m2))
-    s_low, a_low = symmetric_index(n2, m2), antisymmetric_index(n2, m2)
-    cartan = np.arange(max(lo, 3), hi)
-    d_cartan = diagonal_index(cartan)
-    s_pm, a_pm = symmetric_index(p, m3), antisymmetric_index(p, m3)
-    s_qm, a_qm = symmetric_index(q, m3), antisymmetric_index(q, m3)
-    s_qp, a_qp = symmetric_index(q, p), antisymmetric_index(q, p)
-    d_p, d_q = diagonal_index(p), diagonal_index(q)
-    half = np.broadcast_to(0.5, m3.shape)  # a view: no array per triple
-    v_mid = np.sqrt(1.0 / (2.0 * p * (p - 1)))
-    v_above = np.sqrt(2.0 / (q * (q - 1)))
-    return _gather(
-        (s_nm, s_nm, d_n, v_top),
-        (a_nm, a_nm, d_n, v_top),
-        (d_m, s_low, s_low, v_low),
-        (d_m, a_low, a_low, v_low),
-        (d_m, d_m, diagonal_index(n2), np.sqrt(2.0 / (n2 * (n2 - 1)))),
-        (d_cartan, d_cartan, d_cartan, (2 - cartan) * np.sqrt(2.0 / (cartan * (cartan - 1)))),
-        (s_pm, s_qm, s_qp, half),
-        (s_pm, a_qm, a_qp, half),
-        (a_pm, a_qm, s_qp, half),
-        (a_pm, s_qm, a_qp, np.broadcast_to(-0.5, m3.shape)),
-        (d_p, s_qm, s_qm, v_mid),
-        (d_p, a_qm, a_qm, v_mid),
-        (s_pm, s_pm, d_q, v_above),
-        (a_pm, a_pm, d_q, v_above),
-    )
+    return ConstantTable(n_dim, D_KIND, *_families(D_KIND, n_dim, 1, n_dim + 1))
 
 
 def _blocks(n_dim: int, kind: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -457,11 +452,10 @@ def _blocks(n_dim: int, kind: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     coordinate's.
     """
     n_dim = _check_table_dimension(n_dim)
-    families = _f_families if kind == F_KIND else _d_families
     width = max(1, _CHUNK_BYTES // 8 // (2 * n_dim * n_dim))
     for lo in range(1, n_dim + 1, width):
         hi = min(lo + width, n_dim + 1)
-        yield _canonical(n_dim, kind, *families(n_dim, lo, hi), (lo, hi))
+        yield _canonical(n_dim, kind, *_families(kind, n_dim, lo, hi), (lo, hi))
 
 
 def write_tables(

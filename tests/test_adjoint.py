@@ -13,7 +13,7 @@ from sunlie.adjoint import (
     verify_adjoint_commutators,
 )
 from sunlie.dynamics import _MAX_MULTIPLY_ADDS
-from sunlie.structure_constants import build_d_table, build_f_table
+from sunlie.structure_constants import ConstantTable, build_d_table, build_f_table
 
 
 def test_su2_adjoint_is_spin_one_algebra():
@@ -125,6 +125,16 @@ def test_blocked_product_matches_matmul(width, monkeypatch):
     monkeypatch.undo()
     assert sum(blocks) == width and len(blocks) > 1
     np.testing.assert_allclose(product, a @ b, rtol=0, atol=1e-13 * np.abs(a @ b).max())
+
+
+def test_one_entry_off_by_1e_9_fails_the_report():
+    # Exhaustive at N=3: f_123 = 1 scaled by 1 + 1e-9 moves [T_1, T_2] by about 1e-9.
+    a, b, c, values = build_f_table(3).contraction_arrays()
+    values = values.copy()
+    values[0] *= 1.0 + 1e-9
+    report = verify_adjoint_commutators(ConstantTable(3, "f", np.stack((a, b, c)) + 1, values))
+    assert report.exhaustive and not report.passed
+    assert 1e-10 < report.max_deviation < 1e-8
 
 
 @pytest.mark.parametrize("seed", [1, 3])

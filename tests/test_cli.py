@@ -877,6 +877,25 @@ class TestSimulate:
         assert err.startswith("error:") and "norm drifted" in err
         assert out == ""
 
+    @pytest.mark.parametrize("t_final, refused", [(0.1, False), (0.3, True)])
+    def test_norm_drift_just_above_the_tolerance_rejected(self, capsys, tmp_path, t_final,
+                                                          refused):
+        # RK4 at dt * |w| = 0.2 keeps |R|**2 = 1 - 8.85e-7 per step: one step
+        # drifts just below _NORM_DRIFT_TOL = 1e-6, three (2.7e-6) just above.
+        h_path, psi_path = write_problem(tmp_path, np.diag([2.0, -2.0]).astype(complex),
+                                         np.array([0.6, 0.8j]))
+        status, out, err = run(
+            capsys, "simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
+            "--t-final", str(t_final), "--dt", "0.1", "--output", str(tmp_path / "traj.csv"),
+            "--compare-tdse",
+        )
+        if refused:
+            assert status == 2 and out == ""
+            assert err.startswith("error: amplitude norm drifted by 2.65") and "(> 1.0e-06)" in err
+        else:
+            assert (status, err) == (0, "")
+            assert out.startswith("max_tdse_deviation=")
+
 
 class TestStreamedSimulate:
     """`simulate` writes and compares its trajectory a block at a time."""

@@ -73,6 +73,12 @@ class TestDecomposeHamiltonian:
         with pytest.raises(ValueError, match="Hermitian"):
             decompose_hamiltonian(cfg, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_non_hermitian_by_1e_9_of_the_scale_rejected(self):
+        # Scale 3: one entry 3e-9 off its mirror is far beyond rounding.
+        mat = np.array([[3.0, 1.0 + 3e-9], [1.0, -3.0]])
+        with pytest.raises(ValueError, match="not Hermitian within 1e-12 of its scale"):
+            decompose_hamiltonian(AlgebraConfig(2), mat)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_entry_rejected(self, bad):
         # NaN fails every comparison, so without an explicit check it slips
@@ -174,6 +180,11 @@ class TestStateToBloch:
         cfg = AlgebraConfig(2)
         with pytest.raises(ValueError, match="norm"):
             state_to_bloch(cfg, [1.0, 1.0])
+
+    def test_norm_off_by_1e_10_rejected(self):
+        psi = np.array([0.6, 0.8j]) * math.sqrt(1.0 + 1e-10)
+        with pytest.raises(ValueError, match=r"norm\*\*2 = 1.0000000001\d* is not 1 within 1e-12"):
+            state_to_bloch(AlgebraConfig(2), psi)
 
     def test_non_finite_amplitude_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

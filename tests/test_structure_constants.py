@@ -5,6 +5,7 @@ import json
 import math
 import re
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from sunlie.structure_constants import (
 )
 
 SQRT3 = math.sqrt(3.0)
+GOLDEN = Path(__file__).parent / "golden"
 
 # su(3) canonical values, frozen from the trace evaluation of the Gell-Mann
 # basis (and identical to the textbook tables).
@@ -285,6 +287,9 @@ def test_duplicate_insertion_is_hard_error():
          r"\(1, 4, 1180591620717411303424\) = 0.5 has an index that is not an integer: "
          "keys of dtype object"),
         ("f", columns({}, np.float64), "keys of dtype float64 are not integers"),
+        # Just beyond either edge of the band: 1e-6 past sqrt(2) is no rounding error.
+        ("f", columns({(1, 2, 3): MAX_MAGNITUDE + 1e-6}), r"= 1.41421456\d* is outside the band"),
+        ("d", columns({(1, 1, 8): -MAX_MAGNITUDE - 1e-6}), r"= -1.41421456\d* is outside the band"),
     ],
 )
 def test_invalid_entries_rejected(kind, entries, message):
@@ -479,6 +484,20 @@ def test_stats_are_deterministic_and_order_independent():
     assert build_d_table(4).stats()[1] != checksum
 
 
+# (count, checksum) of the shipped tables: N = 64 as perfbench/expected.json pins it.
+PINNED_STATS = {
+    ("f", 5): (66, "ff5e2e970e2b4f6d"), ("d", 5): (119, "32613058fa28b3c5"),
+    ("f", 12): (1221, "ceeaf0ec2110e6c4"), ("d", 12): (2065, "09cd303599901d04"),
+    ("f", 33): (28304, "79270e3d905533f1"), ("d", 33): (46221, "9c57d6b5e9c306c9"),
+    ("f", 64): (212289, "bd246606e80d680d"), ("d", 64): (343263, "21a388aa2a1ba6f6"),
+}
+
+
+@pytest.mark.parametrize("kind, n_dim", sorted(PINNED_STATS))
+def test_stats_are_pinned(kind, n_dim):
+    assert BUILDERS[kind](n_dim).stats() == PINNED_STATS[kind, n_dim]
+
+
 def test_tables_of_different_n_share_prefix():
     # su(N) constants embed unchanged in su(N+1): same value on same triple.
     small = build_f_table(4).as_dict()
@@ -545,10 +564,11 @@ def test_stats_hold_one_piece_of_text_beside_the_table(build, monkeypatch):
 
 
 def check_build_memory(build, count):
-    # The families are gathered into the result's own arrays (1x: int32 keys
+    # The families are written into the result's own arrays (1x: int32 keys
     # and float64 values, 20 bytes per triple), which are then sorted a row
     # at a time.  Beside them live at most 20 more bytes per triple (1x):
-    # while gathering, the families' int32 index and float64 value pieces;
+    # while listing, the domains' int32 coordinates and indices and one
+    # family's value temporaries;
     # while sorting, the int64 packed key and the sort order, then the order
     # and the row being permuted; later the packed key and one-byte check
     # masks.  The coordinate arrays over m < p < q are gone by then: they die
@@ -566,7 +586,6 @@ def test_build_f_working_memory_is_bounded():
     check_build_memory(build_f_table, f_count(48))
 
 
-FAMILIES = {"f": structure_constants._f_families, "d": structure_constants._d_families}
 BUILDERS = {"f": build_f_table, "d": build_d_table}
 
 
@@ -623,10 +642,29 @@ def test_every_split_into_coordinate_ranges_gives_the_table(kind, n_dim):
     # Blocks of every width, down to one coordinate: the families of each
     # range, sorted and checked, join into the table.
     table = BUILDERS[kind](n_dim)
+    families = structure_constants._families
     for split in compositions(n_dim):
         blocks = [structure_constants._canonical(
-            n_dim, kind, *FAMILIES[kind](n_dim, lo, hi), (lo, hi)) for lo, hi in split]
+            n_dim, kind, *families(kind, n_dim, lo, hi), (lo, hi)) for lo, hi in split]
         assert_same_table(blocks, table)
+
+
+@pytest.mark.parametrize("at", range(len(structure_constants._FAMILIES)))
+def test_each_family_is_pinned_and_never_dropped_by_value(at, monkeypatch):
+    rows = structure_constants._FAMILIES
+    kind = rows[at][0]
+    # Alone, the family lists triples of su(3), each a line of the committed golden file.
+    monkeypatch.setattr(structure_constants, "_FAMILIES", rows[at : at + 1])
+    table = BUILDERS[kind](3)
+    assert len(table) >= 1
+    golden = (GOLDEN / "constants_n3.csv").read_text().splitlines()
+    assert {f"{kind},{i},{j},{k},{v!r}" for i, j, k, v in table.triples()} <= set(golden)
+    # Evaluated to 0 among the others, it is refused by the band, not left out.
+    zero = (*rows[at][:-1], lambda *coordinates: 0.0)
+    monkeypatch.setattr(structure_constants, "_FAMILIES", (*rows[:at], zero, *rows[at + 1 :]))
+    for build in (lambda: BUILDERS[kind](3), lambda: list(structure_constants._blocks(3, kind))):
+        with pytest.raises(ValueError, match=r"= 0.0 is outside the band"):
+            build()
 
 
 def test_empty_d_stream_of_su2():
@@ -641,21 +679,21 @@ def test_a_triple_in_the_wrong_block_is_refused(kind, monkeypatch):
     # block instead.  Each block alone is sorted and free of duplicates, and
     # the joined stream holds every triple once, but out of order: the
     # block's first-index check must refuse it, naming it.
-    n_dim, families = 4, FAMILIES[kind]
-    keys, values = families(n_dim, 3, 4)
+    n_dim, families = 4, structure_constants._families
+    keys, values = families(kind, n_dim, 3, 4)
     moved = np.lexsort(keys[::-1])[-1]
     stays = np.arange(values.size) != moved
     triple = tuple(keys[:, moved].tolist())
 
-    def misplaced(n, lo, hi):
+    def misplaced(kind, n, lo, hi):
         if (lo, hi) == (2, 3):
-            two_keys, two_values = families(n, lo, hi)
+            two_keys, two_values = families(kind, n, lo, hi)
             return np.hstack((two_keys, keys[:, [moved]])), np.append(two_values, values[moved])
         if (lo, hi) == (3, 4):
             return np.ascontiguousarray(keys[:, stays]), values[stays]
-        return families(n, lo, hi)
+        return families(kind, n, lo, hi)
 
-    monkeypatch.setattr(structure_constants, f"_{kind}_families", misplaced)
+    monkeypatch.setattr(structure_constants, "_families", misplaced)
     monkeypatch.setattr(structure_constants, "_CHUNK_BYTES", 8)  # one coordinate a block
     message = rf"triple {re.escape(str(triple))} = .* has a first index outside its block"
     with pytest.raises(RuntimeError, match=message):
