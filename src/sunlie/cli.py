@@ -66,10 +66,12 @@ def _parse_label(text: str) -> GeneratorLabel:
 def _write_matrix_json(fh: IO[str], mat: np.ndarray, n: int, **extra) -> None:
     """The line json.dumps({"n": n, **extra, "re": ..., "im": ...}) writes, a row at a time."""
     fh.write(json.dumps({"n": n, **extra})[:-1])
+    zero = json.dumps([0.0] * mat.shape[1])  # most rows of a generator or adjoint matrix
     for key, part in (("re", mat.real), ("im", mat.imag)):
         # + 0.0 flushes negative zeros so equal matrices serialize identically
-        fh.write(f', "{key}": [' + json.dumps((part[0] + 0.0).tolist()))
-        fh.writelines(", " + json.dumps((row + 0.0).tolist()) for row in part[1:])
+        rows = (json.dumps((row + 0.0).tolist()) if row.any() else zero for row in part)
+        fh.write(f', "{key}": [' + next(rows))
+        fh.writelines(", " + text for text in rows)
         fh.write("]")
     fh.write("}\n")
 

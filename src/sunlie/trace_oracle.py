@@ -6,20 +6,19 @@ basis pin the constants down as traces:
     f_ijk = -(2i/hbar**3) Tr[[S_i, S_j] S_k]
     d_ijk =  (2/hbar**3)  Tr[{S_i, S_j} S_k]
 
-This module evaluates them exactly that way, with one dense matrix product
-and one trace per triple.  The only thing shared between triples is each
-pair's (anti)commutator, formed once.  The pairs of one S_i are taken in runs
-of consecutive S_j: a run's products with every S_k from its first S_j on go
-into one stacked product, in one buffer reused by every run, and their traces
-into one call, bit-identical to forming each triple's product and trace on its
-own; the few with k below a pair's own j are discarded.  Both N = 8 tables
-take 77-79 ms (best of 5, 2-core x86).  It is deliberately
-the slow, maximally dumb path: it knows nothing of the closed forms, and its
-only job is to be trustworthy enough to verify the closed-form tables
-against.  Enumerating all canonical triples costs O(N**6) evaluations of
-O(N**3) products, so a ceiling (default N = 8, overridable through the
-SUNLIE_ORACLE_CEILING environment variable) guards against accidentally
-launching an N = 64 run that would take days.
+This module evaluates them exactly that way, each trace as
+Tr[P S_k] = sum_ab P_ab (S_k)_ba, N**2 multiply-adds with no N x N product.
+The only thing shared between triples is each pair's (anti)commutator, formed
+once.  The pairs of one S_i are contracted with every S_k in one call,
+bit-identical to contracting each triple on its own; the traces with k below
+a pair's own j are discarded (77,531 traces for the 39,711 f triples at
+N = 8).  Both N = 8 tables take 21-23 ms (best of 7, 2-core x86).  It is
+deliberately the slow, maximally dumb path: it knows nothing of the closed
+forms, and its only job is to be trustworthy enough to verify the
+closed-form tables against.  Enumerating all canonical triples costs O(N**6)
+traces of O(N**2) multiply-adds, so a ceiling (default N = 8, overridable
+through the SUNLIE_ORACLE_CEILING environment variable) guards against
+accidentally launching an N = 64 run that would take days.
 """
 
 from __future__ import annotations
@@ -36,13 +35,6 @@ from .structure_constants import D_KIND, F_KIND, ConstantTable, _check_kind
 
 DEFAULT_CEILING = 8
 CEILING_ENV = "SUNLIE_ORACLE_CEILING"
-
-# A run of pairs stops before its products pass this many bytes, about 4 d
-# products at N = 8: few enough numpy calls a table that their overhead no
-# longer outweighs the products, in one buffer that stays in cache.  Both N = 8
-# tables took 93-97 ms at 128 KiB, 78-83 at 256 KiB, 82-83 at 512 KiB and
-# 87-90 at 1 MiB (min of 7, 2-core x86).
-_RUN_BYTES = 256 * 1024
 
 # Every true non-zero constant satisfies |value| >= 1/sqrt(2N(N-1)); the
 # inclusion threshold sits orders of magnitude below that floor, so there is
@@ -61,12 +53,18 @@ class OracleCostError(ValueError):
 
 def _pair(gi: np.ndarray, gj: np.ndarray, kind: str) -> np.ndarray:
     """[S_i, S_j] for 'f', {S_i, S_j} for 'd'."""
-    return gi @ gj - gj @ gi if kind == F_KIND else gi @ gj + gj @ gi
+    pair = gi @ gj  # the other product is taken in place: a row holds two, not three
+    if kind == F_KIND:
+        pair -= gj @ gi
+    else:
+        pair += gj @ gi
+    return pair
 
 
 def _scaled(traces: np.ndarray, kind: str, hbar: float) -> np.ndarray:
     """The constants from Tr[pair S_k] values, scaled as the definition above scales them."""
-    values = -2j * traces / hbar**3 if kind == F_KIND else 2.0 * traces / hbar**3
+    values = -2j * traces if kind == F_KIND else 2.0 * traces
+    values /= hbar**3  # in place, as for the pairs
     residue = np.abs(values.imag).max()
     if residue > _IMAG_TOL:
         raise OracleConsistencyError(
@@ -77,8 +75,8 @@ def _scaled(traces: np.ndarray, kind: str, hbar: float) -> np.ndarray:
 
 
 def _value(pair: np.ndarray, gk: np.ndarray, kind: str, hbar: float) -> float:
-    """The constant from Tr[pair S_k] for a single S_k."""
-    return float(_scaled((pair @ gk).trace(), kind, hbar))
+    """The constant from Tr[pair S_k] = sum_ab pair_ab (S_k)_ba for a single S_k."""
+    return float(_scaled(np.einsum("ab,ab->", pair.T.copy(), gk), kind, hbar))
 
 
 def _trace(cfg: AlgebraConfig, i: int, j: int, k: int, kind: str) -> float:
@@ -107,35 +105,19 @@ def resolve_ceiling() -> int:
         raise ValueError(f"{CEILING_ENV} must be an integer, got {env!r}") from None
 
 
-def _run_budget(n_dim: int) -> int:
-    """How many N x N complex products a run of pairs may hold."""
-    return _RUN_BYTES // (16 * n_dim * n_dim)
-
-
 def estimate_cost(n_dim: int, kind: str) -> tuple[int, float]:
     """Canonical triple count and a rough single-threaded runtime in seconds."""
     d = n_dim * n_dim - 1
     top = d - 2 if kind == F_KIND else d  # the most k a pair meets: i < j < k or i <= j <= k
-    n_pairs, n_triples = math.comb(top + 1, 2), math.comb(top + 2, 3)
-    # top + 1 - w pairs meet w canonical k each.  Those with w <= budget / 2
-    # share runs of budget // w pairs, whose rectangle of products holds about
-    # (run - 1) / 2 non-canonical ones a pair, and each row of i ends in a
-    # part-filled run.
-    runs, products = float(n_pairs), float(n_triples)
-    budget = _run_budget(n_dim)
-    for width in range(1, min(budget // 2, top) + 1):
-        pairs, per_run = top + 1 - width, budget // width
-        runs -= pairs * (1.0 - 1.0 / per_run)
-        products += pairs * (min(per_run, width) - 1) / 2.0
-    if budget >= 2:
-        runs += d
-    # Numpy call overhead dominates: about 80 us a run, 0.35 us a product and
-    # 1e10 complex multiply-adds a second (2-core x86; f / d best of 3
-    # measured 7.5 / 8.7 ms at N=6, 35.9 / 39.7 at N=8, 87.3 / 92.8 at N=9,
-    # estimated 7.4 / 8.2, 37.0 / 40.0, 81.2 / 87.0; N=10 and 12 measured
-    # 0.99 / 1.01 and 0.82 / 0.83 of the estimate).
-    seconds = runs * 80e-6 + products * (0.35e-6 + n_dim**3 / 1e10)
-    return n_triples, seconds
+    # Row i holds m = top + 1 - i pairs by m k, canonical or not: one call for
+    # the row and m**2 traces of N**2 multiply-adds.  About 40 us a row, 19 ns
+    # a trace and 7.6e8 complex multiply-adds a second (2-core x86; f / d best
+    # of 7 measured 2.3 / 2.5 ms at N=6, 11.0 / 11.4 at N=8, 23.0 / 24.2 at
+    # N=9, 48.0 / 49.9 at N=10 and 194 / 205 at N=12, estimated 2.2 / 2.4,
+    # 10.4 / 11.3, 23.3 / 25.0, 50.3 / 53.3 and 202 / 211).
+    traces = top * (top + 1) * (2 * top + 1) // 6
+    seconds = top * 40e-6 + traces * (19e-9 + n_dim**2 / 7.6e8)
+    return math.comb(top + 2, 3), seconds
 
 
 def check_ceiling(n_dim: int, kinds: Iterable[str]) -> None:
@@ -151,6 +133,27 @@ def check_ceiling(n_dim: int, kinds: Iterable[str]) -> None:
         )
 
 
+def _row(gens: np.ndarray, i: int, kind: str, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and values of the canonical triples (i, j, k) above ZERO_THRESHOLD.
+
+    One contraction of row i's pairs, transposed, with the generators gives
+    the square of Tr[pair S_k] = sum_ab pair_ab (S_k)_ba over j from lo on
+    and k from first on.  Only the canonical k >= j + strict count; the rest
+    are zeroed, so neither the residue check nor the threshold reads them.
+    """
+    strict = kind == F_KIND  # j > i and k > j for f, j >= i and k >= j for d
+    lo, first = i + strict, i + 2 * strict
+    traces = np.einsum(
+        "jab,kab->jk",
+        _pair(gens[i - 1], gens[lo - 1 : len(gens) - strict], kind).transpose(0, 2, 1).copy(),
+        gens[first - 1 :],
+    )
+    traces[np.tril_indices(len(traces), -1)] = 0
+    row = _scaled(traces, kind, hbar)
+    hits = np.nonzero(np.abs(row[None]) > ZERO_THRESHOLD)  # (0, j - lo, k - first)
+    return np.stack(hits) + np.array([[i], [lo], [first]]), row[hits[1:]]
+
+
 def full_oracle_table(cfg: AlgebraConfig, kind: str) -> ConstantTable:
     """Every canonical triple with |value| above ZERO_THRESHOLD, by brute force.
 
@@ -162,35 +165,10 @@ def full_oracle_table(cfg: AlgebraConfig, kind: str) -> ConstantTable:
     """
     check_ceiling(cfg.n_dim, (_check_kind(kind),))
     gens = np.stack(all_generators(cfg))
-    strict = kind == F_KIND  # j > i and k > j for f, j >= i and k >= j for d
-    budget = _run_budget(cfg.n_dim)
-    # One buffer for every run; a run holds at least one j, which meets at most d k.
-    buffer = np.empty((max(budget, cfg.dim), *gens.shape[1:]), dtype=gens.dtype)
-
-    key_runs: list[np.ndarray] = []  # lexicographic, so canonical order is sorted order
-    value_runs: list[np.ndarray] = []
-    for i in range(1, cfg.dim + 1):
-        lo, stop = i + strict, cfg.dim + 1 - strict  # f has no k > j at j = N**2 - 1
-        while lo < stop:
-            # Each j of the run [lo, hi) meets every k from lo + strict on: one
-            # product and trace per (j, k), in one stacked product and one call.
-            first = lo + strict
-            width = cfg.dim + 1 - first
-            hi = min(stop, lo + max(1, budget // width))
-            products = buffer[: (hi - lo) * width].reshape(hi - lo, width, *gens.shape[1:])
-            pairs = _pair(gens[i - 1], gens[lo - 1 : hi - 1], kind)
-            np.matmul(pairs[:, None], gens[None, first - 1 :], out=products)
-            traces = np.trace(products, axis1=2, axis2=3)
-            # Only the canonical k >= j + strict count: the rest are zeroed, so
-            # neither the residue check nor the threshold reads them.
-            traces[np.arange(width) < np.arange(hi - lo)[:, None]] = 0
-            batch = _scaled(traces, kind, cfg.hbar)
-            hits = np.nonzero(np.abs(batch[None]) > ZERO_THRESHOLD)  # (0, j - lo, k - first)
-            key_runs.append(np.stack(hits) + np.array([[i], [lo], [first]]))
-            value_runs.append(batch[hits[1:]])
-            lo = hi
-
-    values = np.concatenate(value_runs)
+    last = cfg.dim - 2 if kind == F_KIND else cfg.dim  # f has no j < k past i = N**2 - 3
+    # Rows by ascending i, each lexicographic: canonical order is sorted order.
+    rows = [_row(gens, i, kind, cfg.hbar) for i in range(1, last + 1)]
+    values = np.concatenate([row_values for _, row_values in rows])
     if values.size:
         floor = 1.0 / math.sqrt(2.0 * cfg.n_dim * (cfg.n_dim - 1))
         smallest = np.abs(values).min()
@@ -199,4 +177,5 @@ def full_oracle_table(cfg: AlgebraConfig, kind: str) -> ConstantTable:
                 f"included value {smallest:.3e} is below the magnitude floor "
                 f"{floor:.3e}; threshold separation violated"
             )
-    return ConstantTable(cfg.n_dim, kind, np.concatenate(key_runs, axis=1), values)
+    keys = np.concatenate([row_keys for row_keys, _ in rows], axis=1)
+    return ConstantTable(cfg.n_dim, kind, keys, values)

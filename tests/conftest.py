@@ -36,8 +36,7 @@ def per_triple_table(cfg, kind):
     """The trace oracle's table as the per-triple form gives it, no ceiling checked.
 
     Each pair's (anti)commutator is formed once, and each canonical triple
-    takes its own product and trace: `_pair` once per pair, `_value` once
-    per triple.
+    takes its own trace: `_pair` once per pair, `_value` once per triple.
     """
     gens = all_generators(cfg)
     strict = kind == F_KIND

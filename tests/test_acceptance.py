@@ -285,8 +285,8 @@ def test_criterion_8_performance():
         build_f_table(6)
         build_d_table(6)
         closed_best = min(closed_best, time.perf_counter() - t0)
-    # The brute force timed is the per-triple trace loop, one product and
-    # trace per triple; the oracle takes the same products batched per pair
+    # The brute force timed is the per-triple trace loop, one contraction per
+    # triple; the oracle takes the same contractions a row of pairs at a time
     # and must give the same table bit for bit.
     cfg6 = AlgebraConfig(6)
     t0 = time.perf_counter()

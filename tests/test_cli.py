@@ -52,6 +52,14 @@ def reference_matrix_json(mat, n_dim, **extra):
     return json.dumps(payload) + "\n"
 
 
+def matrix_indices(n_dim):
+    """Every generator index up to N = 5; at N = 16 symmetric, antisymmetric
+    and Cartan generators at both ends and in the middle of the basis."""
+    if n_dim <= 5:
+        return range(1, n_dim * n_dim)
+    return (1, 2, 3, 4, 8, 99, 100, 101, 120, 224, 225, 226, 253, 254, 255)
+
+
 def run(capsys, *argv):
     status = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -98,10 +106,10 @@ class TestGenerators:
         expected = make_generator(AlgebraConfig(3, 2.0), index_to_label(8, 3))
         np.testing.assert_allclose(mat, expected, atol=1e-15)
 
-    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 16])
     def test_json_matches_json_dumps(self, capsys, n_dim):
         cfg = AlgebraConfig(n_dim, 2.0)
-        for index in range(1, cfg.dim + 1):
+        for index in matrix_indices(n_dim):
             status, out, _ = run(capsys, "generators", "--n", str(n_dim), "--hbar", "2",
                                  "--index", str(index))
             assert status == 0
@@ -475,10 +483,10 @@ class TestAdjoint:
         im = np.asarray(payload["im"])
         assert im[1, 2] == -1.0 and im[2, 1] == 1.0
 
-    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 16])
     def test_json_matches_json_dumps(self, capsys, n_dim):
         table = build_f_table(n_dim)
-        for index in range(1, n_dim * n_dim):
+        for index in matrix_indices(n_dim):
             status, out, _ = run(capsys, "adjoint", "--n", str(n_dim), "--index", str(index))
             assert status == 0
             mat = adjoint_matrix(table, index)

@@ -88,8 +88,8 @@ def test_table_is_the_per_triple_trace(n_dim, hbar, kind, trace):
 @pytest.mark.parametrize("hbar", [1.0, 1.5])
 @pytest.mark.parametrize("kind", ["f", "d"])
 def test_table_bytes_are_the_per_triple_loop(n_dim, hbar, kind):
-    # Each pair's k are taken in one stacked product; the table is still the
-    # per-triple product and trace, byte for byte.
+    # Each row of i is one contraction; the table is still the per-triple
+    # contraction, byte for byte.
     cfg = AlgebraConfig(n_dim, hbar)
     batched, looped = full_oracle_table(cfg, kind), per_triple_table(cfg, kind)
     assert batched._index.tobytes() == looped._index.tobytes()
@@ -101,45 +101,75 @@ def test_table_bytes_are_the_per_triple_loop(n_dim, hbar, kind):
 @pytest.mark.parametrize("kind", ["f", "d"])
 @pytest.mark.parametrize("run", ["one j", "mid-row"])
 def test_run_boundaries_keep_the_bytes(n_dim, hbar, kind, run, monkeypatch):
-    # A budget of one product ends a run after every j; one of 2 d products
-    # makes runs of two j and more that end in the middle of a row of i.
+    # A row's contraction split into runs of its pairs, one j a run or two j
+    # a run (so runs end in the middle of a row), gives the same bytes: a
+    # trace does not depend on how many pairs share its call.
     cfg = AlgebraConfig(n_dim, hbar)
-    products = 1 if run == "one j" else 2 * cfg.dim
-    monkeypatch.setattr(trace_oracle, "_RUN_BYTES", products * 16 * n_dim**2)
-    batched, looped = full_oracle_table(cfg, kind), per_triple_table(cfg, kind)
+    looped = per_triple_table(cfg, kind)
+    size = 1 if run == "one j" else 2
+    rows = []
+    einsum = np.einsum
+
+    def split(subscripts, pairs, gens):
+        assert subscripts == "jab,kab->jk"
+        rows.append(len(pairs))
+        starts = range(0, len(pairs), size)
+        return np.concatenate([einsum(subscripts, pairs[lo : lo + size], gens) for lo in starts])
+
+    monkeypatch.setattr(trace_oracle.np, "einsum", split)
+    batched = full_oracle_table(cfg, kind)
+    monkeypatch.undo()
+    assert max(rows) > size
     assert batched._index.tobytes() == looped._index.tobytes()
     assert batched._values.tobytes() == looped._values.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["f", "d"])
-@pytest.mark.parametrize("budget", [None, 20 * 16 * 8**2])
-def test_runs_stay_within_the_budget(kind, budget, monkeypatch):
-    # At the default budget every stacked product fits; at 20 products a
-    # single j meets more k than that and runs alone.
-    if budget is not None:
-        monkeypatch.setattr(trace_oracle, "_RUN_BYTES", budget)
-    limit = trace_oracle._RUN_BYTES
-    runs = []
-    matmul = np.matmul
-
-    def spy(pairs, gens, out):
-        runs.append((len(pairs), out.nbytes))
-        return matmul(pairs, gens, out=out)
-
-    monkeypatch.setattr(trace_oracle.np, "matmul", spy)
-    full_oracle_table(AlgebraConfig(8), kind)
-    monkeypatch.undo()
-    assert max(pairs for pairs, _ in runs) > 1
-    assert all(nbytes <= limit or pairs == 1 for pairs, nbytes in runs)
-    assert any(nbytes > limit for _, nbytes in runs) == (budget is not None)
+def test_working_memory_is_bounded_by_the_budget(kind):
+    # The generator stack and at most two and a half arrays of one row's
+    # size, each 63 KiB at N = 8 (see the N = 10 test below), with room to spare.
+    _, peak = traced_peak(full_oracle_table, AlgebraConfig(8), kind)
+    assert peak <= 512 * 1024
 
 
 @pytest.mark.parametrize("kind", ["f", "d"])
-def test_working_memory_is_bounded_by_the_budget(kind):
-    # One buffer of _RUN_BYTES serves every run; the generators, each run's
-    # traces and the hits kept fit in as much again.
-    _, peak = traced_peak(full_oracle_table, AlgebraConfig(8), kind)
-    assert peak <= 2 * trace_oracle._RUN_BYTES
+def test_working_memory_is_a_few_generator_stacks(kind, monkeypatch):
+    # Beside the stack of d generators, a row holds at most two complex
+    # arrays of its size at once (its products, its pairs and their
+    # transposed copy, or its traces and their scaled copy) and one real
+    # array of half that size.  None is larger than the stack: a row has at
+    # most d pairs of N**2 entries, and at most d**2 < d * N**2 traces.  The
+    # last half stack covers the keys and values kept, 32 bytes an entry.
+    monkeypatch.setenv(CEILING_ENV, "10")
+    cfg = AlgebraConfig(10)
+    stack = cfg.dim * cfg.n_dim**2 * np.dtype(complex).itemsize
+    _, peak = traced_peak(full_oracle_table, cfg, kind)
+    assert peak <= 4 * stack
+
+
+@pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("hbar", [1.0, 1.5])
+@pytest.mark.parametrize("kind", ["f", "d"])
+def test_value_is_the_product_trace(n_dim, hbar, kind):
+    # _value sums the N**2 terms pair_ab (S_k)_ba in another order than the
+    # product form (pair @ S_k).trace().  Each complex sum of n products is
+    # within sqrt(2) gamma(n + 2) sum_ab |pair_ab| |(S_k)_ba| of the exact
+    # trace, gamma(m) = m u / (1 - m u) (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., ch. 3, complex arithmetic), so the two
+    # differ by at most twice that; scaling by 2 / hbar**3 rounds each value
+    # once more.
+    cfg = AlgebraConfig(n_dim, hbar)
+    gens = all_generators(cfg)
+    u = np.finfo(float).eps / 2
+    terms = n_dim**2 + 2
+    gamma = terms * u / (1 - terms * u)
+    canonical = combinations if kind == "f" else combinations_with_replacement
+    for i, j, k in canonical(range(1, cfg.dim + 1), 3):
+        pair, gk = trace_oracle._pair(gens[i - 1], gens[j - 1], kind), gens[k - 1]
+        product = float(trace_oracle._scaled((pair @ gk).trace(), kind, hbar))
+        sizes = np.abs(pair * gk.T).sum()
+        bound = 2 / hbar**3 * 2 * math.sqrt(2) * gamma * sizes + 2 * u * abs(product)
+        assert abs(trace_oracle._value(pair, gk, kind, hbar) - product) <= bound
 
 
 @pytest.mark.parametrize("kind", ["f", "d"])
@@ -167,8 +197,7 @@ def test_residue_in_the_last_generator_refused(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["f", "d"])
 def test_residue_in_the_middle_of_a_run_refused(kind, monkeypatch):
-    # At N=3 each row of i is one run; the tilted generator sits mid-run as a
-    # j and mid-rectangle as a k.
+    # The tilted generator sits mid-row as a j and mid-square as a k.
     def middle_tilted(cfg):
         gens = all_generators(cfg)
         gens[cfg.dim // 2] = (1 + 1e-9j) * gens[cfg.dim // 2]
