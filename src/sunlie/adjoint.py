@@ -5,6 +5,8 @@ itself: [T_i, T_j] = i sum_k f_ijk T_k.  Because f is real and totally
 anti-symmetric, every T_i is Hermitian, purely imaginary off the diagonal,
 zero on it, and traceless.  Every matrix here is written entry by entry from
 the cyclic orders (i, j, k) of the f triples: -i f_ijk at (j, k), its conjugate at (k, j).
+The commutator check builds no matrix: it sums each pair's residual term by
+term from the same entries.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _MAX_MULTIPLY_ADDS
 from .indexing import _integer
 from .structure_constants import ConstantTable, _cyclic_orders
 
@@ -58,21 +59,6 @@ def adjoint_matrix(table: ConstantTable, i: int) -> np.ndarray:
     return out
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in row blocks of fewer than _MAX_MULTIPLY_ADDS multiply-adds each.
-
-    Larger products wake OpenBLAS's second thread (2-core x86, OpenBLAS
-    0.3.31: complex ones from 2**16, real ones from about 2**20), which on a
-    shared host at times stalled the N = 12 check for 0.1-0.3 s; each block
-    runs on the calling thread.
-    """
-    rows = max(1, (_MAX_MULTIPLY_ADDS - 1) // (a.shape[1] * b.shape[1]))
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    for start in range(0, a.shape[0], rows):
-        np.matmul(a[start:start + rows], b, out=out[start:start + rows])
-    return out
-
-
 def verify_adjoint_commutators(table: ConstantTable, *, seed: int = 42) -> AdjointReport:
     """Check [T_i, T_j] = i sum_k f_ijk T_k over index pairs.
 
@@ -81,8 +67,9 @@ def verify_adjoint_commutators(table: ConstantTable, *, seed: int = 42) -> Adjoi
     Returns a report rather than raising: max deviation is a result, not an
     error, and the check passes within TOLERANCE.
 
-    Checks [F_i, F_j] = -sum_k f_ijk F_k (T_i = -i F_i) pair by pair, on the
-    indices that F_i, F_j and each F_k with f_ijk != 0 touch: every term is zero off them.
+    Checks [F_i, F_j] = -sum_k f_ijk F_k (T_i = -i F_i) pair by pair, from the
+    f rows alone: every term f_iac f_jcb, -f_jac f_icb and f_ijk f_kab of the
+    residual is summed into its entry (a, b), and no matrix is built.
     """
     seed = _integer(seed, "seed", 0)
     d = table.n_dim * table.n_dim - 1
@@ -93,26 +80,28 @@ def verify_adjoint_commutators(table: ConstantTable, *, seed: int = 42) -> Adjoi
     rows = np.split(order, np.searchsorted(columns[order], np.arange(1, d)))  # each i's entries
     steps, signs = np.array([[f.size], [-f.size]]), np.array([[1.0], [-1.0]])
 
-    def row(i: int) -> tuple:  # (j, k, f_ijk) != 0, 2 x entries: i's entries, then their odd orders
-        j = columns.take(rows[i] + steps, mode="wrap")
-        return j, j[::-1], f.take(rows[i], mode="wrap") * signs
+    def row(i: int) -> tuple:  # F_i's entries (a, c, f_iac): i's entries, then their odd orders
+        after = columns.take(rows[i] + steps, mode="wrap").astype(np.int64)  # next; previous
+        return after.ravel(), after[::-1].ravel(), (f.take(rows[i], mode="wrap") * signs).ravel()
 
-    def f_matrix(j: np.ndarray, k: np.ndarray, f_jk: np.ndarray, where: np.ndarray) -> np.ndarray:
-        out = np.zeros((where.size, where.size))  # [F_i]_jk = f_ijk on ``where``, from row(i)
-        out[where.searchsorted(j), where.searchsorted(k)] = f_jk
-        return out
+    def product_terms(left: tuple, right: tuple, sign: float) -> tuple:  # sign * F_left F_right
+        (a, c, v), (c2, b, w) = left, right
+        first, second = np.nonzero(c[:, None] == c2)  # the terms: inner indices match
+        return a[first] * d + b[second], sign * v[first] * w[second]
 
-    def deviation(i: int, j: int) -> float:  # the pair's matrices die with the call
-        js, ks, values = f_row = row(i)
+    def deviation(i: int, j: int) -> float:  # the largest |entry| of the pair's residual
+        f_i, f_j = row(i), row(j)
+        js, ks, values = f_i
         ijk = js == j  # the triples (i, j, k): f_ijk != 0
-        f_rows = {i: f_row, **{k: row(k) for k in (j, *ks[ijk].tolist())}}
-        touched = np.concatenate([others.ravel() for others, _, _ in f_rows.values()])
-        where = np.flatnonzero(np.bincount(touched, minlength=d))  # ascending, each once
-        f_i, f_j = f_matrix(*f_rows[i], where), f_matrix(*f_rows[j], where)
-        residual = _product(f_i, f_j) - _product(f_j, f_i)
+        terms = [product_terms(f_i, f_j, 1.0), product_terms(f_j, f_i, -1.0)]
         for k, f_ijk in sorted(zip(ks[ijk].tolist(), values[ijk].tolist())):  # k ascending
-            residual += f_ijk * f_matrix(*f_rows[k], where)
-        return float(np.abs(residual).max())
+            a, b, f_kab = row(k)
+            terms.append((a * d + b, f_ijk * f_kab))
+        keys, values = map(np.concatenate, zip(*terms))  # entry (a, b) as key a * d + b
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], values[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # each entry's first term
+        return float(np.abs(np.add.reduceat(values, starts)).max(initial=0.0))
 
     firsts, seconds = np.triu_indices(d, 1)
     exhaustive = table.n_dim <= EXHAUSTIVE_MAX_N

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from sunlie import adjoint
 from sunlie.adjoint import (
     DEFAULT_SAMPLE_PAIRS,
-    _product,
     adjoint_matrix,
     adjoint_stack,
     verify_adjoint_commutators,
 )
-from sunlie.dynamics import _MAX_MULTIPLY_ADDS
 from sunlie.structure_constants import ConstantTable, build_d_table, build_f_table
 
 
@@ -106,27 +103,6 @@ def test_sliced_check_matches_dense_residual(n_dim, seed):
     assert report.passed
 
 
-@pytest.mark.parametrize("width", [61, 131])
-def test_blocked_product_matches_matmul(width, monkeypatch):
-    # Two widths that a pair's sliced matrices take at N=12; each block
-    # stays below _MAX_MULTIPLY_ADDS multiply-adds.
-    rng = np.random.default_rng(width)
-    a, b = rng.normal(size=(width, width)), rng.normal(size=(width, width))
-    blocks = []
-    matmul = np.matmul
-
-    def spy(x, y, out):
-        blocks.append(len(x))
-        assert len(x) * x.shape[1] * y.shape[1] < _MAX_MULTIPLY_ADDS
-        return matmul(x, y, out=out)
-
-    monkeypatch.setattr(adjoint.np, "matmul", spy)
-    product = _product(a, b)
-    monkeypatch.undo()
-    assert sum(blocks) == width and len(blocks) > 1
-    np.testing.assert_allclose(product, a @ b, rtol=0, atol=1e-13 * np.abs(a @ b).max())
-
-
 def test_one_entry_off_by_1e_9_fails_the_report():
     # Exhaustive at N=3: f_123 = 1 scaled by 1 + 1e-9 moves [T_1, T_2] by about 1e-9.
     a, b, c, values = build_f_table(3).contraction_arrays()
@@ -135,6 +111,24 @@ def test_one_entry_off_by_1e_9_fails_the_report():
     report = verify_adjoint_commutators(ConstantTable(3, "f", np.stack((a, b, c)) + 1, values))
     assert report.exhaustive and not report.passed
     assert 1e-10 < report.max_deviation < 1e-8
+
+
+@pytest.mark.parametrize("n_dim, seed", [(16, 3), (32, 1)])
+@pytest.mark.parametrize("change", ["scaled by 1 + 1e-9", "sign flipped", "dropped"])
+def test_sampled_report_fails_for_one_wrong_entry(n_dim, seed, change):
+    # The table's middle entry; the seed draws pairs whose residual it enters.
+    a, b, c, values = build_f_table(n_dim).contraction_arrays()
+    keys, values, middle = np.stack((a, b, c)) + 1, values.copy(), values.size // 2
+    scaled = change.startswith("scaled")
+    if change == "dropped":
+        keys, values = np.delete(keys, middle, axis=1), np.delete(values, middle)
+    else:
+        values[middle] *= 1.0 + 1e-9 if scaled else -1.0
+    report = verify_adjoint_commutators(ConstantTable(n_dim, "f", keys, values), seed=seed)
+    assert (report.pairs_checked, report.exhaustive) == (DEFAULT_SAMPLE_PAIRS, False)
+    assert not report.passed
+    # Scaled, a residual entry moves by 1e-9 of a product of two entries (at most 2).
+    assert report.max_deviation < 1e-8 if scaled else report.max_deviation > 0.1
 
 
 @pytest.mark.parametrize("seed", [1, 3])
@@ -168,6 +162,16 @@ def test_sampled_verification_memory_is_per_pair():
     assert report.pairs_checked == DEFAULT_SAMPLE_PAIRS
     assert report.passed
     assert peak < 8e6
+
+
+def test_sampled_verification_holds_no_matrix():
+    # Each pair's residual is summed from its f rows: at N=16 the terms of one
+    # pair and the table's row index stay under 1 MB.
+    table = build_f_table(16)
+    np.random.default_rng()  # numpy loads its random module on first use
+    report, peak = traced_peak(verify_adjoint_commutators, table)
+    assert report.passed
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("n_dim", [16, 32])
