@@ -251,16 +251,11 @@ def precession_matrix(table: ConstantTable, coeffs: HamiltonianCoefficients) -> 
     orders, f = _cyclic_orders(table)
     dim = table.n_dim * table.n_dim - 1
     h = _check_vector(coeffs.h, dim, "Hamiltonian coefficient vector")
-    omega = np.zeros(dim * dim)
+    omega = np.zeros((dim, dim))
     for i, j, k in orders:  # f_ikj = -f_ijk
-        np.add.at(omega, _flat(i, k, dim), f * h[j])
-        np.add.at(omega, _flat(i, j, dim), -f * h[k])
-    return omega.reshape(dim, dim) / coeffs.hbar
-
-
-def _flat(i: np.ndarray, k: np.ndarray, dim: int) -> np.ndarray:
-    """i * dim + k, widened first: the tables' int32 holds N**2 - 1, not the product."""
-    return i.astype(np.intp) * dim + k
+        np.add.at(omega, (i, k), f * h[j])
+        np.add.at(omega, (i, j), -f * h[k])
+    return omega / coeffs.hbar
 
 
 def _sample_grid(spec: IntegrationSpec, radius: float, first: np.ndarray) -> tuple:

@@ -35,8 +35,8 @@ and for pairs m < n, then Cartan coordinates n:
 Each instance above is stored once under its canonical key: indices sorted
 ascending, strictly for f (repeated indices vanish by anti-symmetry), weakly
 for d.  The stored f value belongs to the ascending order; `lookup` restores
-the sign for any other ordering.  `_FAMILIES` is this list line for line
-(X counting twice), each family in that ascending order, f with the sign of
+the sign for any other ordering.  `_FAMILIES` is this list line for line, an
+X line as one row, each family in that ascending order, f with the sign of
 that order, so no triple is re-sorted.  The table stores non-zeros only,
 and no family is filtered by value: each row lists its family from a first
 leading coordinate (below), 2 where D_m needs m >= 2 and 3 for the families
@@ -51,10 +51,10 @@ a generator of one coordinate of the family, its leading coordinate:
     p   for every family of coordinates m < p < q
 
 So the triples led by the coordinates lo .. hi-1 are exactly those whose
-first index lies in (lo-1)**2 .. (hi-1)**2 - 1, and the builders list the
-families of any such range; blocks of consecutive ranges, each sorted, join
-into the sorted table.  `write_tables`, the one writer of the table text and
-its checksum, streams such blocks as CSV or JSON.
+first index lies in (lo-1)**2 .. (hi-1)**2 - 1.  `_blocks` lists consecutive
+ranges, each block sorted and checked; the builders join them into the table,
+and `write_tables`, the one writer of the table text and its checksum, streams
+them as CSV or JSON.  `ConstantTable` sorts a copy of its caller's arrays.
 
 Enumerating the patterns costs O(N**3) against the O(N**9) of computing every
 generator trace, which is what makes the N = 64 table a subsecond object
@@ -109,9 +109,8 @@ class ConstantTable:
         The keys must be a numpy array of an integer dtype: a list could hide
         a bool (``np.asarray([1, True])`` is int64), and bool, float and
         object dtypes are refused.  The range is checked on the keys as given,
-        before they are narrowed to int32.  Writeable int32 keys and float64
-        values are taken over, not copied: sorted into key order in place,
-        the keys made 0-based, and both frozen.
+        before they are narrowed to int32.  The table sorts a copy of the
+        keys and values: the caller's arrays are left as they were.
         """
         self.n_dim = n_dim = _check_table_dimension(n_dim)
         self.kind = kind = _check_kind(kind)
@@ -165,7 +164,7 @@ class ConstantTable:
         These are read-only views of the table itself, shared by every
         caller; `_cyclic_orders` serves them to every f contraction.  The
         indices are int32, which holds N**2 - 1 up to MAX_TABLE_N but not a
-        product of two of them: widen before multiplying (`dynamics._flat` does).
+        product of two of them: widen before multiplying, as the adjoint check does.
         """
         a, b, c = self._index
         return a, b, c, self._values
@@ -256,18 +255,18 @@ def _refuse(
 
 
 def _canonical(
-    n_dim: int, kind: str, keys: np.ndarray, values: np.ndarray, lead: tuple[int, int]
+    n_dim: int, kind: str, keys: np.ndarray, values: np.ndarray, lead: tuple, owned: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """A table's or a block's 0-based keys and values: checked, sorted and frozen.
 
     Every first index must be a generator of the top coordinates ``lead`` =
     (lo, hi), the 1-based indices (lo-1)**2 .. (hi-1)**2 - 1: then blocks of
-    consecutive ranges join into a sorted table without duplicates.  A whole
-    table passes (1, n_dim + 1), which takes every index.
+    consecutive ranges join into a sorted table without duplicates; a whole
+    table passes (1, n_dim + 1).  Arrays not ``owned`` are sorted as copies.
     """
     if not isinstance(keys, np.ndarray):
         raise ValueError(f"keys must be a numpy array, got {type(keys).__name__}")
-    values = np.require(values, np.float64, "W")  # a read-only array is copied
+    values = np.asarray(values, np.float64)
     if keys.shape != (3, values.size) or values.ndim != 1:
         raise ValueError(f"keys of shape {keys.shape} and values of shape {values.shape} "
                          "are not (3, count) and (count,)")
@@ -278,7 +277,8 @@ def _canonical(
     top = n_dim * n_dim - 1
     _refuse(((keys < 1) | (keys > top)).any(axis=0), keys, values, ValueError,
             f"has an index outside 1..{top}")
-    keys = np.require(keys, np.int32, "W")  # N**2 - 1 < 2**31 up to MAX_TABLE_N
+    keys = keys.astype(np.int32, copy=not owned)  # N**2 - 1 < 2**31 up to MAX_TABLE_N
+    values = np.array(values, copy=not owned)
     packed = _packed(keys, top)
     order = np.argsort(packed, kind="stable")
     del packed  # rebuilt from the sorted keys: one int64 row fewer while they move
@@ -348,7 +348,7 @@ _CARTAN = ("n", "n")
 
 # The families of the module docstring, line for line: kind, leading domain,
 # first leading coordinate, canonical index triple and value, a closed form in
-# the domain's coordinates.
+# the domain's coordinates.  An X row stands for its S and its A instances.
 _FAMILIES = (
     (F_KIND, _TRIPLES, 2, "S_pm A_qm S_qp", lambda m, p, q: -0.5),
     (F_KIND, _TRIPLES, 2, "A_pm S_qm S_qp", lambda m, p, q: 0.5),
@@ -361,14 +361,10 @@ _FAMILIES = (
     (D_KIND, _TRIPLES, 2, "S_pm A_qm A_qp", lambda m, p, q: 0.5),
     (D_KIND, _TRIPLES, 2, "A_pm A_qm S_qp", lambda m, p, q: 0.5),
     (D_KIND, _TRIPLES, 2, "A_pm S_qm A_qp", lambda m, p, q: -0.5),
-    (D_KIND, _TRIPLES, 2, "D_p S_qm S_qm", lambda m, p, q: np.sqrt(1.0 / (2.0 * p * (p - 1)))),
-    (D_KIND, _TRIPLES, 2, "D_p A_qm A_qm", lambda m, p, q: np.sqrt(1.0 / (2.0 * p * (p - 1)))),
-    (D_KIND, _TRIPLES, 2, "S_pm S_pm D_q", lambda m, p, q: np.sqrt(2.0 / (q * (q - 1)))),
-    (D_KIND, _TRIPLES, 2, "A_pm A_pm D_q", lambda m, p, q: np.sqrt(2.0 / (q * (q - 1)))),
-    (D_KIND, _PAIRS_BY_M, 2, "D_m S_nm S_nm", lambda m, n: -np.sqrt((m - 1) / (2.0 * m))),
-    (D_KIND, _PAIRS_BY_M, 2, "D_m A_nm A_nm", lambda m, n: -np.sqrt((m - 1) / (2.0 * m))),
-    (D_KIND, _PAIRS_BY_N, 3, "S_nm S_nm D_n", lambda m, n: (2 - n) / np.sqrt(2.0 * n * (n - 1))),
-    (D_KIND, _PAIRS_BY_N, 3, "A_nm A_nm D_n", lambda m, n: (2 - n) / np.sqrt(2.0 * n * (n - 1))),
+    (D_KIND, _TRIPLES, 2, "D_p X_qm X_qm", lambda m, p, q: np.sqrt(1.0 / (2.0 * p * (p - 1)))),
+    (D_KIND, _TRIPLES, 2, "X_pm X_pm D_q", lambda m, p, q: np.sqrt(2.0 / (q * (q - 1)))),
+    (D_KIND, _PAIRS_BY_M, 2, "D_m X_nm X_nm", lambda m, n: -np.sqrt((m - 1) / (2.0 * m))),
+    (D_KIND, _PAIRS_BY_N, 3, "X_nm X_nm D_n", lambda m, n: (2 - n) / np.sqrt(2.0 * n * (n - 1))),
     (D_KIND, _PAIRS_BY_M, 2, "D_m D_m D_n", lambda m, n: np.sqrt(2.0 / (n * (n - 1)))),
     (D_KIND, _CARTAN, 3, "D_n D_n D_n", lambda n: (2 - n) * np.sqrt(2.0 / (n * (n - 1)))),
 )
@@ -395,7 +391,8 @@ def _families(kind: str, n_dim: int, lo: int, hi: int) -> tuple[np.ndarray, np.n
     """1-based int32 (3, count) keys and values of the ``kind`` families led by the
     coordinates lo..hi-1, unsorted.  Each domain's coordinates, and each index
     named over them (S_pm is `symmetric_index(p, m)`), are made once, shared by
-    its families, and die on return."""
+    its families, and die on return.  An X row lists its S instances, then its
+    A instances, from one evaluation of its value."""
     every = np.arange(1, n_dim + 1, dtype=np.int32)
     shared: dict = {}  # per (domain, first): its coordinates, then its indices
     families = []
@@ -404,19 +401,23 @@ def _families(kind: str, n_dim: int, lo: int, hi: int) -> tuple[np.ndarray, np.n
             continue
         if (domain, first) not in shared:
             shared[domain, first] = _coordinates(every, *domain, max(lo, first), hi)
-        named, names = shared[domain, first], triple.split()
-        for name in names:
-            if name not in named:
+        named, instances = shared[domain, first], []
+        for x in "SA" if "X" in triple else "X":
+            names = triple.replace("X", x).split()
+            for name in set(names) - named.keys():  # each index is made once
                 named[name] = _INDEX[name[0]](*(named[c] for c in name[2:]))
-        families.append(([named[name] for name in names], [named[c] for c in domain[0]], value))
-    keys = np.empty((3, sum(coordinates[0].size for _, coordinates, _ in families)), np.int32)
-    values = np.empty(keys.shape[1])
+            instances.append([named[name] for name in names])
+        families.append((instances, [named[c] for c in domain[0]], value))
+    size = sum(len(instances) * coordinates[0].size for instances, coordinates, _ in families)
+    keys, values = np.empty((3, size), np.int32), np.empty(size)
     stop = 0
-    for indices, coordinates, value in families:
-        start, stop = stop, stop + coordinates[0].size
-        for row, index in zip(keys, indices):
-            row[start:stop] = index
-        values[start:stop] = value(*coordinates)
+    for instances, coordinates, value in families:
+        evaluated = value(*coordinates)
+        for indices in instances:
+            start, stop = stop, stop + coordinates[0].size
+            for row, index in zip(keys, indices):
+                row[start:stop] = index
+            values[start:stop] = evaluated
     return keys, values
 
 
@@ -426,8 +427,7 @@ def build_f_table(n_dim: int) -> ConstantTable:
     Every family is written in canonical ascending order, with the sign of
     that order, as `build_d_table` writes d.
     """
-    n_dim = _check_table_dimension(n_dim)
-    return ConstantTable(n_dim, F_KIND, *_families(F_KIND, n_dim, 1, n_dim + 1))
+    return _joined(n_dim, F_KIND)
 
 
 def build_d_table(n_dim: int) -> ConstantTable:
@@ -437,8 +437,21 @@ def build_d_table(n_dim: int) -> ConstantTable:
     precede block-q indices, and inside block q the bottom coordinate orders
     the pairs (s_qm < a_qm < s_qp < a_qp for m < p).
     """
+    return _joined(n_dim, D_KIND)
+
+
+def _joined(n_dim: int, kind: str) -> ConstantTable:
+    """The table of ``kind`` for su(n_dim), its sorted `_blocks` joined: the blocks' keys
+    die before their values are joined, so a build holds at most 1.6x the table."""
     n_dim = _check_table_dimension(n_dim)
-    return ConstantTable(n_dim, D_KIND, *_families(D_KIND, n_dim, 1, n_dim + 1))
+    keys, values = zip(*_blocks(n_dim, kind))
+    keys = np.concatenate(keys, axis=1)
+    values = np.concatenate(values)
+    keys.flags.writeable = values.flags.writeable = False
+    table = ConstantTable.__new__(ConstantTable)
+    table.n_dim, table.kind, table._index, table._values = n_dim, kind, keys, values
+    table._packed_keys = None
+    return table
 
 
 def _blocks(n_dim: int, kind: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -449,13 +462,12 @@ def _blocks(n_dim: int, kind: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     ranges of one width, checked and sorted by the constructor's code.  At
     most 2 N**2 triples share a leading coordinate (2 (N-1)**2 + 3 N - 2 for
     d), so a block holds at most _CHUNK_BYTES // 8 triples, or one
-    coordinate's.
+    coordinate's.  The caller checks n_dim.
     """
-    n_dim = _check_table_dimension(n_dim)
     width = max(1, _CHUNK_BYTES // 8 // (2 * n_dim * n_dim))
     for lo in range(1, n_dim + 1, width):
         hi = min(lo + width, n_dim + 1)
-        yield _canonical(n_dim, kind, *_families(kind, n_dim, lo, hi), (lo, hi))
+        yield _canonical(n_dim, kind, *_families(kind, n_dim, lo, hi), (lo, hi), owned=True)
 
 
 def write_tables(

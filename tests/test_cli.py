@@ -255,9 +255,9 @@ class TestConstants:
         refs, alive = [], []
         canonical = structure_constants._canonical
 
-        def tracked(n_dim, kind, keys, values, lead):
+        def tracked(n_dim, kind, keys, values, lead, owned):
             alive.append([ref() is not None for ref in (refs if lead[0] == 1 else refs[:-2])])
-            keys, values = canonical(n_dim, kind, keys, values, lead)
+            keys, values = canonical(n_dim, kind, keys, values, lead, owned)
             refs.extend(weakref.ref(array) for array in (keys, values))
             return keys, values
 
@@ -419,6 +419,19 @@ class TestVerify:
         assert status == 0
         assert "kind=f n=3" in out and "tol=1e-12 OK" in out
         assert "permutation spot check" in out
+
+    def test_spot_check_failure_exits_one(self, capsys, monkeypatch):
+        # A lookup that reads every order as the ascending one drops f's sign
+        # on the odd permutations; the table still matches the oracle.
+        lookup = ConstantTable.lookup
+        monkeypatch.setattr(ConstantTable, "lookup",
+                            lambda table, *triple: lookup(table, *sorted(triple)))
+        status, out, _ = run(capsys, "verify", "--n", "3", "--kind", "f")
+        first, spot = out.splitlines()
+        assert first.endswith(" OK")
+        assert spot.startswith("permutation spot check: draws=1000 seed=42 failures=")
+        assert int(spot.rpartition("=")[2]) > 0
+        assert status == 1
 
     def test_mismatch_reported_and_exit_one(self, capsys, monkeypatch):
         import sunlie.structure_constants as sc
@@ -960,19 +973,19 @@ class TestStreamedSimulate:
         assert out == "" and not out_path.exists()
 
     def test_memory_does_not_grow_with_the_samples(self, tmp_path):
-        # 20,001 samples at N = 16.  The largest work arrays of a precession
+        # 2,001 samples at N = 16.  The largest work arrays of a precession
         # block hold N x N complex entries per sample: 30 samples (the block
         # of `_block_samples`) x 256 x 16 bytes = 123 KB.  A block holds a few
         # of them beside its (30, 255) rows, the comparison's amplitude rows
         # and the text of one row; allow 16.  Holding the trajectory would add
-        # 41 MB of states, and three times that again for their tolist floats.
+        # 4.1 MB of states, and three times that again for their tolist floats.
         n_dim = 16
         rng = np.random.default_rng(n_dim)
         h_path, psi_path = write_problem(tmp_path, random_hermitian(rng, n_dim),
                                          random_state(rng, n_dim))
         block = dynamics._block_samples(n_dim, n_dim)[1]
         argv = ["simulate", "--hamiltonian", str(h_path), "--initial", str(psi_path),
-                "--t-final", "20", "--dt", "1e-3", "--output", str(tmp_path / "traj.csv"),
+                "--t-final", "2", "--dt", "1e-3", "--output", str(tmp_path / "traj.csv"),
                 "--compare-tdse"]
         with contextlib.redirect_stdout(io.StringIO()):
             status, peak = traced_peak(cli.main, argv)

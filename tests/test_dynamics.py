@@ -28,9 +28,7 @@ from sunlie.generators import (
     _generator_traces,
     all_generators,
 )
-from sunlie.structure_constants import (
-    MAX_TABLE_N, ConstantTable, _cyclic_orders, build_d_table, build_f_table,
-)
+from sunlie.structure_constants import build_d_table, build_f_table
 
 
 class TestDecomposeHamiltonian:
@@ -273,24 +271,6 @@ class TestPrecessionRhs:
         assert ds.shape == (dim,)
         assert peak <= 3 * sum(a.nbytes for a in table.contraction_arrays())
 
-    def test_flat_positions_at_the_largest_dimension(self):
-        # precession_matrix widens the tables' int32 indices before it forms
-        # the flat position i * dim + k of each signed order: at MAX_TABLE_N
-        # that passes 2**31 and stays exact.  Three triples, and the flat
-        # positions alone: the dim x dim matrix is never allocated.
-        top = MAX_TABLE_N**2 - 1
-        keys = np.array([[top - 3, 1, top - 2], [top - 1, 2, top - 1], [top, top, top]],
-                        dtype=np.int32)
-        orders, _ = _cyclic_orders(ConstantTable(MAX_TABLE_N, "f", keys, np.ones(3)))
-        flat = []
-        for i, j, k in orders:
-            for last in (k, j):  # the order (i, j, k), then (i, k, j)
-                at = dynamics._flat(i, last, top)
-                assert at.dtype == np.intp
-                assert at.tolist() == [x * top + z for x, z in zip(i.tolist(), last.tolist())]
-                flat.append(at.max())
-        assert max(flat) > 2**31
-
 
 def _su2(h):
     return HamiltonianCoefficients(0.0, np.asarray(h), 1.0)
@@ -476,6 +456,19 @@ class TestIntegration:
         np.testing.assert_allclose(traj.states[-1], [0.5 * math.cos(0.3), 0.5 * math.sin(0.3), 0.0],
                                    atol=1e-6)
 
+    @pytest.mark.parametrize("t_final, stride, times", [
+        # A tail of 5e-9 steps is sampled: the threshold is 1e-12 of t_final.
+        (3.0 + 5e-9, 1, [0.0, 1.0, 2.0, 3.0, 3.0 + 5e-9]),
+        # 3 - 5e-8 steps are 2 full steps and a tail: the floor's slack is 1e-9.
+        (3.0 - 5e-8, 3, [0.0, 2.0, 3.0 - 5e-8]),
+    ])
+    def test_tail_step_just_beyond_the_rounding_slack(self, t_final, stride, times):
+        table = build_f_table(2)
+        coeffs = HamiltonianCoefficients(0.0, np.array([0.0, 0.0, 1.0]), 1.0)
+        spec = IntegrationSpec(t_final=t_final, dt=1.0, output_stride=stride)
+        traj = integrate_bloch(table, coeffs, np.array([0.5, 0.0, 0.0]), spec)
+        assert traj.times.tolist() == times
+
     def test_zero_duration(self):
         table = build_f_table(2)
         coeffs = HamiltonianCoefficients(0.0, np.zeros(3), 1.0)
@@ -493,6 +486,9 @@ class TestIntegration:
             {"t_final": 1e300, "dt": 1e-10},
             {"t_final": 1e10, "dt": 1e-300},
             {"t_final": 1.0, "dt": 1e-3, "output_stride": 10**30},
+            # Just beyond 2**62, the bound of both.
+            {"t_final": 2.0**63, "dt": 1.0},
+            {"t_final": 1.0, "dt": 1.0, "output_stride": 2**62 + 1},
             # The stride is an integer: no floats, even whole ones, and no bools.
             {"t_final": 1.0, "dt": 0.1, "output_stride": 2.5},
             {"t_final": 1.0, "dt": 0.1, "output_stride": 2.0},
@@ -923,6 +919,14 @@ class TestStabilityGuard:
         traj = integrate_bloch(build_f_table(5), coeffs, s0, IntegrationSpec(50 * dt, dt))
         # Inside the stability interval RK4 damps, never amplifies, |s|.
         assert np.sum(traj.states[-1] ** 2) <= np.sum(s0**2)
+
+    def test_step_just_beyond_the_limit_refused(self):
+        # su(2) in a unit field precesses at frequency 1, so dt * radius = dt.
+        dt = 2.0 * math.sqrt(2.0) * (1.0 + 1e-3)
+        problem = build_f_table(2), _su2([0.0, 0.0, 1.0]), [0.5, 0.0, 0.0]
+        with pytest.raises(ValueError, match="unstable"):
+            integrate_bloch(*problem, IntegrationSpec(t_final=10.0, dt=dt))
+        assert integrate_bloch(*problem, IntegrationSpec(10.0, dt, method="exact")).times.size == 5
 
     def test_shifted_hamiltonian_checks_amplitude_radius(self):
         # A trace shift leaves the precession flow alone but scales the

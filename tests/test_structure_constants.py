@@ -314,17 +314,20 @@ def test_malformed_arrays_rejected(keys, values, message):
         ConstantTable(3, "f", keys, values)
 
 
-def test_int32_keys_and_float64_values_are_sorted_in_place():
-    # The builders' arrays become the table: no copy of either.
+def test_the_callers_arrays_are_left_as_they_were():
+    # Writeable int32 keys and float64 values, the dtypes the table stores, out
+    # of order: the table sorts copies, and a second table builds from them.
     keys = np.array([[4, 1], [5, 2], [8, 3]], dtype=np.int32)
     values = np.array([SQRT3 / 2.0, 1.0])
-    table = ConstantTable(3, "f", keys, values)
-    a, _, _, v = table.contraction_arrays()
-    assert np.shares_memory(keys, a) and np.shares_memory(values, v)
-    assert keys.tolist() == [[0, 3], [1, 4], [2, 7]]
-    assert values.tolist() == [1.0, SQRT3 / 2.0]
-    assert not keys.flags.writeable and not values.flags.writeable
-    assert table.lookup(8, 5, 4) == -SQRT3 / 2.0
+    for _ in range(2):
+        table = ConstantTable(3, "f", keys, values)
+        a, _, _, v = table.contraction_arrays()
+        assert not np.shares_memory(keys, a) and not np.shares_memory(values, v)
+        assert keys.tolist() == [[4, 1], [5, 2], [8, 3]] and keys.dtype == np.int32
+        assert values.tolist() == [SQRT3 / 2.0, 1.0] and values.dtype == np.float64
+        assert keys.flags.writeable and values.flags.writeable
+        assert table.as_dict() == {(1, 2, 3): 1.0, (4, 5, 8): SQRT3 / 2.0}
+        assert table.lookup(8, 5, 4) == -SQRT3 / 2.0
 
 
 def test_read_only_arrays_are_copied():
@@ -351,9 +354,8 @@ def test_numpy_integer_keys_act_as_ints():
 
 def test_keys_at_the_largest_dimension():
     # Indices near N**2 - 1 = 2,096,703 at MAX_TABLE_N, stored as int32: they
-    # sort, validate and look up exactly (test_dynamics holds that the
-    # contractions widen them before any product of two).  Three triples:
-    # nothing here grows with N.
+    # sort, validate and look up exactly.  Three triples: nothing here grows
+    # with N.
     top = MAX_TABLE_N**2 - 1
     assert top == 2_096_703
     keys = np.array([[top - 3, 1, top - 2], [top - 1, 2, top - 1], [top, top, top]],
@@ -564,18 +566,15 @@ def test_stats_hold_one_piece_of_text_beside_the_table(build, monkeypatch):
 
 
 def check_build_memory(build, count):
-    # The families are written into the result's own arrays (1x: int32 keys
-    # and float64 values, 20 bytes per triple), which are then sorted a row
-    # at a time.  Beside them live at most 20 more bytes per triple (1x):
-    # while listing, the domains' int32 coordinates and indices and one
-    # family's value temporaries;
-    # while sorting, the int64 packed key and the sort order, then the order
-    # and the row being permuted; later the packed key and one-byte check
-    # masks.  The coordinate arrays over m < p < q are gone by then: they die
-    # with the function that lists the families.  Both builds measure 1.80x.
+    # The sorted blocks hold the table's bytes (1x: int32 keys and float64
+    # values, 20 bytes per triple).  Their keys are joined (0.6x) and dropped
+    # before their values are joined, so the join holds at most 1.6x.  While
+    # a block is listed and sorted, its own coordinates, packed keys, sort
+    # order and masks live beside the blocks before it.  Both builds measure
+    # 1.60x.
     table, peak = traced_peak(build, 48)
     assert len(table) == count
-    assert peak <= 2.0 * sum(a.nbytes for a in table.contraction_arrays())
+    assert peak <= 1.7 * sum(a.nbytes for a in table.contraction_arrays())
 
 
 def test_build_d_working_memory_is_bounded():
@@ -612,7 +611,11 @@ def coordinate_counts(table):
 @pytest.mark.parametrize("kind", ["f", "d"])
 @pytest.mark.parametrize("n_dim", [*range(2, 13), 33, 64])
 def test_block_stream_joins_into_the_table(kind, n_dim, monkeypatch):
-    table = BUILDERS[kind](n_dim)
+    # The reference lists every family in one call and sorts the whole table.
+    families = structure_constants._families(kind, n_dim, 1, n_dim + 1)
+    table = ConstantTable(n_dim, kind, *families)
+    *keys, values = BUILDERS[kind](n_dim).contraction_arrays()
+    assert_same_table([(np.stack(keys), values)], table)
     # At most 2 N**2 triples share a leading coordinate, which sizes the blocks.
     assert coordinate_counts(table).max() <= 2 * n_dim * n_dim
     blocks = list(structure_constants._blocks(n_dim, kind))
@@ -649,16 +652,28 @@ def test_every_split_into_coordinate_ranges_gives_the_table(kind, n_dim):
         assert_same_table(blocks, table)
 
 
-@pytest.mark.parametrize("at", range(len(structure_constants._FAMILIES)))
-def test_each_family_is_pinned_and_never_dropped_by_value(at, monkeypatch):
+# The families of the module docstring: each registry row, an X row once for
+# its S instances and once for its A instances.
+FAMILIES = [(at, x) for at, row in enumerate(structure_constants._FAMILIES)
+            for x in ("SA" if "X" in row[3] else "X")]
+
+
+@pytest.mark.parametrize("family", range(len(FAMILIES)))
+def test_each_family_is_pinned_and_never_dropped_by_value(family, monkeypatch):
     rows = structure_constants._FAMILIES
-    kind = rows[at][0]
-    # Alone, the family lists triples of su(3), each a line of the committed golden file.
-    monkeypatch.setattr(structure_constants, "_FAMILIES", rows[at : at + 1])
-    table = BUILDERS[kind](3)
-    assert len(table) >= 1
-    golden = (GOLDEN / "constants_n3.csv").read_text().splitlines()
-    assert {f"{kind},{i},{j},{k},{v!r}" for i, j, k, v in table.triples()} <= set(golden)
+    at, x = FAMILIES[family]
+    kind, triple = rows[at][0], rows[at][3]
+    golden = set((GOLDEN / "constants_n3.csv").read_text().splitlines())
+
+    def lines(row):
+        monkeypatch.setattr(structure_constants, "_FAMILIES", (row,))
+        return {f"{kind},{i},{j},{k},{v!r}" for i, j, k, v in BUILDERS[kind](3).triples()}
+
+    # Alone, the family lists triples of su(3), each a line of the committed
+    # golden file.  Its row lists them, and an X row as many A instances as S.
+    alone, listed = lines((*rows[at][:3], triple.replace("X", x), rows[at][4])), lines(rows[at])
+    assert alone and alone <= listed <= golden
+    assert len(listed) == len(alone) * (1 if x == "X" else 2)
     # Evaluated to 0 among the others, it is refused by the band, not left out.
     zero = (*rows[at][:-1], lambda *coordinates: 0.0)
     monkeypatch.setattr(structure_constants, "_FAMILIES", (*rows[:at], zero, *rows[at + 1 :]))
